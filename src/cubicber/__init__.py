@@ -19,7 +19,6 @@ from .lp3 import (
     DivergentMomentError,
     fit_from_moments,
 )
-from ._backend import active_backend
 from .montecarlo import SampleSet, generate_samples, empirical_ber
 from .detection import (
     NoisePhysics,
@@ -49,7 +48,6 @@ __all__ = [
     "NoSolutionError",
     "DivergentMomentError",
     "fit_from_moments",
-    "active_backend",
     "SampleSet",
     "generate_samples",
     "empirical_ber",

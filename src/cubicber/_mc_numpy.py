@@ -1,4 +1,4 @@
-"""Pure-numpy synthesis kernel: chunked matrix products over trial blocks."""
+"""Synthesis kernel: chunked numpy matrix products over trial blocks."""
 
 from __future__ import annotations
 

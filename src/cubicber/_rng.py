@@ -1,13 +1,12 @@
-"""Counter-based random normals, reproducible across backends.
+"""Counter-based random normals.
 
 The generator is Philox4x32-10 keyed on (seed, bit stream, trial, block):
 every (trial, block) pair yields four 32-bit words, packed into two
 uniforms and mapped through a rational inverse-normal approximation to a
 pair of standard normals. Because the stream is a pure function of the
 counter, any slice of trials can be generated independently, in any order,
-chunked any way, with bit-identical results on a given backend. The two
-backends agree with each other to float association level (~1e-15
-relative), not bitwise: their accumulation orders differ.
+chunked any way, with bit-identical results. The key holds the low 64 bits
+of the seed; callers reject larger seeds.
 """
 
 from __future__ import annotations

@@ -20,13 +20,13 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import detection, gof, lp3, montecarlo
 from ._config import ConfigError, load_config
-from .moments import mean_decision, second_moment, third_moment
+from .moments import (decision_moments, mean_decision, second_moment,
+                      third_moment)
 from .params import (
     C_LIGHT,
     H_PLANCK,
@@ -47,6 +47,11 @@ VARIANTS = ("lp3", "lp3_shot_thermal", "gauss_approx", "mc")
 _POINT_ERRORS = (lp3.Lp3Error, ParamError, detection.BracketError,
                  detection.QuadratureError, montecarlo.SampleSizeError,
                  ZeroDivisionError, OverflowError, FloatingPointError)
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < montecarlo.SEED_LIMIT:
+        raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +82,10 @@ class SweepConfig:
                               f"{'/'.join(VARIANTS)}, got {bad}")
         if not self.r_l_values or any(r <= 0 for r in self.r_l_values):
             raise ConfigError("r_l values must be positive")
-        if self._needs_mc() and self.trials < 1000:
-            raise ConfigError("trials must be >= 1000 when MC is enabled")
+        if self._needs_mc():
+            if self.trials < 1000:
+                raise ConfigError("trials must be >= 1000 when MC is enabled")
+            _check_seed(self.seed)
 
     def _needs_mc(self) -> bool:
         if self.analytic_only:
@@ -146,20 +153,6 @@ def _point_system(cfg: SweepConfig, x: float, r_l: float) -> SystemParams:
                    g_amp=_g_amp_for_sigma0_sq(cfg.base, sigma0_sq))
 
 
-def _closed_law(sp, dp, bit):
-    mt = SimpleNamespace(mu1=mean_decision(sp, dp, bit),
-                         mu2=second_moment(sp, dp, bit),
-                         mu3=third_moment(sp, dp, bit))
-    return lp3.fit_from_moments(mt), mt
-
-
-def _sample_law(values):
-    x = np.asarray(values, np.float64)
-    mt = SimpleNamespace(mu1=float(x.mean()), mu2=float((x * x).mean()),
-                         mu3=float((x ** 3).mean()))
-    return lp3.fit_from_moments(mt), mt
-
-
 class _PointCache:
     """Per-sweep-point store so laws and moments are computed once."""
 
@@ -186,13 +179,16 @@ class _PointCache:
         return self._samples[bit]
 
     def law(self, bit, order):
+        """(Lp3Params, (mu1, mu2, mu3)): closed form for order 3, else MC."""
         key = (bit, order)
         if key not in self._laws:
             if order == 3:
-                self._laws[key] = _closed_law(self.sp, self.dp, bit)
+                mt = decision_moments(self.sp, self.dp, bit)
+                mus = (mt.mu1, mt.mu2, mt.mu3)
             else:
-                s = self.samples(bit)[order]
-                self._laws[key] = _sample_law(s.values)
+                mus = montecarlo.sample_moments(
+                    self.samples(bit)[order].values)[0]
+            self._laws[key] = lp3.fit_from_moments(mus), mus
         return self._laws[key]
 
 
@@ -202,11 +198,8 @@ def _variant_point(cache: _PointCache, order: int, variant: str):
         s = {b: cache.samples(b)[order] for b in (0, 1)}
         return montecarlo.empirical_ber(s[0], s[1])
     if variant == "gauss_approx":
-        (law0, mt0) = cache.law(0, order)
-        (law1, mt1) = cache.law(1, order)
-        return detection.gaussian_approx_ber(
-            mt0.mu1, mt0.mu2 - mt0.mu1 ** 2,
-            mt1.mu1, mt1.mu2 - mt1.mu1 ** 2)
+        (m0, s0, _), (m1, s1, _) = (cache.law(b, order)[1] for b in (0, 1))
+        return detection.gaussian_approx_ber(m0, s0 - m0 ** 2, m1, s1 - m1 ** 2)
     phys = cache.phys if variant == "lp3_shot_thermal" else None
     f0 = detection.BitConditionedLaw(0, cache.law(0, order)[0], phys)
     f1 = detection.BitConditionedLaw(1, cache.law(1, order)[0], phys)
@@ -344,6 +337,8 @@ def _load_sample_group(path, order, bit):
         sets = montecarlo.load_csv(path)
     except OSError as exc:
         raise ConfigError(f"cannot read samples {path}: {exc}") from None
+    except ValueError as exc:  # ParamError or an unparsable field
+        raise ConfigError(f"malformed samples {path}: {exc}") from None
     for s in sets:
         if s.order == order and s.bit == bit:
             return s
@@ -366,20 +361,16 @@ def _cmd_fit(args) -> int:
         if moments is not None:
             if len(moments) != 3:
                 raise ConfigError("--moments takes exactly three values")
-            mt = SimpleNamespace(mu1=moments[0], mu2=moments[1],
-                                 mu3=moments[2])
+            mus = tuple(moments)
         else:
             sample_set = _load_sample_group(samples_path, order, bit)
-            x = sample_set.values
-            mt = SimpleNamespace(mu1=float(x.mean()),
-                                 mu2=float((x * x).mean()),
-                                 mu3=float((x ** 3).mean()))
+            mus = montecarlo.sample_moments(sample_set.values)[0]
     except (ConfigError, ParamError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        law = lp3.fit_from_moments(mt)
+        law = lp3.fit_from_moments(mus)
     except lp3.Lp3Error as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -387,12 +378,12 @@ def _cmd_fit(args) -> int:
     print(f"alpha = {law.alpha:.17g}")
     print(f"beta  = {law.beta:.17g}")
     print(f"gamma = {law.gamma:.17g}")
-    for n in (1, 2, 3):
-        print(f"mu{n}: input {getattr(mt, f'mu{n}'):.17g}"
+    for n, mu in enumerate(mus, start=1):
+        print(f"mu{n}: input {mu:.17g}"
               f"  readback {lp3.moment(law, n):.17g}")
     if sample_set is not None:
         xs = np.sort(sample_set.values)
-        ks = gof.ks_statistic(xs, lambda y: _lp3_cdf_safe(law, y))
+        ks = gof.ks_statistic(xs, lambda y: lp3.cdf(law, y))
         print(f"ks = {ks:.17g}")
     print(f"fit_result alpha={law.alpha:.17g} beta={law.beta:.17g} "
           f"gamma={law.gamma:.17g}")
@@ -401,15 +392,6 @@ def _cmd_fit(args) -> int:
             fh.write("# schema=1\nalpha,beta,gamma\n")
             fh.write(f"{law.alpha:.17g},{law.beta:.17g},{law.gamma:.17g}\n")
     return EXIT_OK
-
-
-def _lp3_cdf_safe(law, y):
-    y = np.asarray(y, np.float64)
-    out = np.zeros(y.shape, np.float64)
-    pos = y > 0.0
-    if pos.any():
-        out[pos] = lp3.cdf(law, y[pos])
-    return out
 
 
 def _cmd_gof(args) -> int:
@@ -460,6 +442,7 @@ def _cmd_mc_validate(args) -> int:
         window = cfg.get("window", 32)
         if trials < 1000:
             raise ConfigError("trials must be >= 1000")
+        _check_seed(seed)
     except (ConfigError, ParamError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -477,17 +460,13 @@ def _cmd_mc_validate(args) -> int:
         except (ParamError, montecarlo.SampleSizeError) as exc:
             print(f"sampling failed: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
-        vals = sets[3].values
         if bit == 1:
             gof_source = sets[3]
         closed = {1: mean_decision(base, dp, bit),
                   2: second_moment(base, dp, bit),
                   3: third_moment(base, dp, bit)}
-        for n in (1, 2, 3):
-            powered = vals ** n
-            mc = float(powered.mean())
-            se = float(powered.std(ddof=1) / math.sqrt(trials)) \
-                if trials > 1 else 0.0
+        mus, ses = montecarlo.sample_moments(sets[3].values)
+        for n, mc, se in zip((1, 2, 3), mus, ses):
             tol = _MOMENT_TOL[n]
             if closed[n] == 0.0:
                 rel = math.inf if mc != 0.0 else 0.0

@@ -88,11 +88,6 @@ def cdf_shot_thermal(law0: lp3.Lp3Params, x: float,
         return ((qe_tp * (x + y) + th_tp) / (s**3 * math.sqrt(2.0 * math.pi))
                 * math.exp(-wexp))
 
-    def f_y(y: float) -> float:
-        if y <= 0.0:
-            return 0.0
-        return lp3.cdf(law0, y)
-
     y_lo = lp3.quantile(law0, 1e-14)
     y_hi = lp3.quantile(law0, 1.0 - 1e-12)
     s_x = sigma(max(x, 0.0))
@@ -100,7 +95,7 @@ def cdf_shot_thermal(law0: lp3.Lp3Params, x: float,
     lo = y_lo
 
     def integrand(y: float) -> float:
-        return neg_uprime(y) * f_y(y)
+        return neg_uprime(y) * lp3.cdf(law0, y)
 
     pts = [p for p in (x - 8.0 * s_x, x, x + 8.0 * s_x) if lo < p < hi]
     val, err = _si.quad(integrand, lo, hi, points=pts or None,
@@ -147,9 +142,7 @@ class BitConditionedLaw:
         if isinstance(self.law, lp3.Lp3Params):
             if self.physics is not None:
                 return cdf_shot_thermal(self.law, x, self.physics)
-            if x <= 0.0:
-                return 0.0
-            return float(lp3.cdf(self.law, float(x)))
+            return lp3.cdf(self.law, x)
         return float(np.searchsorted(self.law, x, side="right")) / self.law.size
 
     def mean(self) -> float:

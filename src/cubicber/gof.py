@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from . import lp3
-from .montecarlo import SampleSet
+from .montecarlo import SampleSet, sample_moments
 from .params import ParamError
 
 
@@ -112,20 +111,9 @@ def _clip_unit(f):
 
 
 def _fit_lp3(x, m, v):
-    mu1 = float(x.mean())
-    mu2 = float((x * x).mean())
-    mu3 = float((x ** 3).mean())
-    p = lp3.fit_from_moments(SimpleNamespace(mu1=mu1, mu2=mu2, mu3=mu3))
-
-    def f(y):
-        y = np.asarray(y, np.float64)
-        out = np.zeros(y.shape, np.float64)
-        pos = y > 0.0
-        if pos.any():
-            out[pos] = lp3.cdf(p, y[pos])
-        return out
-
-    return {"alpha": p.alpha, "beta": p.beta, "gamma": p.gamma}, f
+    p = lp3.fit_from_moments(sample_moments(x)[0])
+    return ({"alpha": p.alpha, "beta": p.beta, "gamma": p.gamma},
+            lambda y: lp3.cdf(p, y))
 
 
 def _fit_normal(x, m, v):

@@ -225,24 +225,33 @@ def pdf(p: Lp3Params, y: float) -> float:
 
 
 def cdf(p: Lp3Params, y):
-    """LP3 distribution function; scalar or ndarray y."""
+    """LP3 distribution function on the real line; scalar or ndarray y.
+
+    Y > 0 almost surely, so cdf(y) = 0 for y <= 0: the y -> 0+ limit for
+    either sign of beta. NaN raises Lp3Error.
+    """
     if np.ndim(y) == 0:
-        z = _std_arg(p, float(y))
+        y = float(y)
+        if not y > 0.0:
+            if math.isnan(y):
+                raise Lp3Error("y must not be NaN")
+            return 0.0
+        z = (math.log(y) - p.gamma) / p.beta
         if z <= 0.0:
             return 0.0 if p.beta > 0 else 1.0
         pr, q = _gamma_pq(p.alpha, z)
         return pr if p.beta > 0 else q
     yy = np.asarray(y, float)
-    if np.any(yy <= 0):
-        raise Lp3Error("y must be > 0")
-    z = (np.log(yy) - p.gamma) / p.beta
-    out = np.empty(yy.shape, float)
-    neg = z <= 0.0
-    out[neg] = 0.0 if p.beta > 0 else 1.0
+    if np.isnan(yy).any():
+        raise Lp3Error("y must not be NaN")
+    pos = yy > 0.0
+    z = (np.log(yy[pos]) - p.gamma) / p.beta
+    vals = np.full(z.shape, 0.0 if p.beta > 0 else 1.0)
     idx = 1 if p.beta < 0 else 0
-    flat_z, flat_o = z.ravel(), out.ravel()
-    for i in np.flatnonzero(~neg.ravel()):
-        flat_o[i] = _gamma_pq(p.alpha, flat_z[i])[idx]
+    for i in np.flatnonzero(z > 0.0):
+        vals[i] = _gamma_pq(p.alpha, z[i])[idx]
+    out = np.zeros(yy.shape, float)
+    out[pos] = vals
     return out
 
 
@@ -378,15 +387,17 @@ def _solve_beta_negative(rho: float) -> float:
 def fit_from_moments(m) -> Lp3Params:
     """Solve (alpha, beta, gamma) from raw moments (mu1, mu2, mu3).
 
-    Accepts a MomentTriple or any object with mu1/mu2/mu3 attributes.
-    Near the lognormal point (moment ratio rho ~ 3) the system is
-    ill-conditioned; there the fit degrades to a two-parameter lognormal
+    Accepts a MomentTriple, any object with mu1/mu2/mu3 attributes, or a
+    plain (mu1, mu2, mu3) sequence. Near the lognormal point (moment ratio
+    rho ~ 3) the system is ill-conditioned; there the fit degrades to a two-parameter lognormal
     match of (mu1, mu2) with beta pinned to +/-1e-9. On that fallback path
     the readback of mu1/mu2 through moment() is only good to ~1e-6 relative
     (float cancellation inherent to the parameterization), and mu3 is not
     matched at all.
     """
-    mu1, mu2, mu3 = float(m.mu1), float(m.mu2), float(m.mu3)
+    if hasattr(m, "mu1"):
+        m = (m.mu1, m.mu2, m.mu3)
+    mu1, mu2, mu3 = (float(v) for v in m)
     if not (mu1 > 0 and mu2 > 0 and mu3 > 0):
         raise NoSolutionError("moments must be positive")
     l1, l2, l3 = math.log(mu1), math.log(mu2), math.log(mu3)

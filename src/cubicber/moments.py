@@ -19,9 +19,6 @@ from dataclasses import dataclass
 
 from .params import DerivedParams, ParamError, SystemParams
 
-# Full-line integrals of sinc^p; PRD >> 1 limits used by the closed forms.
-_SINC_POWER = {2: 1.0, 4: 0.667, 6: 0.55}
-
 # Variance decomposition rows: (r, sigma0_power, pr_power, I0, prd_linear).
 # The middle exponent columns of the source tabulation (powers of the
 # autocorrelation and the two pulse factors inside the double integral) are
@@ -74,11 +71,6 @@ def _variance_coefficients() -> tuple[float, dict[int, float]]:
 
 # Recomputed PRD-linear noise coefficient: 2304*0.55 + 20736*0.667 + 20736*1.
 VAR_NOISE_PRD_COEFF, VAR_SIGNAL_COEFFS = _variance_coefficients()
-
-# The two rounded values this coefficient is printed as elsewhere; kept for
-# the record, not used in any computation.
-VAR_NOISE_PRD_COEFF_PRINT_A = 35834.0
-VAR_NOISE_PRD_COEFF_PRINT_B = 35843.0
 
 # First-moment polynomial coefficients (noise, then P_r^1..P_r^3).
 _MU1_NOISE = 48.0
@@ -190,22 +182,3 @@ def decision_moments(sp: SystemParams, dp: DerivedParams, bit: int) -> MomentTri
         bit=bit,
     )
 
-
-def gaussian_raw_moment(a: float, sigma: float, order: int) -> float:
-    """E{X^n} for X ~ Normal(a, sigma^2), n in {2, 4, 6}."""
-    s2 = sigma * sigma
-    if order == 2:
-        return a**2 + s2
-    if order == 4:
-        return a**4 + 6 * a**2 * s2 + 3 * s2**2
-    if order == 6:
-        return a**6 + 15 * a**4 * s2 + 45 * a**2 * s2**2 + 15 * s2**3
-    raise ParamError("gaussian_raw_moment supports orders 2, 4, 6 only")
-
-
-def sinc_power_integral(power: int) -> float:
-    """Full-line integral of sinc^p for p in {2, 4, 6}."""
-    try:
-        return _SINC_POWER[power]
-    except KeyError:
-        raise ParamError("sinc_power_integral supports powers 2, 4, 6 only") from None

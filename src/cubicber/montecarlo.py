@@ -10,41 +10,30 @@ integrals of |r|^2n over the window at step 1/M, scaled by the receiver
 prefactor.
 
 Randomness is counter-based: a sample is a pure function of (seed, bit,
-trial index, config), so trials can be generated in any order, in chunks
-of any size, on either backend, reproducibly.
+trial index, config), so trials can be generated in any order and in
+chunks of any size, with bitwise-identical results.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import _rng
-from ._backend import decision_sums
+from . import _mc_numpy
 from .moments import MomentTriple
 from .params import DerivedParams, ParamError, SystemParams
 
 MIN_OVERSAMPLE = 8
 MIN_WINDOW = 16
+SEED_LIMIT = 2**64   # Philox key width
+TRIAL_LIMIT = 2**63  # trial indices are int64
 
 
 class SampleSizeError(ValueError):
     """Too few samples for the requested estimate."""
-
-
-@dataclass(frozen=True)
-class NoiseTrace:
-    """Complex noise envelope on a uniform grid (units watts^(1/2))."""
-
-    samples: np.ndarray
-    dt: float    # grid step, seconds
-    span: float  # grid extent, seconds
-    seed: int
-    stream: int
-    trial: int
 
 
 @dataclass(frozen=True)
@@ -108,43 +97,10 @@ def _order_prefactor(order: int, sp: SystemParams, dp: DerivedParams) -> float:
     raise ParamError("order must be 1, 2, or 3")
 
 
-def synth_noise(dp: DerivedParams, span: float, oversample: int = 16,
-                window: int = 32, seed: int = 0, stream: int = 0,
-                trial: int = 0) -> NoiseTrace:
-    """One noise-only complex envelope trace over `span` seconds."""
-    _check_synthesis_config(oversample, window)
-    if span <= 0:
-        raise ParamError("span must be > 0")
-    if seed < 0 or trial < 0 or stream < 0:
-        raise ParamError("seed, stream, and trial must be >= 0")
-    span_u = span / dp.tau_c
-    u, basis, weights = _grid(span_u, oversample, window)
-    ncoef = basis.shape[1]
-    zp, zq = _rng.coefficient_normals(seed, np.array([trial], np.int64),
-                                      stream, np.arange(ncoef))
-    sigma0 = math.sqrt(dp.sigma0_sq)
-    coeff = sigma0 * (zp[0] + 1j * zq[0])
-    samples = basis @ coeff
-    dt = dp.tau_c / oversample
-    return NoiseTrace(samples=samples, dt=dt, span=(u[-1] - u[0]) * dp.tau_c,
-                      seed=seed, stream=stream, trial=trial)
-
-
-def sample_decision(order: int, bit: int, sp: SystemParams,
-                    dp: DerivedParams, oversample: int = 16,
-                    window: int = 32, seed: int = 0,
-                    trial: int = 0) -> float:
-    """One decision-variable sample (amperes)."""
-    out = generate_samples(sp, dp, bit, 1, orders=(order,),
-                           oversample=oversample, window=window, seed=seed,
-                           start_trial=trial)
-    return float(out[order].values[0])
-
-
 def generate_samples(sp: SystemParams, dp: DerivedParams, bit: int,
                      n_trials: int, orders=(1, 2, 3), oversample: int = 16,
-                     window: int = 32, seed: int = 0, start_trial: int = 0,
-                     backend: str | None = None) -> dict[int, SampleSet]:
+                     window: int = 32, seed: int = 0,
+                     start_trial: int = 0) -> dict[int, SampleSet]:
     """Decision samples for one bit, all requested receiver orders at once.
 
     The three orders share the same synthesized field, so requesting them
@@ -155,8 +111,10 @@ def generate_samples(sp: SystemParams, dp: DerivedParams, bit: int,
         raise ParamError("bit must be 0 or 1")
     if n_trials < 1:
         raise ParamError("n_trials must be >= 1")
-    if seed < 0 or start_trial < 0:
-        raise ParamError("seed and start_trial must be >= 0")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ParamError("seed must be in [0, 2^64)")
+    if not 0 <= start_trial <= TRIAL_LIMIT - n_trials:
+        raise ParamError("trial indices must lie in [0, 2^63)")
     orders = tuple(orders)
     if not orders or any(o not in (1, 2, 3) for o in orders):
         raise ParamError("orders must be a nonempty subset of {1, 2, 3}")
@@ -164,8 +122,8 @@ def generate_samples(sp: SystemParams, dp: DerivedParams, bit: int,
     amp = math.sqrt(sp.p_r) if bit == 1 else 0.0
     sig = amp * np.sinc(u)
     sigma0 = math.sqrt(dp.sigma0_sq)
-    sums = decision_sums(seed, start_trial, n_trials, bit, basis, weights,
-                         sig, sigma0, backend=backend)
+    sums = _mc_numpy.decision_sums(seed, start_trial, n_trials, bit, basis,
+                                   weights, sig, sigma0)
     out = {}
     for o in orders:
         y = (_order_prefactor(o, sp, dp) / sp.prd) * sums[:, o - 1]
@@ -174,25 +132,29 @@ def generate_samples(sp: SystemParams, dp: DerivedParams, bit: int,
     return out
 
 
-def estimate_moments(s: SampleSet):
-    """Raw sample moments with standard errors.
+def sample_moments(values):
+    """Raw sample moments and their standard errors.
 
-    Returns (MomentTriple, (se1, se2, se3)). The jackknife standard error
-    of a sample mean reduces exactly to std(ddof=1)/sqrt(N), so it is
-    computed that way for each power.
+    Returns ((mu1, mu2, mu3), (se1, se2, se3)). The jackknife standard
+    error of a sample mean reduces exactly to std(ddof=1)/sqrt(N), so it is
+    computed that way for each power (NaN for a single value). No sign
+    check: all-zero samples give exact zero moments.
     """
-    n = len(s)
-    if n < 1000:
+    y = np.asarray(values, np.float64)
+    n = y.size
+    powers = [y**k for k in (1, 2, 3)]
+    mus = tuple(float(yk.mean()) for yk in powers)
+    ses = tuple(float(yk.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+                for yk in powers)
+    return mus, ses
+
+
+def estimate_moments(s: SampleSet):
+    """(MomentTriple, (se1, se2, se3)) of a set of at least 1000 samples."""
+    if len(s) < 1000:
         raise SampleSizeError("need at least 1000 samples for moments")
-    y = s.values
-    mus = []
-    ses = []
-    for k in (1, 2, 3):
-        yk = y**k
-        mus.append(float(yk.mean()))
-        ses.append(float(yk.std(ddof=1) / math.sqrt(n)))
-    triple = MomentTriple(mu1=mus[0], mu2=mus[1], mu3=mus[2], bit=s.bit)
-    return triple, tuple(ses)
+    (mu1, mu2, mu3), ses = sample_moments(s.values)
+    return MomentTriple(mu1=mu1, mu2=mu2, mu3=mu3, bit=s.bit), ses
 
 
 def empirical_ber(s0: SampleSet, s1: SampleSet):
@@ -236,7 +198,10 @@ def save_csv(path, sample_sets) -> None:
 
 
 def load_csv(path) -> list[SampleSet]:
-    """Read sample sets written by save_csv, grouped by (order, bit)."""
+    """Read sample sets written by save_csv, grouped by (order, bit).
+
+    Each group must hold one contiguous run of trial indices.
+    """
     groups: dict[tuple[int, int], list[tuple[int, float]]] = {}
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
@@ -252,8 +217,12 @@ def load_csv(path) -> list[SampleSet]:
     out = []
     for (order, bit), rows in sorted(groups.items()):
         rows.sort()
+        first = rows[0][0]
+        if [t for t, _ in rows] != list(range(first, first + len(rows))):
+            raise ParamError(f"trial indices of order={order} bit={bit} "
+                             "repeat or are not contiguous")
         vals = np.array([v for _, v in rows])
         out.append(SampleSet(order=order, bit=bit, values=vals,
                              oversample=None, window=None, seed=None,
-                             start_trial=rows[0][0]))
+                             start_trial=first))
     return out

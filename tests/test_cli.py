@@ -166,6 +166,7 @@ def test_sweep_plot_script_requires_out(tmp_path, capsys):
     "sweep_p_r_dbm = 1:2:1\nvariants = lp3, bogus\n",    # unknown variant
     "sweep_p_r_dbm = 1:2:1\nvariants = mc\nanalytic_only = true\n",
     "sweep_p_r_dbm = 1:2:1\nvariants = mc\ntrials = 500\n",
+    "sweep_p_r_dbm = 1:2:1\nvariants = mc\nseed = 18446744073709551616\n",
 ])
 def test_sweep_config_errors(tmp_path, capsys, body):
     cfg = write_cfg(tmp_path, body)
@@ -267,9 +268,16 @@ def test_fit_matches_direct_sample_moments(sample_csv, capsys):
     assert float(fields["gamma"]) == pytest.approx(law.gamma, rel=1e-12)
 
 
-def test_fit_infeasible_moments_is_numeric_failure(capsys):
-    # mu2 < mu1^2 cannot come from any distribution
-    rc = main(["fit", "--moments", "1.0", "0.9", "3.0"])
+def test_fit_infeasible_moments_is_numeric_failure(tmp_path, capsys):
+    # mu2 < mu1^2 cannot come from any distribution, nor can a negative mu1
+    for ms in (["1.0", "0.9", "3.0"], ["-1", "2", "3"]):
+        assert main(["fit", "--moments", *ms]) == EXIT_NUMERIC
+        assert "fit failed" in capsys.readouterr().err
+    # all-zero samples load fine and fail in the fit, not as config errors
+    zeros = tmp_path / "zeros.csv"
+    montecarlo.save_csv(zeros, montecarlo.SampleSet(order=3, bit=0,
+                                                    values=np.zeros(4)))
+    rc = main(["fit", "--samples", str(zeros), "--bit", "0"])
     assert rc == EXIT_NUMERIC
     assert "fit failed" in capsys.readouterr().err
 
@@ -325,6 +333,21 @@ def test_gof_requires_samples(capsys):
     assert "needs --samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,body", [
+    ("gof", "trial,order,value\n0,3,1.0\n"),              # bad header
+    ("gof", "trial,order,bit,value\n0,3,1,-1.0\n"),       # negative value
+    ("gof", "trial,order,bit,value\n0,3,1,abc\n"),        # not a number
+    ("fit", "trial,order,bit,value\n0,3,1,abc\n"),
+    ("fit", "trial,order,bit,value\n0,3,1\n"),            # short row
+])
+def test_malformed_sample_csv_is_config_error(tmp_path, capsys, command,
+                                               body):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    assert main([command, "--samples", str(path)]) == EXIT_CONFIG
+    assert "config error: malformed samples" in capsys.readouterr().err
+
+
 def test_gof_small_sample_is_numeric_failure(tmp_path, capsys):
     s = montecarlo.SampleSet(order=3, bit=1,
                              values=np.linspace(1.0, 2.0, 1500))
@@ -370,6 +393,14 @@ def test_mc_validate_rejects_small_trials(tmp_path, capsys):
     rc = main(["mc-validate", "--config", cfg, "--trials", "500"])
     assert rc == EXIT_CONFIG
     assert "1000" in capsys.readouterr().err
+
+
+def test_mc_validate_rejects_seed_past_2_64(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "prd = 10\np_r = 33dBm\n")
+    rc = main(["mc-validate", "--config", cfg, "--trials", "2000",
+               "--seed", str(2**64 + 5)])
+    assert rc == EXIT_CONFIG
+    assert "seed must be in [0, 2^64)" in capsys.readouterr().err
 
 
 def test_mc_validate_rejects_rl_list(tmp_path, capsys):

@@ -131,6 +131,14 @@ def test_cdf_monotone_and_limits(p):
     else:
         assert cdf(p, edge * 2.0) == 1.0
     assert cdf(p, 1e-300) == pytest.approx(0.0, abs=1e-100)
+    # Y > 0 surely: the cdf is 0 on y <= 0, on the scalar and array paths
+    y = float(ys[20])
+    assert cdf(p, 0.0) == 0.0 and cdf(p, -1.0) == 0.0
+    assert np.array_equal(cdf(p, [-1.0, 0.0, y]), [0.0, 0.0, cdf(p, y)])
+    with pytest.raises(Lp3Error):
+        cdf(p, math.nan)
+    with pytest.raises(Lp3Error):
+        cdf(p, [1.0, math.nan])
 
 
 @pytest.mark.parametrize("p", CASES)

@@ -14,10 +14,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from cubicber import MomentTriple, SystemParams, decision_moments, derive
-from cubicber.moments import (VAR_NOISE_PRD_COEFF, gaussian_raw_moment,
-                              mean_decision, second_moment,
-                              sinc_power_integral, third_moment,
-                              variance_decision)
+from cubicber.moments import (VAR_NOISE_PRD_COEFF, mean_decision,
+                              second_moment, third_moment, variance_decision)
 from cubicber.params import ParamError
 from conftest import make_system
 
@@ -212,6 +210,23 @@ def test_mu1_monotone_in_power(p_lo, dp_r, prd):
     assert mean_decision(hi, d, 1) > mean_decision(lo, d, 1)
 
 
+# --------------------------------------------------------------------------
+# first-principles oracle for mu1: Gaussian raw moments of the field plus
+# full-line sinc-power integrals
+# --------------------------------------------------------------------------
+
+def gaussian_raw_moment(a, sigma, order):
+    """E{X^n} for X ~ Normal(a, sigma^2), n in {2, 4, 6}."""
+    s2 = sigma * sigma
+    return {2: a**2 + s2,
+            4: a**4 + 6 * a**2 * s2 + 3 * s2**2,
+            6: a**6 + 15 * a**4 * s2 + 45 * a**2 * s2**2 + 15 * s2**3}[order]
+
+
+# full-line integrals of sinc^p, the PRD >> 1 limits of the window integrals
+SINC_POWER = {2: 1.0, 4: 2.0 / 3.0, 6: 11.0 / 20.0}
+
+
 def test_gaussian_raw_moment_central_cases():
     s = 0.7
     assert gaussian_raw_moment(0.0, s, 2) == pytest.approx(s**2, rel=1e-15)
@@ -228,15 +243,37 @@ def test_gaussian_raw_moment_vs_quadrature(a, s, order):
     assert gaussian_raw_moment(a, s, order) == pytest.approx(val, rel=1e-9)
 
 
-def test_gaussian_raw_moment_order_domain():
-    with pytest.raises(ParamError):
-        gaussian_raw_moment(0.0, 1.0, 3)
-
-
 def test_sinc_power_integrals():
-    assert sinc_power_integral(2) == 1.0
-    assert sinc_power_integral(4) == 0.667  # tabulated rounding of 2/3
-    assert sinc_power_integral(4) == pytest.approx(2.0 / 3.0, rel=6e-4)
-    assert sinc_power_integral(6) == 0.55   # exactly 11/20
-    with pytest.raises(ParamError):
-        sinc_power_integral(3)
+    # integrate over [0, X] and add the mean tail 1/(2 pi^2 X) of sinc^2;
+    # the sinc^4 and sinc^6 tails are below 1e-9 at X = 200
+    x_max = 200.0
+    for p, want in SINC_POWER.items():
+        val, _ = quad(lambda u: np.sinc(u) ** p, 0.0, x_max, limit=2000)
+        tail = 1.0 / (2.0 * math.pi**2 * x_max) if p == 2 else 0.0
+        assert 2.0 * (val + tail) == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("kw", GRID[:5])
+@pytest.mark.parametrize("bit", [0, 1])
+def test_mu1_is_window_integral_of_gaussian_moments(kw, bit):
+    # r = a + X + iZ with real a = sqrt(b P_r) sinc(u), X, Z ~ N(0, s2):
+    # E|r|^6 = E(X'^2 + Z^2)^3, X' = a + X, expands by the binomial theorem
+    # into a cubic in a^2. Its a^2j term integrates over the window to
+    # (b P_r)^j SINC_POWER[2j]; the a^0 term to PRD.
+    sp = make_system(**kw)
+    dp = derive(sp)
+    s2, bp = dp.sigma0_sq, bit * sp.p_r
+
+    def e_r6(a):  # in units of s2 = 1
+        g = lambda m, n: gaussian_raw_moment(m, 1.0, n) if n else 1.0
+        return sum(math.comb(3, k) * g(a, 2 * k) * g(0.0, 6 - 2 * k)
+                   for k in range(4))
+
+    t = np.arange(4.0)
+    c = np.polynomial.polynomial.polyfit(t, [e_r6(math.sqrt(v)) for v in t], 3)
+    assert c == pytest.approx([48.0, 72.0, 18.0, 1.0], rel=1e-12)
+    window = (c[0] * s2**3 * sp.prd
+              + sum(c[j] * s2**(3 - j) * bp**j * SINC_POWER[2 * j]
+                    for j in (1, 2, 3)))
+    assert mean_decision(sp, dp, bit) == pytest.approx(
+        _pref(sp, dp) * window / sp.prd, rel=1e-12)
