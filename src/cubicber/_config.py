@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import re
 
+from .params import db_to_linear, dbm_to_watts
+
 
 class ConfigError(ValueError):
     """Malformed configuration text or value."""
@@ -59,7 +61,7 @@ def _power(raw: str) -> float:
     if suffix == "":
         return mag
     if suffix == "dBm":
-        return 1e-3 * 10.0 ** (mag / 10.0)
+        return dbm_to_watts(mag)
     if suffix in _POWER:
         return mag * _POWER[suffix]
     raise ConfigError(f"a power does not take unit {suffix!r} (in {raw!r})")
@@ -78,7 +80,7 @@ def _gain(raw: str) -> float:
     if suffix == "":
         return mag
     if suffix == "dB":
-        return 10.0 ** (mag / 10.0)
+        return db_to_linear(mag)
     raise ConfigError(f"a gain does not take unit {suffix!r}")
 
 

@@ -7,9 +7,10 @@ Commands
   gof          Distribution ranking for a sample CSV.
   mc-validate  Closed-form moments vs Monte-Carlo, with a GOF report.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 tolerance failure. All CSV outputs start with a `# schema=1` line and
-are deterministic given config + seed.
+Every setting is the command-line flag if given, else the config key, else
+the default. Exit codes: 0 success, 2 configuration error, 3 numerical
+failure, 4 tolerance failure. All CSV outputs start with a `# schema=1`
+line and are deterministic given config + seed.
 """
 
 from __future__ import annotations
@@ -49,9 +50,36 @@ _POINT_ERRORS = (lp3.Lp3Error, ParamError, detection.BracketError,
                  ZeroDivisionError, OverflowError, FloatingPointError)
 
 
-def _check_seed(seed: int) -> None:
+# Default of every setting that a command-line flag or a config key sets.
+_DEFAULTS = {"trials": 100_000, "seed": 1, "oversample": 16, "window": 32,
+             "orders": (3,), "r_l": (1000.0,), "order": 3, "bit": 1}
+
+
+class _Settings:
+    """One command's settings: s[key] is the command-line flag if given,
+    else the config key, else the default (None for keys without one)."""
+
+    def __init__(self, args):
+        self._args = args
+        self.cfg = load_config(args.config) if args.config else {}
+
+    def __getitem__(self, key: str):
+        flag = getattr(self._args, key, None)
+        if flag is not None:
+            return flag
+        return self.cfg.get(key, _DEFAULTS.get(key))
+
+
+def _check_mc(trials: int, seed: int, oversample: int, window: int) -> None:
+    """The Monte-Carlo settings, checked before any sampling starts."""
+    if trials < 1000:
+        raise ConfigError(f"Monte-Carlo needs trials >= 1000, got {trials}")
     if not 0 <= seed < montecarlo.SEED_LIMIT:
         raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
+    try:
+        montecarlo._check_synthesis_config(oversample, window)
+    except ParamError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -59,13 +87,13 @@ class SweepConfig:
     base: SystemParams
     x_kind: str                # p_r_dbm | sigma0_sq_dbm | prd
     x_values: tuple
-    orders: tuple = (3,)
+    orders: tuple = _DEFAULTS["orders"]
     variants: tuple = VARIANTS
-    r_l_values: tuple = (1000.0,)
-    trials: int = 100_000
-    seed: int = 1
-    oversample: int = 16
-    window: int = 32
+    r_l_values: tuple = _DEFAULTS["r_l"]
+    trials: int = _DEFAULTS["trials"]
+    seed: int = _DEFAULTS["seed"]
+    oversample: int = _DEFAULTS["oversample"]
+    window: int = _DEFAULTS["window"]
     analytic_only: bool = False
     out: str | None = None
 
@@ -83,9 +111,7 @@ class SweepConfig:
         if not self.r_l_values or any(r <= 0 for r in self.r_l_values):
             raise ConfigError("r_l values must be positive")
         if self._needs_mc():
-            if self.trials < 1000:
-                raise ConfigError("trials must be >= 1000 when MC is enabled")
-            _check_seed(self.seed)
+            _check_mc(self.trials, self.seed, self.oversample, self.window)
 
     def _needs_mc(self) -> bool:
         if self.analytic_only:
@@ -103,36 +129,38 @@ def _base_system(cfg: dict) -> SystemParams:
             kw[key] = cfg[key]
     if "r_l" in cfg:
         kw["r_l"] = cfg["r_l"][0]
-    return SystemParams(**kw)
+    try:
+        return SystemParams(**kw)
+    except ParamError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def _sweep_config(cfg: dict, args) -> SweepConfig:
+def _sweep_config(s: _Settings) -> SweepConfig:
     axes = [k for k in ("sweep_p_r_dbm", "sweep_sigma0_sq_dbm", "sweep_prd")
-            if k in cfg]
+            if k in s.cfg]
     if len(axes) != 1:
         raise ConfigError("config must set exactly one sweep_* axis")
     axis = axes[0]
-    analytic_only = bool(cfg.get("analytic_only", False)) or args.analytic_only
-    variants = cfg.get("variants", None)
+    analytic_only = bool(s["analytic_only"])
+    variants = s["variants"]
     if variants is None:
         variants = tuple(v for v in VARIANTS
                          if not (analytic_only and v == "mc"))
     elif analytic_only and "mc" in variants:
         raise ConfigError("analytic_only excludes the mc variant")
     return SweepConfig(
-        base=_base_system(cfg),
+        base=_base_system(s.cfg),
         x_kind=axis.removeprefix("sweep_"),
-        x_values=tuple(cfg[axis]),
-        orders=tuple(cfg.get("orders", (3,))),
+        x_values=tuple(s.cfg[axis]),
+        orders=tuple(s["orders"]),
         variants=tuple(variants),
-        r_l_values=tuple(cfg.get("r_l", (1000.0,))),
-        trials=args.trials if args.trials is not None
-               else cfg.get("trials", 100_000),
-        seed=args.seed if args.seed is not None else cfg.get("seed", 1),
-        oversample=cfg.get("oversample", 16),
-        window=cfg.get("window", 32),
+        r_l_values=tuple(s["r_l"]),
+        trials=s["trials"],
+        seed=s["seed"],
+        oversample=s["oversample"],
+        window=s["window"],
         analytic_only=analytic_only,
-        out=args.out or cfg.get("out"),
+        out=s["out"],
     )
 
 
@@ -148,7 +176,7 @@ def _point_system(cfg: SweepConfig, x: float, r_l: float) -> SystemParams:
         return replace(cfg.base, p_r=dbm_to_watts(x), r_l=r_l)
     if cfg.x_kind == "prd":
         return replace(cfg.base, prd=float(x), r_l=r_l)
-    sigma0_sq = 1e-3 * 10.0 ** (x / 10.0)
+    sigma0_sq = dbm_to_watts(x)
     return replace(cfg.base, r_l=r_l,
                    g_amp=_g_amp_for_sigma0_sq(cfg.base, sigma0_sq))
 
@@ -267,68 +295,14 @@ def _write_sweep(rows: list[dict], out: str | None) -> None:
         sys.stdout.write(text)
 
 
-_PLOT_TEMPLATE = '''\
-#!/usr/bin/env python3
-"""Generated plotting companion for {csv_name}. Requires matplotlib."""
-import csv
-import math
-from collections import defaultdict
-
-import matplotlib.pyplot as plt
-
-series = defaultdict(list)
-with open({csv_name!r}) as fh:
-    rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-x_kind = rows[1][1] if len(rows) > 1 else "x"
-for r in rows[1:]:
-    x, ber = float(r[0]), float(r[6])
-    if math.isnan(ber) or ber <= 0:
-        continue
-    label = f"order{{r[7]}} {{r[4]}} R_L={{float(r[3]):g}}ohm"
-    series[label].append((x, ber))
-
-fig, ax = plt.subplots(figsize=(7, 5))
-for label in sorted(series):
-    pts = sorted(series[label])
-    ax.semilogy([p[0] for p in pts], [p[1] for p in pts],
-                marker="o", label=label)
-ax.set_xlabel(x_kind)
-ax.set_ylabel("BER")
-ax.grid(True, which="both", alpha=0.3)
-ax.legend(fontsize=8)
-fig.tight_layout()
-fig.savefig({png_name!r}, dpi=150)
-print("wrote", {png_name!r})
-'''
-
-
-def _emit_plot_script(out_csv: str) -> str:
-    path = out_csv + ".plot.py"
-    with open(path, "w") as fh:
-        fh.write(_PLOT_TEMPLATE.format(csv_name=os.path.basename(out_csv),
-                                       png_name=os.path.basename(out_csv)
-                                       + ".png"))
-    return path
-
-
-def _cmd_ber_sweep(args) -> int:
-    cfg_dict = load_config(args.config) if args.config else {}
-    try:
-        cfg = _sweep_config(cfg_dict, args)
-    except (ConfigError, ParamError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def _cmd_ber_sweep(s: _Settings) -> int:
+    cfg = _sweep_config(s)
     rows = run_ber_sweep(cfg)
     try:
         _write_sweep(rows, cfg.out)
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.emit_plot_script:
-        if not cfg.out:
-            print("--emit-plot-script requires --out", file=sys.stderr)
-            return EXIT_CONFIG
-        _emit_plot_script(cfg.out)
     return EXIT_OK
 
 
@@ -345,29 +319,18 @@ def _load_sample_group(path, order, bit):
     raise ConfigError(f"no samples for order={order} bit={bit} in {path}")
 
 
-def _cmd_fit(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    moments = args.moments if args.moments else cfg.get("moments")
-    samples_path = args.samples or cfg.get("samples")
+def _cmd_fit(s: _Settings) -> int:
+    moments, samples_path = s["moments"], s["samples"]
     if (moments is None) == (samples_path is None):
-        print("config error: provide exactly one of --moments / --samples",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    order = args.order if args.order is not None else cfg.get("order", 3)
-    bit = args.bit if args.bit is not None else cfg.get("bit", 1)
-
+        raise ConfigError("provide exactly one of --moments / --samples")
     sample_set = None
-    try:
-        if moments is not None:
-            if len(moments) != 3:
-                raise ConfigError("--moments takes exactly three values")
-            mus = tuple(moments)
-        else:
-            sample_set = _load_sample_group(samples_path, order, bit)
-            mus = montecarlo.sample_moments(sample_set.values)[0]
-    except (ConfigError, ParamError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if moments is not None:
+        if len(moments) != 3:
+            raise ConfigError("--moments takes exactly three values")
+        mus = tuple(moments)
+    else:
+        sample_set = _load_sample_group(samples_path, s["order"], s["bit"])
+        mus = montecarlo.sample_moments(sample_set.values)[0]
 
     try:
         law = lp3.fit_from_moments(mus)
@@ -387,29 +350,19 @@ def _cmd_fit(args) -> int:
         print(f"ks = {ks:.17g}")
     print(f"fit_result alpha={law.alpha:.17g} beta={law.beta:.17g} "
           f"gamma={law.gamma:.17g}")
-    if args.out:
-        with open(args.out, "w") as fh:
+    if s["out"]:
+        with open(s["out"], "w") as fh:
             fh.write("# schema=1\nalpha,beta,gamma\n")
             fh.write(f"{law.alpha:.17g},{law.beta:.17g},{law.gamma:.17g}\n")
     return EXIT_OK
 
 
-def _cmd_gof(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    samples_path = args.samples or cfg.get("samples")
-    if not samples_path:
-        print("config error: gof needs --samples", file=sys.stderr)
-        return EXIT_CONFIG
-    order = args.order if args.order is not None else cfg.get("order", 3)
-    bit = args.bit if args.bit is not None else cfg.get("bit", 1)
-    bins = args.bins if args.bins is not None else cfg.get("bins")
+def _cmd_gof(s: _Settings) -> int:
+    if not s["samples"]:
+        raise ConfigError("gof needs --samples")
+    sample_set = _load_sample_group(s["samples"], s["order"], s["bit"])
     try:
-        s = _load_sample_group(samples_path, order, bit)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        report = gof.rank_distributions(s, bins=bins)
+        report = gof.rank_distributions(sample_set, bins=s["bins"])
     except gof.GofError as exc:
         print(f"gof failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -421,31 +374,21 @@ def _cmd_gof(args) -> int:
         print(f"{r.distribution:18s} {r.ks:12.6g} {r.ks_rank}  "
               f"{r.ad:12.6g} {r.ad_rank}  {r.chi2:12.6g} {r.chi2_rank}"
               f"{note}")
-    if args.out:
-        report.to_csv(args.out)
+    if s["out"]:
+        report.to_csv(s["out"])
     return EXIT_OK
 
 
 _MOMENT_TOL = {1: 0.03, 2: 0.05, 3: 0.10}
 
 
-def _cmd_mc_validate(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    try:
-        base = _base_system(cfg)
-        if len(cfg.get("r_l", (0,))) > 1:
-            raise ConfigError("mc-validate takes a single r_l")
-        trials = args.trials if args.trials is not None \
-            else cfg.get("trials", 100_000)
-        seed = args.seed if args.seed is not None else cfg.get("seed", 1)
-        oversample = cfg.get("oversample", 16)
-        window = cfg.get("window", 32)
-        if trials < 1000:
-            raise ConfigError("trials must be >= 1000")
-        _check_seed(seed)
-    except (ConfigError, ParamError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def _cmd_mc_validate(s: _Settings) -> int:
+    base = _base_system(s.cfg)
+    if len(s["r_l"]) > 1:
+        raise ConfigError("mc-validate takes a single r_l")
+    trials, seed = s["trials"], s["seed"]
+    oversample, window = s["oversample"], s["window"]
+    _check_mc(trials, seed, oversample, window)
 
     dp = derive(base)
     lines = [f"mc-validate prd={base.prd:.10g} p_r={base.p_r:.10g} "
@@ -492,17 +435,18 @@ def _cmd_mc_validate(args) -> int:
     else:
         print("gof skipped (needs >= 10000 trials)")
 
-    if args.out:
-        with open(args.out, "w") as fh:
+    if s["out"]:
+        with open(s["out"], "w") as fh:
             fh.write("# schema=1\n")
             fh.write("\n".join(lines) + "\n")
     return EXIT_OK if all_pass else EXIT_TOLERANCE
 
 
-def _add_common(sub) -> None:
+def _add_common(sub, seed: bool = False) -> None:
     sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--out", help="output path")
-    sub.add_argument("--seed", type=int, help="RNG seed (u64)")
+    if seed:
+        sub.add_argument("--seed", type=int, help="RNG seed (u64)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -512,12 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("ber-sweep", help="BER over a swept axis")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--trials", type=int, help="MC trials per bit per point")
-    p.add_argument("--analytic-only", action="store_true",
+    p.add_argument("--analytic-only", action="store_true", default=None,
                    help="skip Monte-Carlo variants")
-    p.add_argument("--emit-plot-script", action="store_true",
-                   help="write a matplotlib script next to the CSV")
     p.set_defaults(run=_cmd_ber_sweep)
 
     p = subs.add_parser("fit", help="three-moment LP3 fit")
@@ -539,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("mc-validate",
                         help="closed-form moments vs Monte-Carlo")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--trials", type=int)
     p.set_defaults(run=_cmd_mc_validate)
     return parser
@@ -548,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        return args.run(_Settings(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

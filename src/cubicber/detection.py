@@ -1,8 +1,8 @@
 """Error probability of the on-off keyed receiver.
 
-The decision variable under each bit follows a fitted LP3 law (or an
-empirical sample law). Post-detection shot and thermal noise, conditionally
-Gaussian given the decision level y with variance
+The decision variable under each bit follows a fitted LP3 law.
+Post-detection shot and thermal noise, conditionally Gaussian given the
+decision level y with variance
 
     sigma^2(y) = 2 q_e y / T_p + 4 K_B T_r / (R_L T_p),
 
@@ -113,42 +113,27 @@ def cdf_shot_thermal(law0: lp3.Lp3Params, x: float,
 class BitConditionedLaw:
     """cdf of the decision variable conditioned on one transmitted bit.
 
-    law is either an Lp3Params or a 1-d sample array (empirical law);
-    attaching a NoisePhysics folds shot/thermal noise into an LP3 law.
+    law is the fitted LP3 law; attaching a NoisePhysics folds shot/thermal
+    noise into it.
     """
 
     bit: int
-    law: object
+    law: lp3.Lp3Params
     physics: NoisePhysics | None = None
 
     def __post_init__(self) -> None:
         if self.bit not in (0, 1):
             raise ParamError("bit must be 0 or 1")
-        if isinstance(self.law, lp3.Lp3Params):
-            return
-        samples = np.sort(np.asarray(self.law, np.float64).ravel())
-        if samples.size == 0:
-            raise ParamError("empirical law needs at least one sample")
-        if self.physics is not None:
-            raise ParamError(
-                "shot/thermal folding is only supported for LP3 laws")
-        object.__setattr__(self, "law", samples)
-
-    @property
-    def with_shot_thermal(self) -> bool:
-        return self.physics is not None
+        if not isinstance(self.law, lp3.Lp3Params):
+            raise ParamError("law must be an Lp3Params")
 
     def cdf(self, x: float) -> float:
-        if isinstance(self.law, lp3.Lp3Params):
-            if self.physics is not None:
-                return cdf_shot_thermal(self.law, x, self.physics)
-            return lp3.cdf(self.law, x)
-        return float(np.searchsorted(self.law, x, side="right")) / self.law.size
+        if self.physics is not None:
+            return cdf_shot_thermal(self.law, x, self.physics)
+        return lp3.cdf(self.law, x)
 
     def mean(self) -> float:
-        if isinstance(self.law, lp3.Lp3Params):
-            return lp3.moment(self.law, 1)
-        return float(self.law.mean())
+        return lp3.moment(self.law, 1)
 
 
 def error_probability(f0: BitConditionedLaw, f1: BitConditionedLaw,

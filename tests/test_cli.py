@@ -142,24 +142,6 @@ trials = 2000
     assert col(get(rows1, "mc"), "ber") != col(get(rows2, "mc"), "ber")
 
 
-def test_sweep_emit_plot_script(tmp_path):
-    cfg = write_cfg(tmp_path, "sweep_p_r_dbm = 33:33:1\norders = 3\n")
-    out = tmp_path / "sweep.csv"
-    assert main(["ber-sweep", "--config", cfg, "--analytic-only",
-                 "--out", str(out), "--emit-plot-script"]) == EXIT_OK
-    script = tmp_path / "sweep.csv.plot.py"
-    assert script.exists()
-    compile(script.read_text(), str(script), "exec")  # must be valid python
-
-
-def test_sweep_plot_script_requires_out(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "sweep_p_r_dbm = 33:33:1\norders = 3\n")
-    rc = main(["ber-sweep", "--config", cfg, "--analytic-only",
-               "--emit-plot-script"])
-    assert rc == EXIT_CONFIG
-    assert "--out" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("body", [
     "orders = 3\n",                                      # no axis
     "sweep_p_r_dbm = 1:2:1\nsweep_prd = 10, 25\n",       # two axes
@@ -167,11 +149,53 @@ def test_sweep_plot_script_requires_out(tmp_path, capsys):
     "sweep_p_r_dbm = 1:2:1\nvariants = mc\nanalytic_only = true\n",
     "sweep_p_r_dbm = 1:2:1\nvariants = mc\ntrials = 500\n",
     "sweep_p_r_dbm = 1:2:1\nvariants = mc\nseed = 18446744073709551616\n",
+    "sweep_p_r_dbm = 1:2:1\nvariants = mc\nwindow = 8\n",
+    "sweep_p_r_dbm = 1:2:1\norders = 1, 3\noversample = 4\n",
 ])
 def test_sweep_config_errors(tmp_path, capsys, body):
     cfg = write_cfg(tmp_path, body)
     assert main(["ber-sweep", "--config", cfg]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_sweep_dbm_axes_agree(tmp_path, capsys):
+    # p_r = 33dBm in the config and 33 on the dBm axis are the same power
+    rows = []
+    for axis in ("p_r = 33dBm\nsweep_prd = 10\n",
+                 "prd = 10\nsweep_p_r_dbm = 33:37:4\n"):
+        cfg = write_cfg(tmp_path, axis + "orders = 3\nvariants = lp3\n")
+        assert main(["ber-sweep", "--config", cfg]) == EXIT_OK
+        rows.append(sweep_lines(capsys)[0])
+    pick = lambda r: [col(r, c) for c in ("prd", "th_opt", "ber", "order")]
+    assert pick(rows[0]) == pick(rows[1])
+
+
+def test_flag_overrides_config_key(tmp_path):
+    cfg = write_cfg(tmp_path, """
+sweep_p_r_dbm = 33:33:1
+orders = 3
+variants = mc
+trials = 2000
+seed = 2
+""")
+    outs = [tmp_path / f"{n}.csv" for n in "abc"]
+    main(["ber-sweep", "--config", cfg, "--out", str(outs[0])])
+    main(["ber-sweep", "--config", cfg, "--seed", "2", "--out", str(outs[1])])
+    main(["ber-sweep", "--config", cfg, "--seed", "1", "--out", str(outs[2])])
+    a, b, c = (o.read_bytes() for o in outs)
+    assert a == b != c
+
+
+@pytest.mark.parametrize("argv", [
+    ["ber-sweep", "--emit-plot-script"],
+    ["fit", "--moments", "2", "5", "14", "--seed", "1"],
+    ["gof", "--seed", "1"],
+])
+def test_removed_options_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_sweep_unknown_config_key(tmp_path, capsys):
@@ -401,6 +425,17 @@ def test_mc_validate_rejects_seed_past_2_64(tmp_path, capsys):
                "--seed", str(2**64 + 5)])
     assert rc == EXIT_CONFIG
     assert "seed must be in [0, 2^64)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body,msg", [
+    ("window = 8\n", "window must be an integer >= 16"),
+    ("oversample = 4\n", "oversample must be an integer >= 8"),
+])
+def test_mc_validate_rejects_bad_grid(tmp_path, capsys, body, msg):
+    cfg = write_cfg(tmp_path, "prd = 10\np_r = 33dBm\n" + body)
+    rc = main(["mc-validate", "--config", cfg, "--trials", "2000"])
+    assert rc == EXIT_CONFIG
+    assert f"config error: {msg}" in capsys.readouterr().err
 
 
 def test_mc_validate_rejects_rl_list(tmp_path, capsys):

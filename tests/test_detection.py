@@ -123,24 +123,14 @@ def test_cdf_shot_thermal_against_sampling_oracle():
 def test_bit_conditioned_law_lp3():
     law, sp, dp = _cubic_law()
     f = BitConditionedLaw(bit=1, law=law)
-    assert not f.with_shot_thermal
+    assert f.physics is None
     assert f.cdf(-1.0) == 0.0 and f.cdf(0.0) == 0.0
     assert f.cdf(quantile(law, 0.4)) == pytest.approx(0.4, rel=1e-9)
     assert f.mean() == pytest.approx(moment(law, 1), rel=1e-15)
     g = BitConditionedLaw(bit=1, law=law, physics=noise_physics(sp, dp))
-    assert g.with_shot_thermal
     mid = quantile(law, 0.5)
     assert g.cdf(mid) == pytest.approx(cdf_shot_thermal(
         law, mid, noise_physics(sp, dp)), rel=1e-9)
-
-
-def test_bit_conditioned_law_empirical():
-    f = BitConditionedLaw(bit=0, law=[3.0, 1.0, 2.0, 2.0])
-    assert np.array_equal(f.law, [1.0, 2.0, 2.0, 3.0])  # sorted on entry
-    assert f.cdf(0.5) == 0.0
-    assert f.cdf(2.0) == 0.75
-    assert f.cdf(10.0) == 1.0
-    assert f.mean() == 2.0
 
 
 def test_bit_conditioned_law_validation():
@@ -158,11 +148,16 @@ def test_bit_conditioned_law_validation():
 # --------------------------------------------------------------------------
 
 def test_error_probability_formula():
-    f0 = BitConditionedLaw(bit=0, law=[1.0, 2.0, 3.0, 4.0])
-    f1 = BitConditionedLaw(bit=1, law=[3.0, 4.0, 5.0, 6.0])
-    th = 3.5
-    want = 0.5 * (1.0 - f0.cdf(th)) + 0.5 * f1.cdf(th)
-    assert error_probability(f0, f1, th) == want == 0.25
+    # law1 is law0 scaled by 2 (gamma + log 2), so F1(th) = F0(th / 2); at
+    # the 0.9 quantile of law0, PE = (1 - 0.9)/2 + F0(th / 2)/2
+    law0 = Lp3Params(alpha=2.0, beta=0.5, gamma=0.0)
+    law1 = Lp3Params(alpha=2.0, beta=0.5, gamma=math.log(2.0))
+    f0 = BitConditionedLaw(bit=0, law=law0)
+    f1 = BitConditionedLaw(bit=1, law=law1)
+    th = quantile(law0, 0.9)
+    want = 0.5 * (1.0 - 0.9) + 0.5 * lp3_cdf(law0, th / 2.0)
+    assert 0.05 < want < 0.5
+    assert error_probability(f0, f1, th) == pytest.approx(want, rel=1e-9)
 
 
 def test_optimize_threshold_beats_probes():
