@@ -297,12 +297,7 @@ def _write_sweep(rows: list[dict], out: str | None) -> None:
 
 def _cmd_ber_sweep(s: _Settings) -> int:
     cfg = _sweep_config(s)
-    rows = run_ber_sweep(cfg)
-    try:
-        _write_sweep(rows, cfg.out)
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    _write_sweep(run_ber_sweep(cfg), cfg.out)
     return EXIT_OK
 
 
@@ -493,6 +488,10 @@ def main(argv=None) -> int:
         return args.run(_Settings(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # reads turn OSError into ConfigError, so this is an output write
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

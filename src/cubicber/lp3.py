@@ -5,9 +5,16 @@ with shape alpha and unit scale. beta may be negative, in which case the
 support of Y is bounded above by exp(gamma).
 
 The regularized incomplete gamma functions used by the cdf are implemented
-here (series / continued fraction split, uniform asymptotic for very large
-shape) so that no special-function behavior is imported blindly; scipy is
-used only to invert the gamma cdf for quantiles.
+here so that no special-function behavior is imported blindly; scipy is
+used only to invert the gamma cdf for quantiles. One array kernel,
+_gamma_pq(a, x) for a scalar shape a and an array x, serves every caller
+(cdf, reg_gamma_p/q, the quantile polish), scalar or array alike: the
+lower series for x < a + 1, the modified-Lentz continued fraction
+otherwise, and the uniform asymptotic expansion for a > 1e8 (DiDonato &
+Morris 1986; Gil, Segura & Temme 2012). Each element stops at its own
+convergence point and converged elements leave the active set, so an
+element's value does not depend on the array it came in; an element that
+does not converge raises Lp3Error.
 """
 
 from __future__ import annotations
@@ -51,144 +58,189 @@ class Lp3Params:
 
 
 # ---------------------------------------------------------------------------
-# Regularized incomplete gamma functions.
+# Regularized incomplete gamma functions: one array kernel.
 # ---------------------------------------------------------------------------
 
 _EPS = 1e-16
 _FPMIN = 1e-300
 _LARGE_SHAPE = 1e8  # switch to the uniform asymptotic above this
+_BLOCK = 32         # fewest series terms formed per array pass
+_CHUNK = 8192       # elements per kernel pass: bounds the series' term table
 
 
-def _phi(dl: float) -> float:
-    # dl - log1p(dl), computed without cancellation for small dl.
-    if abs(dl) < 0.1:
-        total = 0.0
-        sign = 1.0
-        dlk = dl * dl
-        for k in range(2, 40):
-            term = sign * dlk / k
-            total += term
-            if abs(term) < abs(total) * _EPS:
-                return total
-            sign = -sign
-            dlk *= dl
-        return total
-    return dl - math.log1p(dl)
+def _accumulate(ufunc, rows):
+    # ufunc.accumulate(rows, axis=0), the sequential running result down
+    # each column. numpy's accumulate walks the columns one by one, so for
+    # wide arrays a loop over the rows is faster; both round alike.
+    if rows.shape[1] < 256:
+        return ufunc.accumulate(rows, axis=0)
+    out = np.empty_like(rows)
+    out[0] = rows[0]
+    for i in range(1, rows.shape[0]):
+        ufunc(out[i - 1], rows[i], out=out[i])
+    return out
 
 
-def _log_prefactor(a: float, x: float) -> float:
-    # ln( x^a e^-x / Gamma(a) ).  The direct form loses up to a*ln(a)*eps
-    # absolute accuracy in the exponent, ruinous for a >~ 1e4, so for large
-    # a cancel Stirling's formula against a*ln(x) analytically.
+def _first_below_eps(terms, totals):
+    # Per column: the first row whose term is below eps relative to the
+    # partial sum, or -1 where no row is.
+    conv = np.abs(terms) < np.abs(totals) * _EPS
+    return np.where(conv.any(axis=0), conv.argmax(axis=0), -1)
+
+
+def _phi(dl):
+    # dl - log1p(dl), elementwise. For |dl| < 0.1 the alternating series
+    # sum_k (-1)^k dl^k / k, k >= 2, avoids the cancellation; each element
+    # stops at its first term below eps relative to the partial sum.
+    out = dl - np.log1p(dl)
+    small = np.abs(dl) < 0.1
+    if small.any():
+        d = dl[small]
+        k = np.arange(2, 40)[:, None]
+        powers = _accumulate(np.multiply, np.vstack(
+            [d * d, np.broadcast_to(d, (k.size - 1, d.size))]))
+        terms = np.where(k % 2 == 0, 1.0, -1.0) * powers / k
+        totals = _accumulate(np.add, terms)
+        first = _first_below_eps(terms, totals)
+        out[small] = totals[first, np.arange(d.size)]
+    return out
+
+
+def _log_prefactor(a: float, x):
+    # ln( x^a e^-x / Gamma(a) ), elementwise in x. The direct form loses up
+    # to a*ln(a)*eps absolute accuracy in the exponent, ruinous for
+    # a >~ 1e4, so for large a cancel Stirling's formula against a*ln(x)
+    # analytically.
     if a < 100.0:
-        return -x + a * math.log(x) - math.lgamma(a)
+        return -x + a * np.log(x) - math.lgamma(a)
     dl = (x - a) / a
     ia = 1.0 / a
     stirling = ia * (1.0 / 12.0 + ia * ia * (-1.0 / 360.0 + ia * ia / 1260.0))
     return -a * _phi(dl) + 0.5 * math.log(a / (2.0 * math.pi)) - stirling
 
 
-def _gamma_pq_series(a: float, x: float) -> tuple[float, float]:
+def _pq_series(a: float, x):
     # Lower series: P = x^a e^-x / Gamma(a+1) * sum x^n / ((a+1)...(a+n)).
-    ap = a
-    term = 1.0 / a
-    total = term
+    # A block of terms at a time: the running products and sums are
+    # sequential accumulations, so each element gets the sum of the
+    # term-by-term recurrence, stopped at its first term below eps. Few
+    # elements take long blocks, which cost little more than short ones.
     # Worst case needs ~ sqrt(a) terms when x ~ a; cap generously.
-    for _ in range(400 + int(12.0 * math.sqrt(a))):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            p = total * math.exp(_log_prefactor(a, x))
-            return min(p, 1.0), max(1.0 - p, 0.0)
+    cap = 400 + int(12.0 * math.sqrt(a))
+    ap = np.add.accumulate(np.concatenate(([a], np.ones(cap))))[1:]
+    rows = max(_BLOCK, 4096 // x.size)
+    out = np.empty(x.shape)
+    act = np.arange(x.size)
+    term = np.full(x.shape, 1.0 / a)
+    total = term.copy()
+    for j in range(0, cap, rows):
+        # rows: successive terms; columns: the active elements
+        ratio = x[act] / ap[j:j + rows, None]
+        terms = _accumulate(np.multiply, np.vstack([term, ratio]))[1:]
+        totals = _accumulate(np.add, np.vstack([total, terms]))[1:]
+        first = _first_below_eps(terms, totals)
+        done = first >= 0
+        out[act[done]] = totals[first[done], done]
+        act, term, total = act[~done], terms[-1, ~done], totals[-1, ~done]
+        if act.size == 0:
+            p = out * np.exp(_log_prefactor(a, x))
+            return np.minimum(p, 1.0), np.maximum(1.0 - p, 0.0)
     raise Lp3Error("incomplete gamma series failed to converge")
 
 
-def _gamma_pq_contfrac(a: float, x: float) -> tuple[float, float]:
-    # Upper continued fraction (modified Lentz).
+def _pq_contfrac(a: float, x):
+    # Upper continued fraction (modified Lentz); converged elements leave
+    # the active set.
+    out = np.empty(x.shape)
+    act = np.arange(x.size)
     b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b if b != 0.0 else 1.0 / _FPMIN
-    h = d
+    c = np.full(x.shape, 1.0 / _FPMIN)
+    d = 1.0 / np.where(b != 0.0, b, _FPMIN)
+    h = d.copy()
     for i in range(1, 500 + int(12.0 * math.sqrt(a))):
         an = -i * (i - a)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
+        d *= an
+        d += b
+        d[np.abs(d) < _FPMIN] = _FPMIN
+        c = an / c
+        c += b
+        c[np.abs(c) < _FPMIN] = _FPMIN
+        np.divide(1.0, d, out=d)
         delt = d * c
         h *= delt
-        if abs(delt - 1.0) < _EPS:
-            q = h * math.exp(_log_prefactor(a, x))
-            return max(1.0 - q, 0.0), min(q, 1.0)
+        done = np.abs(delt - 1.0) < _EPS
+        if done.any():
+            out[act[done]] = h[done]
+            keep = ~done
+            act, b, c, d, h = act[keep], b[keep], c[keep], d[keep], h[keep]
+            if act.size == 0:
+                q = out * np.exp(_log_prefactor(a, x))
+                return np.maximum(1.0 - q, 0.0), np.minimum(q, 1.0)
     raise Lp3Error("incomplete gamma continued fraction failed to converge")
 
 
-def _gamma_pq_asymptotic(a: float, x: float) -> tuple[float, float]:
+def _pq_asymptotic(a: float, x):
     # Uniform asymptotic for huge shape:
     #   Q(a, x) = erfc(eta sqrt(a/2))/2 - exp(-a eta^2/2)/sqrt(2 pi a) * c0
     #   eta^2/2 = lam - 1 - ln lam,  sign(eta) = sign(lam - 1),
     #   c0 = 1/eta - 1/(lam - 1)  (limit 1/3 at lam -> 1).
     # The first dropped term is O(1/a) relative to c0, negligible here.
-    lam = x / a
-    dl = lam - 1.0
-    if abs(dl) < 1e-4:
-        eta2 = dl * dl * (1.0 - 2.0 * dl / 3.0 + 0.5 * dl * dl - 0.4 * dl**3)
-        c0 = 1.0 / 3.0 - dl / 12.0
-    else:
-        eta2 = 2.0 * (dl - math.log1p(dl))
-        eta_tmp = math.copysign(math.sqrt(eta2), dl)
-        c0 = 1.0 / eta_tmp - 1.0 / dl
-    eta = math.copysign(math.sqrt(eta2), dl)
-    z = eta * math.sqrt(0.5 * a)
-    corr = math.exp(-z * z) / math.sqrt(2.0 * math.pi * a) * c0
-    q = 0.5 * math.erfc(z) - corr
-    p = 0.5 * math.erfc(-z) + corr
-    return min(max(p, 0.0), 1.0), min(max(q, 0.0), 1.0)
+    dl = x / a - 1.0
+    eta2, c0 = np.empty(x.shape), np.empty(x.shape)
+    near = np.abs(dl) < 1e-4
+    dn, df = dl[near], dl[~near]
+    eta2[near] = dn * dn * (1.0 - 2.0 * dn / 3.0 + 0.5 * dn * dn
+                            - 0.4 * dn**3)
+    c0[near] = 1.0 / 3.0 - dn / 12.0
+    eta2[~near] = 2.0 * (df - np.log1p(df))
+    c0[~near] = 1.0 / np.copysign(np.sqrt(eta2[~near]), df) - 1.0 / df
+    z = np.copysign(np.sqrt(eta2), dl) * math.sqrt(0.5 * a)
+    corr = np.exp(-z * z) / math.sqrt(2.0 * math.pi * a) * c0
+    q = 0.5 * _sc.erfc(z) - corr
+    p = 0.5 * _sc.erfc(-z) + corr
+    return np.clip(p, 0.0, 1.0), np.clip(q, 0.0, 1.0)
 
 
-def _gamma_pq(a: float, x: float) -> tuple[float, float]:
-    if not (a > 0) or math.isnan(a):
-        raise Lp3Error("shape a must be > 0")
-    if math.isnan(x) or x < 0:
+def _gamma_pq(a: float, x):
+    """(P(a, x), Q(a, x)) as arrays shaped like x, for one shape a > 0.
+
+    Series for x < a + 1, continued fraction otherwise, uniform asymptotic
+    for a > 1e8. Every element runs the same recurrence with its own
+    stopping point, so a scalar is exactly a 1-element array.
+    """
+    if np.ndim(a) != 0 or not a > 0:
+        raise Lp3Error("shape a must be a scalar > 0")
+    a = float(a)
+    xx = np.asarray(x, float)
+    if not (xx >= 0.0).all():  # NaN fails this too
         raise Lp3Error("argument x must be >= 0")
-    if x == 0.0:
-        return 0.0, 1.0
-    if math.isinf(x):
-        return 1.0, 0.0
+    flat = xx.ravel()
+    p = (flat == math.inf).astype(float)  # 0 at x = 0, 1 at x = inf
+    q = 1.0 - p
+    mid = np.flatnonzero((flat > 0.0) & (flat < math.inf))
     if a > _LARGE_SHAPE:
-        return _gamma_pq_asymptotic(a, x)
-    if x < a + 1.0:
-        return _gamma_pq_series(a, x)
-    return _gamma_pq_contfrac(a, x)
+        parts = [(mid, _pq_asymptotic)]
+    else:
+        low = flat[mid] < a + 1.0
+        parts = [(mid[low], _pq_series), (mid[~low], _pq_contfrac)]
+    for idx, kernel in parts:
+        for k in range(0, idx.size, _CHUNK):
+            sub = idx[k:k + _CHUNK]
+            p[sub], q[sub] = kernel(a, flat[sub])
+    return p.reshape(xx.shape), q.reshape(xx.shape)
 
 
 def reg_gamma_p(a, x):
     """Regularized lower incomplete gamma P(a, x); scalar or ndarray x."""
-    if np.ndim(x) == 0 and np.ndim(a) == 0:
-        return _gamma_pq(float(a), float(x))[0]
-    aa, xx = np.broadcast_arrays(np.asarray(a, float), np.asarray(x, float))
-    out = np.empty(aa.shape, float)
-    flat_a, flat_x, flat_o = aa.ravel(), xx.ravel(), out.ravel()
-    for i in range(flat_o.size):
-        flat_o[i] = _gamma_pq(flat_a[i], flat_x[i])[0]
-    return out
+    p = _gamma_pq(a, x)[0]
+    return float(p) if p.ndim == 0 else p
 
 
 def reg_gamma_q(a, x):
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if np.ndim(x) == 0 and np.ndim(a) == 0:
-        return _gamma_pq(float(a), float(x))[1]
-    aa, xx = np.broadcast_arrays(np.asarray(a, float), np.asarray(x, float))
-    out = np.empty(aa.shape, float)
-    flat_a, flat_x, flat_o = aa.ravel(), xx.ravel(), out.ravel()
-    for i in range(flat_o.size):
-        flat_o[i] = _gamma_pq(flat_a[i], flat_x[i])[1]
-    return out
+    q = _gamma_pq(a, x)[1]
+    return float(q) if q.ndim == 0 else q
 
 
 # ---------------------------------------------------------------------------
@@ -230,29 +282,15 @@ def cdf(p: Lp3Params, y):
     Y > 0 almost surely, so cdf(y) = 0 for y <= 0: the y -> 0+ limit for
     either sign of beta. NaN raises Lp3Error.
     """
-    if np.ndim(y) == 0:
-        y = float(y)
-        if not y > 0.0:
-            if math.isnan(y):
-                raise Lp3Error("y must not be NaN")
-            return 0.0
-        z = (math.log(y) - p.gamma) / p.beta
-        if z <= 0.0:
-            return 0.0 if p.beta > 0 else 1.0
-        pr, q = _gamma_pq(p.alpha, z)
-        return pr if p.beta > 0 else q
     yy = np.asarray(y, float)
     if np.isnan(yy).any():
         raise Lp3Error("y must not be NaN")
+    out = np.zeros(yy.shape)
     pos = yy > 0.0
-    z = (np.log(yy[pos]) - p.gamma) / p.beta
-    vals = np.full(z.shape, 0.0 if p.beta > 0 else 1.0)
-    idx = 1 if p.beta < 0 else 0
-    for i in np.flatnonzero(z > 0.0):
-        vals[i] = _gamma_pq(p.alpha, z[i])[idx]
-    out = np.zeros(yy.shape, float)
-    out[pos] = vals
-    return out
+    # z <= 0 is outside the support: P(a, 0) = 0 and Q(a, 0) = 1 there
+    z = np.maximum((np.log(yy[pos]) - p.gamma) / p.beta, 0.0)
+    out[pos] = _gamma_pq(p.alpha, z)[0 if p.beta > 0 else 1]
+    return float(out) if out.ndim == 0 else out
 
 
 def moment(p: Lp3Params, n: int) -> float:
@@ -264,34 +302,40 @@ def moment(p: Lp3Params, n: int) -> float:
     return math.exp(n * p.gamma - p.alpha * math.log1p(-n * p.beta))
 
 
-def _refine_gamma_inv(a: float, target: float, z0: float, upper: bool) -> float:
-    # Newton polish of a gamma-cdf inverse against the local _gamma_pq,
-    # needed above _LARGE_SHAPE where scipy's incomplete gamma loses the
-    # far tails. Solves ln F(z) = ln(target): in the tails ln F is nearly
-    # linear in z, so the log-residual iteration converges fast from a
-    # mediocre seed. pdf(z) = exp(log_prefactor)/z.
-    z = z0
+def _refine_gamma_inv(a: float, target, z0, upper: bool):
+    # Newton polish of gamma-cdf inverses (arrays target, z0) against the
+    # local kernel, needed above _LARGE_SHAPE where scipy's incomplete
+    # gamma loses the far tails. Solves ln F(z) = ln(target): in the tails
+    # ln F is nearly linear in z, so the log-residual iteration converges
+    # fast from a mediocre seed. pdf(z) = exp(log_prefactor)/z. Each
+    # element leaves the iteration at its own stopping point.
+    z0 = np.asarray(z0, float).ravel()
+    out = z0.copy()
+    idx = np.arange(z0.size)
+    z, t = z0, np.asarray(target, float).ravel()
     for _ in range(12):
-        if not (z > 0) or not math.isfinite(z):
-            return z0
+        inside = (z > 0) & np.isfinite(z)
+        out[idx[~inside]] = z0[idx[~inside]]  # left the domain: keep the seed
+        idx, z, t = idx[inside], z[inside], t[inside]
         lp = _log_prefactor(a, z)
-        if lp < -700.0:
-            return z  # density underflows; z0 is as good as it gets
-        f = math.exp(lp) / z
-        pv, qv = _gamma_pq(a, z)
-        fv = qv if upper else pv
-        if fv <= 0.0:
-            return z
+        fv = _gamma_pq(a, z)[1 if upper else 0]
+        # density underflow or an empty tail: z is as good as it gets
+        stop = (lp < -700.0) | (fv <= 0.0)
+        out[idx[stop]] = z[stop]
+        run = ~stop
+        idx, z, t, lp, fv = idx[run], z[run], t[run], lp[run], fv[run]
+        f = np.exp(lp) / z
         # d(ln P)/dz = f/P; d(ln Q)/dz = -f/Q
-        resid = math.log(fv / target)
+        resid = np.log(fv / t)
         step = resid * fv / f if upper else -resid * fv / f
         znew = z + step
-        if not (znew > 0):
-            znew = 0.5 * z
-        if abs(znew - z) <= 1e-14 * z:
-            return znew
-        z = znew
-    return z
+        znew = np.where(znew > 0, znew, 0.5 * z)
+        out[idx] = znew
+        moving = ~(np.abs(znew - z) <= 1e-14 * z)  # NaN keeps moving
+        idx, z, t = idx[moving], znew[moving], t[moving]
+        if idx.size == 0:
+            break
+    return out
 
 
 def quantile(p: Lp3Params, prob):
@@ -304,13 +348,7 @@ def quantile(p: Lp3Params, prob):
     else:
         z = _sc.gammainccinv(p.alpha, pr)
     if p.alpha > _LARGE_SHAPE:
-        upper = p.beta < 0
-        if np.ndim(z) == 0:
-            z = _refine_gamma_inv(p.alpha, float(pr), float(z), upper)
-        else:
-            flat_z, flat_p = z.ravel(), pr.ravel()
-            for i in range(flat_z.size):
-                flat_z[i] = _refine_gamma_inv(p.alpha, flat_p[i], flat_z[i], upper)
+        z = _refine_gamma_inv(p.alpha, pr, z, p.beta < 0).reshape(pr.shape)
     out = np.exp(p.gamma + p.beta * z)
     return float(out) if np.ndim(prob) == 0 else out
 

@@ -443,3 +443,27 @@ def test_mc_validate_rejects_rl_list(tmp_path, capsys):
     rc = main(["mc-validate", "--config", cfg, "--trials", "2000"])
     assert rc == EXIT_CONFIG
     assert "single r_l" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# output files
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["ber-sweep", "fit", "gof",
+                                     "mc-validate"])
+def test_unwritable_out_is_config_error(tmp_path, capsys, sample_csv,
+                                        command):
+    # every command reports a failed --out write alike: one line, exit 2
+    args = {
+        "ber-sweep": ["--analytic-only", "--config", write_cfg(
+            tmp_path, "sweep_p_r_dbm = 33:33:1\nvariants = lp3\n",
+            "sweep.cfg")],
+        "fit": ["--moments", "2", "5", "14"],
+        "gof": ["--samples", sample_csv],
+        "mc-validate": ["--trials", "1000", "--config",
+                        write_cfg(tmp_path, "p_r = 33dBm\n")],
+    }[command]
+    out = tmp_path / "no_such_dir" / "out.csv"
+    assert main([command, *args, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and err.count("\n") == 1

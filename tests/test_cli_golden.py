@@ -1,10 +1,13 @@
 """Golden outputs of the seed-independent CLI paths, byte for byte.
 
-Analytic-only sweeps over each axis (order 3, lp3 and gauss_approx) and a
+Analytic-only sweeps over each axis (order 3, lp3 and gauss_approx), one
+analytic-only lp3_shot_thermal sweep (two powers, about a second) and a
 literal-moment fit. Any change to a printed number fails here; when such a
 change is intended, regenerate the text with the same commands and say why
-in the change log. Monte-Carlo rows are left out (their BLAS summation
-order depends on the machine), and so are shot/thermal rows (seconds each).
+in the change log. Monte-Carlo rows are left out: their BLAS summation
+order depends on the machine. The th_opt column is located only to about
+1e-7 relative (PE is flat at the optimum), so it moves with any ulp-level
+change upstream.
 """
 
 import pytest
@@ -26,7 +29,7 @@ GOLDEN_SWEEPS = {
 """,
     "p_r = 33dBm\nsweep_sigma0_sq_dbm = 16:20:2\n": HEAD + """\
 16,sigma0_sq_dbm,10,1000,gauss_approx,1.5734699058099706e-06,0.060319754569153866,3,
-16,sigma0_sq_dbm,10,1000,lp3,3.2574851163831587e-06,0.001702068952902434,3,
+16,sigma0_sq_dbm,10,1000,lp3,3.2574851163831587e-06,0.0017020689529024338,3,
 18,sigma0_sq_dbm,10,1000,gauss_approx,5.6766468186740055e-06,0.091483367612527136,3,
 18,sigma0_sq_dbm,10,1000,lp3,6.0670567172590687e-06,0.019055148287627451,3,
 20,sigma0_sq_dbm,10,1000,gauss_approx,2.02769057075252e-05,0.12852690068665087,3,
@@ -39,6 +42,13 @@ GOLDEN_SWEEPS = {
 25,prd,25,1000,lp3,4.6823072067785691e-06,0.047384219311965195,3,
 """,
 }
+
+SHOT_THERMAL = ("prd = 10\nsweep_p_r_dbm = 35:37:2\norders = 3\n"
+                "variants = lp3_shot_thermal\n")
+GOLDEN_SHOT_THERMAL = HEAD + """\
+35,p_r_dbm,10,1000,lp3_shot_thermal,1.7296245046537246e-05,0.0049524610997931269,3,
+37,p_r_dbm,10,1000,lp3_shot_thermal,3.6976882506234383e-05,0.00012260574258156392,3,
+"""
 
 GOLDEN_FIT = """\
 alpha = 1.4520074984208453
@@ -61,6 +71,16 @@ def test_analytic_sweep_bytes(tmp_path, capsys, axis):
     got = capsys.readouterr()
     assert got.err == ""
     assert got.out == GOLDEN_SWEEPS[axis]
+
+
+def test_shot_thermal_sweep_bytes(tmp_path, capsys):
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text(SHOT_THERMAL, encoding="utf-8")
+    assert main(["ber-sweep", "--config", str(cfg),
+                 "--analytic-only"]) == EXIT_OK
+    got = capsys.readouterr()
+    assert got.err == ""
+    assert got.out == GOLDEN_SHOT_THERMAL
 
 
 def test_fit_from_moments_bytes(capsys):

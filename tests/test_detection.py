@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sc
+from scipy.integrate import quad
 
 from cubicber import (BitConditionedLaw, Lp3Params, NoisePhysics,
                       cdf_shot_thermal, derive, error_probability,
                       fit_from_moments, gaussian_approx_ber, noise_physics,
                       optimize_threshold)
-from cubicber.detection import BracketError
+from cubicber import detection
+from cubicber.detection import BracketError, QuadratureError
 from cubicber.lp3 import cdf as lp3_cdf
 from cubicber.lp3 import moment, quantile
 from cubicber.moments import decision_moments
@@ -114,6 +116,112 @@ def test_cdf_shot_thermal_against_sampling_oracle():
         se = math.sqrt(prob * (1 - prob) / n)
         assert cdf_shot_thermal(law, q, phys) == pytest.approx(
             prob, abs=4 * se)
+
+
+def _st_laws(p_r_dbm=37.0, r_l=1000.0):
+    sp = make_system(prd=10.0, p_r_dbm=p_r_dbm, r_l=r_l)
+    dp = derive(sp)
+    phys = noise_physics(sp, dp)
+    return [BitConditionedLaw(b, fit_from_moments(decision_moments(sp, dp, b)),
+                              phys) for b in (0, 1)]
+
+
+def _st_quad(law, x, phys):
+    # independent reference: adaptive quadrature of the same integral, with
+    # scipy's incomplete gamma for the LP3 cdf
+    qe_tp = phys.q_e / phys.t_p
+    th_tp = 4.0 * phys.k_b * phys.t_r / (phys.r_l * phys.t_p)
+
+    def sigma(y):
+        return math.sqrt(2.0 * qe_tp * y + th_tp)
+
+    def f_y(y):
+        z = (math.log(y) - law.gamma) / law.beta
+        if z <= 0.0:
+            return 0.0 if law.beta > 0 else 1.0
+        return sc.gammainc(law.alpha, z) if law.beta > 0 else sc.gammaincc(
+            law.alpha, z)
+
+    def integrand(y):
+        s = sigma(y)
+        return ((qe_tp * (x + y) + th_tp) / (s ** 3 * math.sqrt(2 * math.pi))
+                * math.exp(-(x - y) ** 2 / (2 * s * s)) * f_y(y))
+
+    lo = quantile(law, 1e-14)
+    s_x = sigma(x)
+    hi = max(quantile(law, 1 - 1e-12), x + 10 * s_x)
+    pts = [x - 8 * s_x, x, x + 8 * s_x]
+    pts += list(quantile(law, np.array([1e-10, 1e-6, 1e-3, 0.1, 0.5, 0.9])))
+    val, _ = quad(integrand, lo, hi, points=sorted(p for p in pts
+                                                   if lo < p < hi),
+                  epsabs=1e-15, epsrel=1e-13, limit=1000)
+    return val + 0.5 * math.erfc((hi - x) / (sigma(hi) * math.sqrt(2.0)))
+
+
+def test_cdf_shot_thermal_array_matches_adaptive_quadrature():
+    f0, f1 = _st_laws()
+    grid = np.geomspace(f0.mean() / 100.0, f1.mean() * 10.0, 256)
+    for f in (f0, f1):
+        got = cdf_shot_thermal(f.law, grid, f.physics)
+        assert got.shape == grid.shape
+        want = [_st_quad(f.law, x, f.physics) for x in grid]
+        assert np.abs(got - want).max() <= 1e-12
+        # a scalar threshold runs the same panels
+        for i in (0, 128, 255):
+            assert cdf_shot_thermal(f.law, grid[i], f.physics) == got[i]
+
+
+def test_cdf_shot_thermal_rejects_nonfinite_thresholds():
+    f0, _ = _st_laws()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParamError):
+            cdf_shot_thermal(f0.law, np.array([1e-6, bad]), f0.physics)
+
+
+def test_cdf_shot_thermal_error_gate(monkeypatch):
+    # one panel edge besides the kernel centre: far too coarse, and the
+    # Kronrod-Gauss difference says so
+    f0, f1 = _st_laws()
+    monkeypatch.setattr(detection, "_EDGE_PROBS", np.array([0.5]))
+    monkeypatch.setattr(detection, "_KERNEL_W", np.array([0.0]))
+    with pytest.raises(QuadratureError):
+        cdf_shot_thermal(f1.law, f1.mean(), f1.physics)
+
+
+# (P_r dBm, R_L ohm, th_opt, PE) of the PRD-10 shot/thermal search as
+# computed by the adaptive quadrature (scipy quad) that the panel rule
+# replaced
+ADAPTIVE_SEARCHES = [
+    (29.0, 1000.0, 6.232687962061391e-06, 0.291620894679514),
+    (33.0, 1000.0, 1.1140659839122386e-05, 0.049690568236865455),
+    (37.0, 1000.0, 3.697687595576255e-05, 0.00012260574252593483),
+    (33.0, 100.0, 2.184712759475504e-05, 0.12517926142599722),
+    (33.0, 10000.0, 7.809579608115099e-06, 0.03296087795001704),
+]
+
+
+@pytest.mark.parametrize("p_r_dbm,r_l,th_ref,pe_ref", ADAPTIVE_SEARCHES)
+def test_shot_thermal_search_matches_adaptive(p_r_dbm, r_l, th_ref, pe_ref):
+    th, pe = optimize_threshold(*_st_laws(p_r_dbm, r_l))
+    assert th == pytest.approx(th_ref, rel=1e-6)
+    assert pe == pytest.approx(pe_ref, rel=1e-6)
+
+
+def test_shot_thermal_search_call_count(monkeypatch):
+    # host-independent cost guard: the 256-point grid is one array call per
+    # bit, so a search costs two calls plus two per golden-section point
+    # (it was 604 scalar calls)
+    sizes = []
+    real = detection.cdf_shot_thermal
+
+    def counting(law, x, phys):
+        sizes.append(np.size(x))
+        return real(law, x, phys)
+
+    monkeypatch.setattr(detection, "cdf_shot_thermal", counting)
+    optimize_threshold(*_st_laws())
+    assert sizes[:2] == [256, 256]
+    assert len(sizes) <= 120
 
 
 # --------------------------------------------------------------------------

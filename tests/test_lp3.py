@@ -88,6 +88,67 @@ def test_reg_gamma_vectorized_matches_scalar():
         assert v == reg_gamma_p(4.0, float(x))
 
 
+def _mp_gamma_pq(mpmath, a, x):
+    # (P, Q) at 40 digits. mpmath.gammainc for moderate shape; above 1e8 its
+    # series stall, so there integrate the gamma density in the standard
+    # score u = (t - a)/sqrt(a) over unit-scale panels.
+    if x == 0.0:
+        return 0.0, 1.0
+    if math.isinf(x):
+        return 1.0, 0.0
+    if a < 1e8:
+        return (float(mpmath.gammainc(a, 0, x, regularized=True)),
+                float(mpmath.gammainc(a, x, mpmath.inf, regularized=True)))
+    a, x = mpmath.mpf(a), mpmath.mpf(x)
+    s, lg = mpmath.sqrt(a), mpmath.loggamma(a)
+
+    def density(u):
+        t = a + u * s
+        return s * mpmath.exp((a - 1) * mpmath.log(t) - t - lg)
+
+    ux = (x - a) / s
+    knots = [mpmath.mpf(k) for k in range(-60, 61, 2)]
+    return (float(mpmath.quad(density, [k for k in knots if k < ux] + [ux])),
+            float(mpmath.quad(density, [ux] + [k for k in knots if k > ux])))
+
+
+def test_reg_gamma_mixed_array_matches_mpmath_and_scalars():
+    # one array per shape mixing x = 0, inf, series (x < a + 1) and
+    # continued-fraction points, or asymptotic points above a = 1e8
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for a in (0.5, 3.0, 50.0, 1e4, 1e10, 1e12):
+        s = math.sqrt(a)
+        xs = np.array([0.0, 0.2 * a, max(a - 7 * s, 0.5 * a), a, a + 0.5,
+                       a + 1.0, a + s, a + 7 * s, 4 * a + 10, math.inf])
+        p, q = reg_gamma_p(a, xs), reg_gamma_q(a, xs)
+        rel = 1e-12 if a < 1e8 else 2e-9
+        for x, pv, qv in zip(xs, p, q):
+            p_ref, q_ref = _mp_gamma_pq(mpmath, a, x)
+            assert pv == pytest.approx(p_ref, rel=rel, abs=1e-300)
+            assert qv == pytest.approx(q_ref, rel=rel, abs=1e-300)
+            # a scalar call is the same kernel on a 1-element array
+            assert reg_gamma_p(a, float(x)) == pv
+            assert reg_gamma_q(a, float(x)) == qv
+
+
+def test_reg_gamma_array_errors(monkeypatch):
+    xs = np.array([0.5, 2.0, 9.0])
+    with pytest.raises(Lp3Error):
+        reg_gamma_p(2.0, np.array([0.5, math.nan, 9.0]))
+    with pytest.raises(Lp3Error):
+        reg_gamma_q(2.0, np.array([0.5, -1.0]))
+    with pytest.raises(Lp3Error):
+        reg_gamma_p(xs, 1.0)  # the shape is a scalar
+    # no term or step can fall below a zero tolerance: both the series and
+    # the continued fraction run out of iterations and say so
+    monkeypatch.setattr("cubicber.lp3._EPS", 0.0)
+    with pytest.raises(Lp3Error, match="series"):
+        reg_gamma_p(4.0, xs[:2])
+    with pytest.raises(Lp3Error, match="continued fraction"):
+        reg_gamma_p(4.0, xs[2:])
+
+
 # --------------------------------------------------------------------------
 # parameter validation
 # --------------------------------------------------------------------------
