@@ -8,10 +8,9 @@ from .params import (
     ParamError,
     derive,
     dbm_to_watts,
-    watts_to_dbm,
     db_to_linear,
 )
-from .moments import MomentTriple, decision_moments
+from .moments import decision_moments
 from .lp3 import (
     Lp3Params,
     Lp3Error,
@@ -22,7 +21,6 @@ from .lp3 import (
 from .montecarlo import SampleSet, generate_samples, empirical_ber
 from .detection import (
     NoisePhysics,
-    BitConditionedLaw,
     noise_physics,
     cdf_shot_thermal,
     error_probability,
@@ -39,9 +37,7 @@ __all__ = [
     "ParamError",
     "derive",
     "dbm_to_watts",
-    "watts_to_dbm",
     "db_to_linear",
-    "MomentTriple",
     "decision_moments",
     "Lp3Params",
     "Lp3Error",
@@ -52,7 +48,6 @@ __all__ = [
     "generate_samples",
     "empirical_ber",
     "NoisePhysics",
-    "BitConditionedLaw",
     "noise_physics",
     "cdf_shot_thermal",
     "error_probability",

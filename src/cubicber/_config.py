@@ -138,7 +138,6 @@ _SCHEMA = {
     "prd": _bare,
     "wavelength": _length,
     "g_amp": _gain,
-    "l1": _gain,
     "l2": _gain,
     "n_sp": _bare,
     "eta": _bare,

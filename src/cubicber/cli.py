@@ -46,8 +46,8 @@ VARIANTS = ("lp3", "lp3_shot_thermal", "gauss_approx", "mc")
 
 # failures confined to one sweep point; recorded in the row, never fatal
 _POINT_ERRORS = (lp3.Lp3Error, ParamError, detection.BracketError,
-                 detection.QuadratureError, montecarlo.SampleSizeError,
-                 ZeroDivisionError, OverflowError, FloatingPointError)
+                 detection.QuadratureError, ZeroDivisionError, OverflowError,
+                 FloatingPointError)
 
 
 # Default of every setting that a command-line flag or a config key sets.
@@ -124,7 +124,7 @@ def _base_system(cfg: dict) -> SystemParams:
               prd=cfg.get("prd", 10.0),
               wavelength=cfg.get("wavelength", 1.55e-6),
               g_amp=cfg.get("g_amp", 1e5))
-    for key in ("l1", "l2", "n_sp", "eta", "k", "gamma_nl", "p_r", "t_r"):
+    for key in ("l2", "n_sp", "eta", "k", "gamma_nl", "p_r", "t_r"):
         if key in cfg:
             kw[key] = cfg[key]
     if "r_l" in cfg:
@@ -211,8 +211,7 @@ class _PointCache:
         key = (bit, order)
         if key not in self._laws:
             if order == 3:
-                mt = decision_moments(self.sp, self.dp, bit)
-                mus = (mt.mu1, mt.mu2, mt.mu3)
+                mus = decision_moments(self.sp, self.dp, bit)
             else:
                 mus = montecarlo.sample_moments(
                     self.samples(bit)[order].values)[0]
@@ -229,9 +228,8 @@ def _variant_point(cache: _PointCache, order: int, variant: str):
         (m0, s0, _), (m1, s1, _) = (cache.law(b, order)[1] for b in (0, 1))
         return detection.gaussian_approx_ber(m0, s0 - m0 ** 2, m1, s1 - m1 ** 2)
     phys = cache.phys if variant == "lp3_shot_thermal" else None
-    f0 = detection.BitConditionedLaw(0, cache.law(0, order)[0], phys)
-    f1 = detection.BitConditionedLaw(1, cache.law(1, order)[0], phys)
-    return detection.optimize_threshold(f0, f1)
+    return detection.optimize_threshold(cache.law(0, order)[0],
+                                        cache.law(1, order)[0], phys)
 
 
 def _eval_point(cfg: SweepConfig, x: float, r_l: float) -> list[dict]:
@@ -341,7 +339,7 @@ def _cmd_fit(s: _Settings) -> int:
               f"  readback {lp3.moment(law, n):.17g}")
     if sample_set is not None:
         xs = np.sort(sample_set.values)
-        ks = gof.ks_statistic(xs, lambda y: lp3.cdf(law, y))
+        ks = gof.ks_statistic(lp3.cdf(law, xs))
         print(f"ks = {ks:.17g}")
     print(f"fit_result alpha={law.alpha:.17g} beta={law.beta:.17g} "
           f"gamma={law.gamma:.17g}")
@@ -395,7 +393,7 @@ def _cmd_mc_validate(s: _Settings) -> int:
             sets = montecarlo.generate_samples(
                 base, dp, bit=bit, n_trials=trials, orders=(3,),
                 oversample=oversample, window=window, seed=seed)
-        except (ParamError, montecarlo.SampleSizeError) as exc:
+        except ParamError as exc:
             print(f"sampling failed: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
         if bit == 1:

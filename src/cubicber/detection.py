@@ -60,11 +60,6 @@ class NoisePhysics:
             if not getattr(self, name) > 0:
                 raise ParamError(f"{name} must be > 0")
 
-    def variance_at(self, y: float) -> float:
-        """Conditional shot+thermal variance at decision level y (A^2)."""
-        return (2.0 * self.q_e * max(y, 0.0)
-                + 4.0 * self.k_b * self.t_r / self.r_l) / self.t_p
-
 
 def noise_physics(sp: SystemParams, dp: DerivedParams) -> NoisePhysics:
     """NoisePhysics with the physical constants and the system's T_r, R_L."""
@@ -170,55 +165,38 @@ def _st_block(law0, x, cuts, phys):
     return np.clip(val + tail, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class BitConditionedLaw:
-    """cdf of the decision variable conditioned on one transmitted bit.
+def error_probability(law0: lp3.Lp3Params, law1: lp3.Lp3Params, th,
+                      phys: NoisePhysics | None = None):
+    """PE at a threshold th, scalar or ndarray: (1 - F0(th))/2 + F1(th)/2.
 
-    law is the fitted LP3 law; attaching a NoisePhysics folds shot/thermal
-    noise into it.
+    F_b is the cdf of the fitted LP3 law of bit b; with phys, shot/thermal
+    noise is folded into it (cdf_shot_thermal).
     """
-
-    bit: int
-    law: lp3.Lp3Params
-    physics: NoisePhysics | None = None
-
-    def __post_init__(self) -> None:
-        if self.bit not in (0, 1):
-            raise ParamError("bit must be 0 or 1")
-        if not isinstance(self.law, lp3.Lp3Params):
-            raise ParamError("law must be an Lp3Params")
-
-    def cdf(self, x):
-        """cdf at a scalar or an ndarray of thresholds x."""
-        if self.physics is not None:
-            return cdf_shot_thermal(self.law, x, self.physics)
-        return lp3.cdf(self.law, x)
-
-    def mean(self) -> float:
-        return lp3.moment(self.law, 1)
-
-
-def error_probability(f0: BitConditionedLaw, f1: BitConditionedLaw, th):
-    """PE at a threshold th, scalar or ndarray: (1 - F0(th))/2 + F1(th)/2."""
-    return 0.5 * (1.0 - f0.cdf(th)) + 0.5 * f1.cdf(th)
+    if phys is None:
+        f0, f1 = lp3.cdf(law0, th), lp3.cdf(law1, th)
+    else:
+        f0 = cdf_shot_thermal(law0, th, phys)
+        f1 = cdf_shot_thermal(law1, th, phys)
+    return 0.5 * (1.0 - f0) + 0.5 * f1
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def optimize_threshold(f0: BitConditionedLaw, f1: BitConditionedLaw,
-                       search=None):
+def optimize_threshold(law0: lp3.Lp3Params, law1: lp3.Lp3Params,
+                       phys: NoisePhysics | None = None, search=None):
     """Minimize PE over the threshold. Returns (th_opt, pe_min).
 
-    search: optional (lo, hi) bracket; default spans mean0/100 to mean1*10.
-    A coarse 256-point log grid locates the basin (PE is unimodal for
-    stochastically ordered laws); golden-section then refines to 1e-10
-    relative width. Raises BracketError when the minimum sits at a bracket
-    endpoint, i.e. the optimum was not enclosed.
+    phys: shot/thermal noise folded into both laws, as in
+    error_probability. search: optional (lo, hi) bracket; default spans
+    mean0/100 to mean1*10. A coarse 256-point log grid locates the basin
+    (PE is unimodal for stochastically ordered laws); golden-section then
+    refines to 1e-10 relative width. Raises BracketError when the minimum
+    sits at a bracket endpoint, i.e. the optimum was not enclosed.
     """
     if search is None:
-        lo = f0.mean() / 100.0
-        hi = f1.mean() * 10.0
+        lo = lp3.moment(law0, 1) / 100.0
+        hi = lp3.moment(law1, 1) * 10.0
         if not lo > 0.0:
             lo = hi * 1e-18
     else:
@@ -227,7 +205,7 @@ def optimize_threshold(f0: BitConditionedLaw, f1: BitConditionedLaw,
         raise BracketError(f"invalid threshold bracket ({lo}, {hi})")
 
     grid = np.geomspace(lo, hi, 256)
-    pe = error_probability(f0, f1, grid)
+    pe = error_probability(law0, law1, grid, phys)
     interior_min = pe[1:-1].min()
     if min(pe[0], pe[-1]) < interior_min * (1.0 - 1e-9):
         raise BracketError(
@@ -237,19 +215,19 @@ def optimize_threshold(f0: BitConditionedLaw, f1: BitConditionedLaw,
     a, b = grid[i - 1], grid[i + 1]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc = error_probability(f0, f1, c)
-    fd = error_probability(f0, f1, d)
+    fc = error_probability(law0, law1, c, phys)
+    fd = error_probability(law0, law1, d, phys)
     best_t, best_p = (grid[i], float(pe[i]))
     while (b - a) > 1e-10 * b:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = error_probability(f0, f1, c)
+            fc = error_probability(law0, law1, c, phys)
             t, p = c, fc
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = error_probability(f0, f1, d)
+            fd = error_probability(law0, law1, d, phys)
             t, p = d, fd
         if p < best_p:
             best_t, best_p = t, p

@@ -23,10 +23,6 @@ class GofError(ValueError):
     """Invalid input to a goodness-of-fit computation."""
 
 
-class EmptySampleError(GofError):
-    pass
-
-
 class BoundaryError(GofError):
     """A cdf value hit 0 or 1 exactly where the statistic needs its log."""
 
@@ -35,67 +31,49 @@ class BinningError(GofError):
     """Bin layout violates the expected-count floor."""
 
 
-def _eval_cdf(samples, cdf):
-    x = np.asarray(samples, np.float64)
-    if x.size == 0:
-        raise EmptySampleError("need at least one sample")
-    return x.size, np.asarray(cdf(x), np.float64)
+# Each statistic takes f, the cdf values F(x_i) at the N samples sorted
+# ascending (N >= 1).
+def ks_statistic(f) -> float:
+    """Two-sided KS distance between the empirical and the given cdf.
 
-
-def _ks_from_values(n, f) -> float:
+    D = max_i max(i/N - F(x_i), F(x_i) - (i-1)/N).
+    """
+    n = f.size
     i = np.arange(1, n + 1)
     d_plus = (i / n - f).max()
     d_minus = (f - (i - 1) / n).max()
     return float(max(d_plus, d_minus))
 
 
-def _ad_from_values(n, f) -> float:
+def ad_statistic(f) -> float:
+    """Anderson-Darling A^2 against the given cdf.
+
+    A^2 = -N - (1/N) sum_i (2i-1) (ln F(x_i) + ln(1 - F(x_{N+1-i}))).
+    """
     if (f <= 0.0).any() or (f >= 1.0).any():
         raise BoundaryError("cdf reached 0 or 1 at a sample point")
+    n = f.size
     i = np.arange(1, n + 1)
     s = ((2 * i - 1) * (np.log(f) + np.log1p(-f[::-1]))).sum()
     return float(-n - s / n)
 
 
-def _chi2_from_values(n, f, bins) -> float:
-    if bins < 1:
-        raise BinningError("bins must be >= 1")
-    expected = n / bins
-    if expected < 5.0:
-        raise BinningError(
-            f"expected count {expected:.2f} per bin is below 5")
-    u = np.clip(f, 0.0, np.nextafter(1.0, 0.0))
-    observed = np.bincount((u * bins).astype(np.intp), minlength=bins)
-    return float(((observed - expected) ** 2).sum() / expected)
-
-
-def ks_statistic(sorted_samples, cdf) -> float:
-    """Two-sided KS distance between the empirical and the given cdf.
-
-    D = max_i max(i/N - F(x_i), F(x_i) - (i-1)/N), samples sorted ascending.
-    """
-    n, f = _eval_cdf(sorted_samples, cdf)
-    return _ks_from_values(n, f)
-
-
-def ad_statistic(sorted_samples, cdf) -> float:
-    """Anderson-Darling A^2 against the given cdf.
-
-    A^2 = -N - (1/N) sum_i (2i-1) (ln F(x_i) + ln(1 - F(x_{N+1-i}))).
-    """
-    n, f = _eval_cdf(sorted_samples, cdf)
-    return _ad_from_values(n, f)
-
-
-def chi2_statistic(samples, cdf, bins: int) -> float:
+def chi2_statistic(f, bins: int) -> float:
     """Pearson chi-squared over equal-probability bins.
 
     Bins are laid out on the probability axis (the cdf transform of the
     samples is histogrammed against a uniform grid), so every bin carries
     the same expected count N/bins; that count must be >= 5.
     """
-    n, f = _eval_cdf(samples, cdf)
-    return _chi2_from_values(n, f, bins)
+    if bins < 1:
+        raise BinningError("bins must be >= 1")
+    expected = f.size / bins
+    if expected < 5.0:
+        raise BinningError(
+            f"expected count {expected:.2f} per bin is below 5")
+    u = np.clip(f, 0.0, np.nextafter(1.0, 0.0))
+    observed = np.bincount((u * bins).astype(np.intp), minlength=bins)
+    return float(((observed - expected) ** 2).sum() / expected)
 
 
 def default_bins(n: int) -> int:
@@ -105,10 +83,6 @@ def default_bins(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # candidate laws, two-moment matched except LP3
-
-def _clip_unit(f):
-    return np.clip(f, 0.0, 1.0)
-
 
 def _fit_lp3(x, m, v):
     p = lp3.fit_from_moments(sample_moments(x)[0])
@@ -172,7 +146,7 @@ def _fit_inverse_gaussian(x, m, v):
         # second term computed in log space: exp(2 lam/m) alone overflows
         t1 = ndtr(r * (yp / m - 1.0))
         t2 = np.exp(2.0 * lam / m + log_ndtr(-r * (yp / m + 1.0)))
-        out[pos] = _clip_unit(t1 + t2)
+        out[pos] = np.clip(t1 + t2, 0.0, 1.0)
         return out
 
     return {"mean": m, "shape": lam}, f
@@ -206,12 +180,6 @@ class GofReport:
     n: int
     bins: int
     rows: list
-
-    def row(self, distribution: str) -> CandidateResult:
-        for r in self.rows:
-            if r.distribution == distribution:
-                return r
-        raise KeyError(distribution)
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -265,9 +233,9 @@ def rank_distributions(s: SampleSet, bins: int | None = None) -> GofReport:
         row.fitted = True
         row.params = params
         fx = np.asarray(f(x), np.float64)  # one cdf pass feeds all three
-        for stat_name, fn in (("ks", lambda: _ks_from_values(n, fx)),
-                              ("ad", lambda: _ad_from_values(n, fx)),
-                              ("chi2", lambda: _chi2_from_values(n, fx, nb))):
+        for stat_name, fn in (("ks", lambda: ks_statistic(fx)),
+                              ("ad", lambda: ad_statistic(fx)),
+                              ("chi2", lambda: chi2_statistic(fx, nb))):
             try:
                 setattr(row, stat_name, fn())
             except GofError as exc:

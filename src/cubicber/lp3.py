@@ -8,7 +8,7 @@ The regularized incomplete gamma functions used by the cdf are implemented
 here so that no special-function behavior is imported blindly; scipy is
 used only to invert the gamma cdf for quantiles. One array kernel,
 _gamma_pq(a, x) for a scalar shape a and an array x, serves every caller
-(cdf, reg_gamma_p/q, the quantile polish), scalar or array alike: the
+(cdf, reg_gamma_p, the quantile polish), scalar or array alike: the
 lower series for x < a + 1, the modified-Lentz continued fraction
 otherwise, and the uniform asymptotic expansion for a > 1e8 (DiDonato &
 Morris 1986; Gil, Segura & Temme 2012). Each element stops at its own
@@ -36,10 +36,6 @@ class NoSolutionError(Lp3Error):
 
 class DivergentMomentError(Lp3Error):
     """Requested moment does not exist (n*beta >= 1)."""
-
-
-class SingularBoundaryError(Lp3Error):
-    """pdf evaluated exactly at the support boundary where it diverges."""
 
 
 @dataclass(frozen=True)
@@ -237,43 +233,9 @@ def reg_gamma_p(a, x):
     return float(p) if p.ndim == 0 else p
 
 
-def reg_gamma_q(a, x):
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    q = _gamma_pq(a, x)[1]
-    return float(q) if q.ndim == 0 else q
-
-
 # ---------------------------------------------------------------------------
-# Density, distribution function, moments, quantiles.
+# Distribution function, moments, quantiles.
 # ---------------------------------------------------------------------------
-
-
-def _std_arg(p: Lp3Params, y: float) -> float:
-    if not y > 0:
-        raise Lp3Error("y must be > 0")
-    return (math.log(y) - p.gamma) / p.beta
-
-
-def pdf(p: Lp3Params, y: float) -> float:
-    """LP3 density at y; 0 outside the support {(ln y - gamma)/beta >= 0}."""
-    z = _std_arg(p, y)
-    if z < 0.0:
-        return 0.0
-    if z == 0.0:
-        if p.alpha > 1.0:
-            return 0.0
-        if p.alpha == 1.0:
-            return 1.0 / (y * abs(p.beta))
-        raise SingularBoundaryError(
-            "pdf diverges at the support boundary for alpha < 1"
-        )
-    log_f = (
-        (p.alpha - 1.0) * math.log(z)
-        - z
-        - math.lgamma(p.alpha)
-        - math.log(y * abs(p.beta))
-    )
-    return math.exp(log_f)
 
 
 def cdf(p: Lp3Params, y):
@@ -423,18 +385,15 @@ def _solve_beta_negative(rho: float) -> float:
 
 
 def fit_from_moments(m) -> Lp3Params:
-    """Solve (alpha, beta, gamma) from raw moments (mu1, mu2, mu3).
+    """Solve (alpha, beta, gamma) from raw moments m = (mu1, mu2, mu3).
 
-    Accepts a MomentTriple, any object with mu1/mu2/mu3 attributes, or a
-    plain (mu1, mu2, mu3) sequence. Near the lognormal point (moment ratio
-    rho ~ 3) the system is ill-conditioned; there the fit degrades to a two-parameter lognormal
+    Near the lognormal point (moment ratio rho ~ 3) the system is
+    ill-conditioned; there the fit degrades to a two-parameter lognormal
     match of (mu1, mu2) with beta pinned to +/-1e-9. On that fallback path
     the readback of mu1/mu2 through moment() is only good to ~1e-6 relative
     (float cancellation inherent to the parameterization), and mu3 is not
     matched at all.
     """
-    if hasattr(m, "mu1"):
-        m = (m.mu1, m.mu2, m.mu3)
     mu1, mu2, mu3 = (float(v) for v in m)
     if not (mu1 > 0 and mu2 > 0 and mu3 > 0):
         raise NoSolutionError("moments must be positive")

@@ -15,8 +15,6 @@ mu2 - mu1^2 == var holds to float precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .params import DerivedParams, ParamError, SystemParams
 
 # Variance decomposition rows: (r, sigma0_power, pr_power, I0, prd_linear).
@@ -110,22 +108,6 @@ _MU3_TERMS = {
 }
 
 
-@dataclass(frozen=True)
-class MomentTriple:
-    """Raw moments (mu1, mu2, mu3) of a decision variable for one bit."""
-
-    mu1: float
-    mu2: float
-    mu3: float
-    bit: int = 1
-
-    def __post_init__(self) -> None:
-        if not (self.mu1 > 0 and self.mu2 > 0 and self.mu3 > 0):
-            raise ParamError("moments must be positive")
-        if self.bit not in (0, 1):
-            raise ParamError("bit must be 0 or 1")
-
-
 def _check_bit(bit: int) -> float:
     if bit not in (0, 1):
         raise ParamError("bit must be 0 or 1")
@@ -174,11 +156,8 @@ def third_moment(sp: SystemParams, dp: DerivedParams, bit: int) -> float:
     return pref * total
 
 
-def decision_moments(sp: SystemParams, dp: DerivedParams, bit: int) -> MomentTriple:
-    return MomentTriple(
-        mu1=mean_decision(sp, dp, bit),
-        mu2=second_moment(sp, dp, bit),
-        mu3=third_moment(sp, dp, bit),
-        bit=bit,
-    )
+def decision_moments(sp: SystemParams, dp: DerivedParams, bit: int):
+    """Raw moments (mu1, mu2, mu3) of Y for one bit."""
+    return (mean_decision(sp, dp, bit), second_moment(sp, dp, bit),
+            third_moment(sp, dp, bit))
 

@@ -23,17 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _mc_numpy
-from .moments import MomentTriple
 from .params import DerivedParams, ParamError, SystemParams
 
 MIN_OVERSAMPLE = 8
 MIN_WINDOW = 16
 SEED_LIMIT = 2**64   # Philox key width
 TRIAL_LIMIT = 2**63  # trial indices are int64
-
-
-class SampleSizeError(ValueError):
-    """Too few samples for the requested estimate."""
 
 
 @dataclass(frozen=True)
@@ -43,9 +38,6 @@ class SampleSet:
     order: int
     bit: int
     values: np.ndarray  # amperes
-    oversample: int | None = 16
-    window: int | None = 32
-    seed: int | None = 0
     start_trial: int = 0
 
     def __post_init__(self) -> None:
@@ -59,9 +51,6 @@ class SampleSet:
             raise ParamError("values must be a nonempty 1-d array")
         if np.any(vals < 0) or not np.all(np.isfinite(vals)):
             raise ParamError("decision samples must be finite and >= 0")
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 def _check_synthesis_config(oversample: int, window: int) -> None:
@@ -127,8 +116,7 @@ def generate_samples(sp: SystemParams, dp: DerivedParams, bit: int,
     out = {}
     for o in orders:
         y = (_order_prefactor(o, sp, dp) / sp.prd) * sums[:, o - 1]
-        out[o] = SampleSet(order=o, bit=bit, values=y, oversample=oversample,
-                           window=window, seed=seed, start_trial=start_trial)
+        out[o] = SampleSet(order=o, bit=bit, values=y, start_trial=start_trial)
     return out
 
 
@@ -147,14 +135,6 @@ def sample_moments(values):
     ses = tuple(float(yk.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
                 for yk in powers)
     return mus, ses
-
-
-def estimate_moments(s: SampleSet):
-    """(MomentTriple, (se1, se2, se3)) of a set of at least 1000 samples."""
-    if len(s) < 1000:
-        raise SampleSizeError("need at least 1000 samples for moments")
-    (mu1, mu2, mu3), ses = sample_moments(s.values)
-    return MomentTriple(mu1=mu1, mu2=mu2, mu3=mu3, bit=s.bit), ses
 
 
 def empirical_ber(s0: SampleSet, s1: SampleSet):
@@ -192,9 +172,8 @@ def save_csv(path, sample_sets) -> None:
         wr = csv.writer(fh)
         wr.writerow(["trial", "order", "bit", "value"])
         for s in sample_sets:
-            start = s.start_trial or 0
-            for i, v in enumerate(s.values):
-                wr.writerow([start + i, s.order, s.bit, f"{v:.17g}"])
+            for i, v in enumerate(s.values, start=s.start_trial):
+                wr.writerow([i, s.order, s.bit, f"{v:.17g}"])
 
 
 def load_csv(path) -> list[SampleSet]:
@@ -223,6 +202,5 @@ def load_csv(path) -> list[SampleSet]:
                              "repeat or are not contiguous")
         vals = np.array([v for _, v in rows])
         out.append(SampleSet(order=order, bit=bit, values=vals,
-                             oversample=None, window=None, seed=None,
                              start_trial=first))
     return out

@@ -7,7 +7,6 @@ meters, kelvin, ohms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 # CODATA-2018 exact values. Hard-coded on purpose: results must not depend
@@ -27,15 +26,13 @@ class SystemParams:
     """System configuration.
 
     p_r is the received peak power (watts) and is swept directly; g_amp and
-    l2 only matter through the ASE noise level. l1 is retained as
-    configuration record only, it enters no formula once p_r is given.
+    l2 only matter through the ASE noise level.
     """
 
     tau_c: float          # pulse duration, s
     prd: float            # processing ratio T_p / tau_c
     wavelength: float     # optical wavelength, m
     g_amp: float          # amplifier power gain, linear
-    l1: float = 1.0       # loss before amplifier, linear, <= 1
     l2: float = 1.0       # loss after amplifier, linear, <= 1
     n_sp: float = 1.1     # spontaneous-emission coefficient
     eta: float = 0.8      # quantum efficiency, (0, 1]
@@ -51,7 +48,6 @@ class SystemParams:
             (self.prd >= 1, "prd must be >= 1"),
             (self.wavelength > 0, "wavelength must be > 0"),
             (self.g_amp >= 1, "g_amp must be >= 1"),
-            (0 < self.l1 <= 1, "l1 must be in (0, 1]"),
             (0 < self.l2 <= 1, "l2 must be in (0, 1]"),
             (self.n_sp > 0, "n_sp must be > 0"),
             (0 < self.eta <= 1, "eta must be in (0, 1]"),
@@ -71,13 +67,10 @@ class DerivedParams:
     sigma0_sq: float      # per-quadrature ASE noise variance, W
     responsivity: float   # photodetector responsivity, A/W
     t_p: float            # detector response time, s
-    delta: float          # ASE spectral density parameter, W/Hz
-    nu: float             # optical frequency, Hz
-    tau_c: float          # pulse duration carried through for grid setup, s
 
 
 def derive(sp: SystemParams) -> DerivedParams:
-    """Derived quantities: nu, delta, sigma0^2, responsivity, T_p.
+    """Derived quantities: sigma0^2, responsivity, T_p.
 
     nu = c/lambda; delta = n_sp (G-1) h nu; sigma0^2 = delta L2 / (2 tau_c);
     R = eta q_e / (h nu); T_p = PRD tau_c. Pure and deterministic.
@@ -87,24 +80,12 @@ def derive(sp: SystemParams) -> DerivedParams:
     sigma0_sq = delta * sp.l2 / (2.0 * sp.tau_c)
     responsivity = sp.eta * Q_ELECTRON / (H_PLANCK * nu)
     t_p = sp.prd * sp.tau_c
-    return DerivedParams(
-        sigma0_sq=sigma0_sq,
-        responsivity=responsivity,
-        t_p=t_p,
-        delta=delta,
-        nu=nu,
-        tau_c=sp.tau_c,
-    )
+    return DerivedParams(sigma0_sq=sigma0_sq, responsivity=responsivity,
+                         t_p=t_p)
 
 
 def dbm_to_watts(x_dbm: float) -> float:
     return 10.0 ** ((x_dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0:
-        raise ParamError("watts must be > 0 to express in dBm")
-    return 10.0 * math.log10(watts) + 30.0
 
 
 def db_to_linear(x_db: float) -> float:

@@ -1,4 +1,7 @@
-"""Shared fixtures: reference link configuration and cached MC draws."""
+"""Shared fixtures: reference link configuration, cached MC draws, and
+the LP3 density as a test oracle."""
+
+import math
 
 import pytest
 
@@ -12,6 +15,21 @@ def make_system(prd=10.0, p_r_dbm=None, r_l=1000.0, **kw):
     kw.setdefault("g_amp", 1e5)
     kw.setdefault("p_r", 0.0 if p_r_dbm is None else dbm_to_watts(p_r_dbm))
     return SystemParams(prd=prd, r_l=r_l, **kw)
+
+
+def lp3_pdf(p, y):
+    """LP3 density at y > 0; 0 outside the support z = (ln y - gamma)/beta
+    >= 0. At the edge z = 0 it is 0, 1/(y |beta|) or inf for alpha above,
+    at or below 1."""
+    z = (math.log(y) - p.gamma) / p.beta
+    if z < 0.0:
+        return 0.0
+    if z == 0.0:
+        if p.alpha == 1.0:
+            return 1.0 / (y * abs(p.beta))
+        return 0.0 if p.alpha > 1.0 else math.inf
+    return math.exp((p.alpha - 1.0) * math.log(z) - z - math.lgamma(p.alpha)
+                    - math.log(y * abs(p.beta)))
 
 
 @pytest.fixture(scope="session")

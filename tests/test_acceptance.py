@@ -24,6 +24,7 @@ from cubicber.moments import (
     third_moment,
 )
 from cubicber.params import Q_ELECTRON, SystemParams, derive, dbm_to_watts
+from conftest import lp3_pdf
 
 
 def _system(prd, p_r_dbm, g_amp=1e5, r_l=1000.0):
@@ -34,9 +35,7 @@ def _system(prd, p_r_dbm, g_amp=1e5, r_l=1000.0):
 def _pure_lp3_ber(sp, dp):
     laws = {b: lp3.fit_from_moments(decision_moments(sp, dp, b))
             for b in (0, 1)}
-    f0 = detection.BitConditionedLaw(0, laws[0], None)
-    f1 = detection.BitConditionedLaw(1, laws[1], None)
-    return detection.optimize_threshold(f0, f1)[1]
+    return detection.optimize_threshold(laws[0], laws[1])[1]
 
 
 def _ratio(a, b):
@@ -75,13 +74,13 @@ def moment_grid():
                         s = montecarlo.generate_samples(
                             sp, dp, bit=0, n_trials=TRIALS, orders=(3,),
                             seed=101)[3]
-                        bit0 = montecarlo.estimate_moments(s)[0]
+                        bit0 = montecarlo.sample_moments(s.values)[0]
                     sampled = bit0
                 else:
                     s = montecarlo.generate_samples(
                         sp, dp, bit=1, n_trials=TRIALS, orders=(3,),
                         seed=101)[3]
-                    sampled = montecarlo.estimate_moments(s)[0]
+                    sampled = montecarlo.sample_moments(s.values)[0]
                 closed = (mean_decision(sp, dp, bit),
                           second_moment(sp, dp, bit),
                           third_moment(sp, dp, bit))
@@ -107,14 +106,15 @@ def power_sweep():
              for b in (0, 1)}
         mc = {o: montecarlo.empirical_ber(s[0][o], s[1][o])[1]
               for o in (1, 2, 3)}
-        m1 = {b: montecarlo.estimate_moments(s[b][1])[0] for b in (0, 1)}
+        m1 = {b: montecarlo.sample_moments(s[b][1].values)[0]
+              for b in (0, 1)}
         gauss1 = detection.gaussian_approx_ber(
-            m1[0].mu1, m1[0].mu2 - m1[0].mu1 ** 2,
-            m1[1].mu1, m1[1].mu2 - m1[1].mu1 ** 2)[1]
+            m1[0][0], m1[0][1] - m1[0][0] ** 2,
+            m1[1][0], m1[1][1] - m1[1][0] ** 2)[1]
         mt = {b: decision_moments(sp, dp, b) for b in (0, 1)}
         gauss3 = detection.gaussian_approx_ber(
-            mt[0].mu1, mt[0].mu2 - mt[0].mu1 ** 2,
-            mt[1].mu1, mt[1].mu2 - mt[1].mu1 ** 2)[1]
+            mt[0][0], mt[0][1] - mt[0][0] ** 2,
+            mt[1][0], mt[1][1] - mt[1][0] ** 2)[1]
         points.append(dict(dbm=dbm, mc=mc, lp3=_pure_lp3_ber(sp, dp),
                            gauss1=gauss1, gauss3=gauss3))
     return points, time.time() - t0
@@ -140,8 +140,7 @@ def test_mc_moments_match_closed_forms(moment_grid):
     tol = {1: 0.03, 2: 0.05, 3: 0.10}
     assert len(rows) == 12
     worst = 0.0
-    for prd, bit, dbm, closed, sampled in rows:
-        got = (sampled.mu1, sampled.mu2, sampled.mu3)
+    for prd, bit, dbm, closed, got in rows:
         for n in (1, 2, 3):
             rel = abs(got[n - 1] - closed[n - 1]) / abs(closed[n - 1])
             worst = max(worst, rel / tol[n])
@@ -162,9 +161,8 @@ def test_fit_round_trip_over_parameter_grid():
         for beta in (0.01, -0.01, 0.1, -0.1, 0.3, -0.3):
             for gamma in (-5.0, 0.0, 5.0):
                 law = Lp3Params(alpha=alpha, beta=beta, gamma=gamma)
-                mt = type("M", (), {f"mu{n}": lp3.moment(law, n)
-                                    for n in (1, 2, 3)})
-                got = lp3.fit_from_moments(mt)
+                got = lp3.fit_from_moments(
+                    [lp3.moment(law, n) for n in (1, 2, 3)])
                 assert got.beta == pytest.approx(beta, abs=1e-9)
                 assert got.alpha == pytest.approx(alpha, rel=1e-7)
                 assert got.gamma == pytest.approx(gamma, rel=1e-7, abs=1e-7)
@@ -190,7 +188,7 @@ def test_pdf_is_cdf_derivative():
             # distance to the edge, not y itself; the step must resolve it
             h = 1e-6 * min(abs(y), abs(y - edge))
             diff = (lp3.cdf(law, y + h) - lp3.cdf(law, y - h)) / (2 * h)
-            assert diff == pytest.approx(float(lp3.pdf(law, y)), rel=1e-6)
+            assert diff == pytest.approx(lp3_pdf(law, y), rel=1e-6)
     assert time.time() - t0 < 1.0
 
 
@@ -203,8 +201,8 @@ def test_sample_ranking_prefers_lp3(ranking_sample):
     t0 = time.time()
     report = gof.rank_distributions(s)
     elapsed = gen_elapsed + (time.time() - t0)
-    best = report.row("log_pearson3")
-    norm = report.row("normal")
+    rows = {r.distribution: r for r in report.rows}
+    best, norm = rows["log_pearson3"], rows["normal"]
     assert best.ks < 0.01, f"lp3 ks={best.ks:.5f}"
     assert norm.ks > 5.0 * best.ks, (
         f"normal ks={norm.ks:.5f} vs lp3 ks={best.ks:.5f}")

@@ -1,0 +1,79 @@
+"""The names the benchmark under perfbench/ reads from the package.
+
+The traced benchmark wraps functions by name and reports 0 for a metric
+whose function is missing, so a rename or a deletion would silently zero a
+per-layer metric. These tests read the names from perfbench/traced.py and
+perfbench/run.py as text (nothing there is imported) and check that each
+exists in the package.
+"""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+from cubicber import cli
+from cubicber.params import SystemParams
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACED = (PERFBENCH / "traced.py").read_text(encoding="utf-8")
+RUN = (PERFBENCH / "run.py").read_text(encoding="utf-8")
+
+
+def _literal(source: str, name: str):
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) == name):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} is not assigned in the source")
+
+
+LAYERS = _literal(TRACED, "LAYERS")   # module -> layer name
+EXTRA = _literal(TRACED, "EXTRA")     # module -> private functions traced
+MODULE_OF = {layer: mod for mod, layer in LAYERS.items()}
+
+
+def _traced_names() -> set:
+    # "layer.function" keys: the counters in traced.py, and the keys and
+    # span names run.py reads
+    found = set(re.findall(r'"(\w+\.\w+)": _', TRACED))
+    found |= set(re.findall(r'key\("(\w+\.\w+)"', RUN))
+    found |= set(re.findall(r'== "(\w+\.\w+)"', RUN))
+    found |= {f"{LAYERS[m]}.{f}" for m, fs in EXTRA.items() for f in fs}
+    return found
+
+
+@pytest.mark.parametrize("modname", sorted(LAYERS))
+def test_traced_module_imports(modname):
+    importlib.import_module(f"cubicber.{modname}")
+
+
+def test_names_read_by_the_benchmark_exist():
+    names = _traced_names()
+    # the functions the per-layer metrics and the point ids come from
+    assert {"cli.run_ber_sweep", "cli._eval_point", "lp3.cdf",
+            "lp3.quantile", "lp3.reg_gamma_p", "lp3.fit_from_moments",
+            "detection.cdf_shot_thermal", "detection.optimize_threshold",
+            "synth.decision_sums"} <= names
+    missing = []
+    for name in sorted(names):
+        layer, func = name.split(".")
+        mod = importlib.import_module(f"cubicber.{MODULE_OF[layer]}")
+        if not callable(getattr(mod, func, None)):
+            missing.append(name)
+    assert not missing
+    assert isinstance(importlib.import_module("cubicber._mc_numpy")._CHUNK,
+                      int)
+
+
+def test_cli_names_used_by_the_benchmark_self_tests():
+    # a `from` import the tracer must rewrap, and a sweep built from the
+    # SweepConfig field defaults
+    assert callable(cli.mean_decision)
+    base = SystemParams(tau_c=100e-15, prd=10.0, wavelength=1.55e-6,
+                        g_amp=1e5)
+    cfg = cli.SweepConfig(base, "p_r_dbm", (33.0,))
+    assert cfg.orders and cfg.variants and cfg.r_l_values
+    assert callable(cli.build_parser) and callable(cli.main)

@@ -204,6 +204,16 @@ def test_sweep_unknown_config_key(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_pre_amplifier_loss_key_is_rejected(tmp_path, capsys):
+    # l1 entered no formula once p_r is given, so it is not a setting
+    cfg = write_cfg(tmp_path, "l1 = 0.5\nsweep_p_r_dbm = 33:33:1\n"
+                              "orders = 3\nvariants = lp3\n")
+    assert main(["ber-sweep", "--config", cfg, "--analytic-only"]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "unknown key 'l1'" in err
+
+
 def test_sweep_missing_config_file(tmp_path, capsys):
     rc = main(["ber-sweep", "--config", str(tmp_path / "nope.cfg")])
     assert rc == EXIT_CONFIG
@@ -284,9 +294,7 @@ def test_fit_matches_direct_sample_moments(sample_csv, capsys):
     s = [g for g in montecarlo.load_csv(sample_csv)
          if g.order == 3 and g.bit == 1][0]
     x = s.values
-    mt = type("M", (), dict(mu1=float(x.mean()), mu2=float((x * x).mean()),
-                            mu3=float((x ** 3).mean())))
-    law = lp3.fit_from_moments(mt)
+    law = lp3.fit_from_moments((x.mean(), (x * x).mean(), (x ** 3).mean()))
     assert float(fields["alpha"]) == pytest.approx(law.alpha, rel=1e-12)
     assert float(fields["beta"]) == pytest.approx(law.beta, rel=1e-12)
     assert float(fields["gamma"]) == pytest.approx(law.gamma, rel=1e-12)

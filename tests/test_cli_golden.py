@@ -1,14 +1,21 @@
 """Golden outputs of the seed-independent CLI paths, byte for byte.
 
 Analytic-only sweeps over each axis (order 3, lp3 and gauss_approx), one
-analytic-only lp3_shot_thermal sweep (two powers, about a second) and a
-literal-moment fit. Any change to a printed number fails here; when such a
-change is intended, regenerate the text with the same commands and say why
-in the change log. Monte-Carlo rows are left out: their BLAS summation
-order depends on the machine. The th_opt column is located only to about
-1e-7 relative (PE is flat at the optimum), so it moves with any ulp-level
-change upstream.
+analytic-only lp3_shot_thermal sweep (two powers, about a second), an
+analytic-only sweep at g_amp = 1 (no ASE noise, so every row fails with
+"moments must be positive"), a literal-moment fit, and `fit --samples` and
+`gof --samples` (with their --out files) at orders 1 and 3 on a sample CSV
+written here from closed-form values: 10k quantiles exp(a + b z + c z^2) of
+a standard normal z per group, computed in pure Python. Any change to a
+printed number fails here; when such a change is intended, regenerate the
+text with the same commands and say why in the change log. Monte-Carlo
+rows are left out: their BLAS summation order depends on the machine. The
+th_opt column is located only to about 1e-7 relative (PE is flat at the
+optimum), so it moves with any ulp-level change upstream.
 """
+
+import math
+import statistics
 
 import pytest
 
@@ -50,6 +57,11 @@ GOLDEN_SHOT_THERMAL = HEAD + """\
 37,p_r_dbm,10,1000,lp3_shot_thermal,3.6976882506234383e-05,0.00012260574258156392,3,
 """
 
+GAMP1 = "prd = 10\ng_amp = 1\nsweep_p_r_dbm = 33:35:2\n"
+GOLDEN_GAMP1 = HEAD + "".join(
+    f"{x},p_r_dbm,10,1000,{v},nan,nan,3,moments must be positive\n"
+    for x in (33, 35) for v in ("gauss_approx", "lp3", "lp3_shot_thermal"))
+
 GOLDEN_FIT = """\
 alpha = 1.4520074984208453
 beta  = -0.60624383525675773
@@ -88,3 +100,122 @@ def test_fit_from_moments_bytes(capsys):
     got = capsys.readouterr()
     assert got.err == ""
     assert got.out == GOLDEN_FIT
+
+
+def test_g_amp_one_sweep_bytes(tmp_path, capsys):
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text(GAMP1, encoding="utf-8")
+    assert main(["ber-sweep", "--config", str(cfg),
+                 "--analytic-only"]) == EXIT_OK
+    got = capsys.readouterr()
+    assert got.err == ""
+    assert got.out == GOLDEN_GAMP1
+
+
+# (a, b, c) of the order-1 and the order-3 group, all bit 1
+SAMPLE_GROUPS = {1: (-4.0, 0.3, 0.04), 3: (-11.5, 0.6, -0.05)}
+
+
+@pytest.fixture(scope="module")
+def closed_form_csv(tmp_path_factory):
+    n = 10_000
+    normal = statistics.NormalDist()
+    zs = [normal.inv_cdf((i + 0.5) / n) for i in range(n)]
+    path = tmp_path_factory.mktemp("golden") / "samples.csv"
+    with open(path, "w") as fh:
+        fh.write("trial,order,bit,value\n")
+        for order, (a, b, c) in SAMPLE_GROUPS.items():
+            for i, z in enumerate(zs):
+                value = math.exp(a + b * z + c * z * z)
+                fh.write(f"{i},{order},1,{value!r}\n")
+    return str(path)
+
+
+GOLDEN_SAMPLE_FIT = {
+    1: ("""\
+alpha = 8.2181302561083349
+beta  = 0.10742687184808847
+gamma = -4.8433942042458593
+mu1: input 0.020051932766363047  readback 0.020051932766363037
+mu2: input 0.00045330571370693755  readback 0.00045330571370693718
+mu3: input 1.1969492457456995e-05  readback 1.196949245745699e-05
+ks = 0.0084857437785616253
+fit_result alpha=8.2181302561083349 beta=0.10742687184808847 \
+gamma=-4.8433942042458593
+""", """\
+# schema=1
+alpha,beta,gamma
+8.2181302561083349,0.10742687184808847,-4.8433942042458593
+"""),
+    3: ("""\
+alpha = 14.326032778925352
+beta  = -0.16055599352930872
+gamma = -9.2508900828591099
+mu1: input 1.1375770809235949e-05  readback 1.1375770809235954e-05
+mu2: input 1.7068439618022141e-10  readback 1.7068439618022146e-10
+mu3: input 3.1694618157267003e-15  readback 3.1694618157266901e-15
+ks = 0.0015620735776318839
+fit_result alpha=14.326032778925352 beta=-0.16055599352930872 \
+gamma=-9.2508900828591099
+""", """\
+# schema=1
+alpha,beta,gamma
+14.326032778925352,-0.16055599352930872,-9.2508900828591099
+"""),
+}
+
+GOF_HEAD = ("distribution                 ks r            ad r          "
+            "chi2 r\n")
+GOF_CSV_HEAD = "# schema=1\ndistribution,ks,ks_rank,ad,ad_rank,chi2,chi2_rank\n"
+
+# order: (extra flags, stdout, --out file)
+GOLDEN_SAMPLE_GOF = {
+    1: (["--bins", "50"], "n = 10000  bins = 50\n" + GOF_HEAD + """\
+log_pearson3         0.00848574 1       2.23171 1         38.72 1
+normal                 0.115083 5           nan 5        3221.6 5
+lognormal             0.0655404 2        104.08 2        961.86 2
+gamma                 0.0849108 4       177.018 4       1611.37 4
+inverse_gaussian      0.0668066 3       108.701 3         973.5 3
+""", GOF_CSV_HEAD + """\
+log_pearson3,0.0084857437785616253,1,2.2317128736376617,1,38.719999999999999,1
+normal,0.11508304936995417,5,nan,5,3221.5999999999999,5
+lognormal,0.065540419075542602,2,104.08010425851717,2,961.86000000000001,2
+gamma,0.084910805783382171,4,177.01776816700476,4,1611.3699999999999,4
+inverse_gaussian,0.066806608446466034,3,108.70131483193109,3,973.5,3
+"""),
+    3: ([], "n = 10000  bins = 200\n" + GOF_HEAD + """\
+log_pearson3         0.00156207 1     0.0867915 1           2.2 1
+normal                0.0786544 5       155.499 5        2016.2 5
+lognormal             0.0435265 4       72.1207 3          1095 3
+gamma                0.00498278 2      0.684604 2          13.8 2
+inverse_gaussian      0.0430293 3       76.5912 4       1502.08 4
+""", GOF_CSV_HEAD + """\
+log_pearson3,0.0015620735776318839,1,0.086791482621265459,1,2.2000000000000002,1
+normal,0.07865442741573786,5,155.49908684801449,5,2016.2,5
+lognormal,0.04352652328302703,4,72.120671732373012,3,1095,3
+gamma,0.0049827779119556714,2,0.68460420092014829,2,13.800000000000001,2
+inverse_gaussian,0.043029276432082694,3,76.591216869515847,4,1502.0799999999999,4
+"""),
+}
+
+
+@pytest.mark.parametrize("order", sorted(GOLDEN_SAMPLE_FIT))
+def test_fit_from_samples_bytes(closed_form_csv, tmp_path, capsys, order):
+    out = tmp_path / "fit.csv"
+    assert main(["fit", "--samples", closed_form_csv, "--order", str(order),
+                 "--out", str(out)]) == EXIT_OK
+    got = capsys.readouterr()
+    assert got.err == ""
+    assert (got.out, out.read_text()) == GOLDEN_SAMPLE_FIT[order]
+
+
+@pytest.mark.parametrize("order", sorted(GOLDEN_SAMPLE_GOF))
+def test_gof_from_samples_bytes(closed_form_csv, tmp_path, capsys, order):
+    extra, stdout, csv_text = GOLDEN_SAMPLE_GOF[order]
+    out = tmp_path / "gof.csv"
+    assert main(["gof", "--samples", closed_form_csv, "--order", str(order),
+                 *extra, "--out", str(out)]) == EXIT_OK
+    got = capsys.readouterr()
+    assert got.err == ""
+    assert got.out == stdout
+    assert out.read_text() == csv_text

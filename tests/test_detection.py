@@ -7,7 +7,7 @@ import pytest
 import scipy.special as sc
 from scipy.integrate import quad
 
-from cubicber import (BitConditionedLaw, Lp3Params, NoisePhysics,
+from cubicber import (Lp3Params, NoisePhysics,
                       cdf_shot_thermal, derive, error_probability,
                       fit_from_moments, gaussian_approx_ber, noise_physics,
                       optimize_threshold)
@@ -31,14 +31,18 @@ def _cubic_law(prd=10.0, p_r_dbm=35.0, bit=1):
 # --------------------------------------------------------------------------
 
 def test_noise_physics_variance_formula():
-    phys = NoisePhysics(t_r=300.0, r_l=1000.0, t_p=1e-12)
-    y = 3e-6
-    want = (2 * Q_ELECTRON * y + 4 * K_BOLTZMANN * 300.0 / 1000.0) / 1e-12
-    assert phys.variance_at(y) == pytest.approx(want, rel=1e-15)
-    # negative levels contribute no shot term
-    floor = 4 * K_BOLTZMANN * 300.0 / 1000.0 / 1e-12
-    assert phys.variance_at(-1.0) == pytest.approx(floor, rel=1e-15)
-    assert phys.variance_at(0.0) == pytest.approx(floor, rel=1e-15)
+    # Y within ~5e-6 relative of y0, so Y + N is close to Normal(y0,
+    # sigma^2(y0)) with sigma^2(y) = (2 q_e y + 4 k_B T_r / R_L) / T_p;
+    # thermal noise dominates at 3 uA, shot noise at 1 mA
+    for y0, t_p in ((3e-6, 1e-12), (1e-3, 5e-12)):
+        law = Lp3Params(alpha=1e12, beta=1e-12, gamma=math.log(y0) - 1.0)
+        phys = NoisePhysics(t_r=300.0, r_l=1000.0, t_p=t_p)
+        s = math.sqrt((2 * Q_ELECTRON * y0
+                       + 4 * K_BOLTZMANN * 300.0 / 1000.0) / t_p)
+        for k in (-2.0, -0.5, 0.0, 1.0, 3.0):
+            want = 0.5 * math.erfc(-k / math.sqrt(2.0))
+            assert cdf_shot_thermal(law, y0 + k * s, phys) == pytest.approx(
+                want, abs=1e-8)
 
 
 def test_noise_physics_validation():
@@ -122,8 +126,9 @@ def _st_laws(p_r_dbm=37.0, r_l=1000.0):
     sp = make_system(prd=10.0, p_r_dbm=p_r_dbm, r_l=r_l)
     dp = derive(sp)
     phys = noise_physics(sp, dp)
-    return [BitConditionedLaw(b, fit_from_moments(decision_moments(sp, dp, b)),
-                              phys) for b in (0, 1)]
+    law0, law1 = (fit_from_moments(decision_moments(sp, dp, b))
+                  for b in (0, 1))
+    return law0, law1, phys
 
 
 def _st_quad(law, x, phys):
@@ -159,33 +164,33 @@ def _st_quad(law, x, phys):
 
 
 def test_cdf_shot_thermal_array_matches_adaptive_quadrature():
-    f0, f1 = _st_laws()
-    grid = np.geomspace(f0.mean() / 100.0, f1.mean() * 10.0, 256)
-    for f in (f0, f1):
-        got = cdf_shot_thermal(f.law, grid, f.physics)
+    law0, law1, phys = _st_laws()
+    grid = np.geomspace(moment(law0, 1) / 100.0, moment(law1, 1) * 10.0, 256)
+    for law in (law0, law1):
+        got = cdf_shot_thermal(law, grid, phys)
         assert got.shape == grid.shape
-        want = [_st_quad(f.law, x, f.physics) for x in grid]
+        want = [_st_quad(law, x, phys) for x in grid]
         assert np.abs(got - want).max() <= 1e-12
         # a scalar threshold runs the same panels
         for i in (0, 128, 255):
-            assert cdf_shot_thermal(f.law, grid[i], f.physics) == got[i]
+            assert cdf_shot_thermal(law, grid[i], phys) == got[i]
 
 
 def test_cdf_shot_thermal_rejects_nonfinite_thresholds():
-    f0, _ = _st_laws()
+    law0, _, phys = _st_laws()
     for bad in (math.nan, math.inf):
         with pytest.raises(ParamError):
-            cdf_shot_thermal(f0.law, np.array([1e-6, bad]), f0.physics)
+            cdf_shot_thermal(law0, np.array([1e-6, bad]), phys)
 
 
 def test_cdf_shot_thermal_error_gate(monkeypatch):
     # one panel edge besides the kernel centre: far too coarse, and the
     # Kronrod-Gauss difference says so
-    f0, f1 = _st_laws()
+    _, law1, phys = _st_laws()
     monkeypatch.setattr(detection, "_EDGE_PROBS", np.array([0.5]))
     monkeypatch.setattr(detection, "_KERNEL_W", np.array([0.0]))
     with pytest.raises(QuadratureError):
-        cdf_shot_thermal(f1.law, f1.mean(), f1.physics)
+        cdf_shot_thermal(law1, moment(law1, 1), phys)
 
 
 # (P_r dBm, R_L ohm, th_opt, PE) of the PRD-10 shot/thermal search as
@@ -225,30 +230,24 @@ def test_shot_thermal_search_call_count(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# BitConditionedLaw
+# the law of one bit in the error probability
 # --------------------------------------------------------------------------
 
 def test_bit_conditioned_law_lp3():
-    law, sp, dp = _cubic_law()
-    f = BitConditionedLaw(bit=1, law=law)
-    assert f.physics is None
-    assert f.cdf(-1.0) == 0.0 and f.cdf(0.0) == 0.0
-    assert f.cdf(quantile(law, 0.4)) == pytest.approx(0.4, rel=1e-9)
-    assert f.mean() == pytest.approx(moment(law, 1), rel=1e-15)
-    g = BitConditionedLaw(bit=1, law=law, physics=noise_physics(sp, dp))
-    mid = quantile(law, 0.5)
-    assert g.cdf(mid) == pytest.approx(cdf_shot_thermal(
-        law, mid, noise_physics(sp, dp)), rel=1e-9)
-
-
-def test_bit_conditioned_law_validation():
-    law = Lp3Params(alpha=2.0, beta=0.1, gamma=0.0)
-    with pytest.raises(ParamError):
-        BitConditionedLaw(bit=3, law=law)
-    with pytest.raises(ParamError):
-        BitConditionedLaw(bit=0, law=[])
-    with pytest.raises(ParamError):
-        BitConditionedLaw(bit=0, law=[1.0, 2.0], physics=NoisePhysics())
+    # F_b is the bare LP3 cdf of the bit's law, or the shot/thermal cdf
+    # when noise physics is given
+    law0, sp, dp = _cubic_law(bit=0)
+    law1 = fit_from_moments(decision_moments(sp, dp, 1))
+    phys = noise_physics(sp, dp)
+    for th in (-1.0, 0.0):
+        assert error_probability(law0, law1, th) == 0.5
+    th = quantile(law1, 0.4)
+    want = 0.5 * (1.0 - lp3_cdf(law0, th)) + 0.5 * 0.4
+    assert error_probability(law0, law1, th) == pytest.approx(want,
+                                                              rel=1e-9)
+    want = (0.5 * (1.0 - cdf_shot_thermal(law0, th, phys))
+            + 0.5 * cdf_shot_thermal(law1, th, phys))
+    assert error_probability(law0, law1, th, phys) == want
 
 
 # --------------------------------------------------------------------------
@@ -260,61 +259,54 @@ def test_error_probability_formula():
     # the 0.9 quantile of law0, PE = (1 - 0.9)/2 + F0(th / 2)/2
     law0 = Lp3Params(alpha=2.0, beta=0.5, gamma=0.0)
     law1 = Lp3Params(alpha=2.0, beta=0.5, gamma=math.log(2.0))
-    f0 = BitConditionedLaw(bit=0, law=law0)
-    f1 = BitConditionedLaw(bit=1, law=law1)
     th = quantile(law0, 0.9)
     want = 0.5 * (1.0 - 0.9) + 0.5 * lp3_cdf(law0, th / 2.0)
     assert 0.05 < want < 0.5
-    assert error_probability(f0, f1, th) == pytest.approx(want, rel=1e-9)
+    assert error_probability(law0, law1, th) == pytest.approx(want,
+                                                              rel=1e-9)
 
 
 def test_optimize_threshold_beats_probes():
     law0, sp, dp = _cubic_law(p_r_dbm=35.0, bit=0)
     law1 = fit_from_moments(decision_moments(sp, dp, 1))
-    f0 = BitConditionedLaw(bit=0, law=law0)
-    f1 = BitConditionedLaw(bit=1, law=law1)
-    th, pe = optimize_threshold(f0, f1)
+    th, pe = optimize_threshold(law0, law1)
+    m0, m1 = moment(law0, 1), moment(law1, 1)
     assert 0.0 < pe < 0.5
-    assert f0.mean() < th < f1.mean()
-    for t in np.geomspace(f0.mean() / 10, f1.mean() * 2, 100):
-        assert pe <= error_probability(f0, f1, t) + 1e-12
+    assert m0 < th < m1
+    for t in np.geomspace(m0 / 10, m1 * 2, 100):
+        assert pe <= error_probability(law0, law1, t) + 1e-12
 
 
 def test_optimize_threshold_extremes_give_half():
     law0, sp, dp = _cubic_law(p_r_dbm=35.0, bit=0)
     law1 = fit_from_moments(decision_moments(sp, dp, 1))
-    f0 = BitConditionedLaw(bit=0, law=law0)
-    f1 = BitConditionedLaw(bit=1, law=law1)
     tiny = quantile(law0, 1e-12) * 1e-3
     huge = quantile(law1, 1 - 1e-12) * 1e3
-    assert error_probability(f0, f1, tiny) == pytest.approx(0.5, abs=1e-9)
-    assert error_probability(f0, f1, huge) == pytest.approx(0.5, abs=1e-9)
+    for th in (tiny, huge):
+        assert error_probability(law0, law1, th) == pytest.approx(0.5,
+                                                                  abs=1e-9)
 
 
 def test_optimize_threshold_rejects_inverted_laws():
     law0, sp, dp = _cubic_law(p_r_dbm=35.0, bit=0)
     law1 = fit_from_moments(decision_moments(sp, dp, 1))
-    f0 = BitConditionedLaw(bit=0, law=law1)  # swapped on purpose
-    f1 = BitConditionedLaw(bit=1, law=law0)
-    with pytest.raises(BracketError):
-        optimize_threshold(f0, f1, search=(f1.mean() / 100, f0.mean() * 10))
+    with pytest.raises(BracketError):  # laws swapped on purpose
+        optimize_threshold(law1, law0, search=(moment(law0, 1) / 100,
+                                               moment(law1, 1) * 10))
 
 
 def test_optimize_threshold_bad_bracket():
     law, sp, dp = _cubic_law()
-    f = BitConditionedLaw(bit=1, law=law)
     with pytest.raises(BracketError):
-        optimize_threshold(f, f, search=(2.0, 1.0))
+        optimize_threshold(law, law, search=(2.0, 1.0))
 
 
 def test_optimize_threshold_custom_search_matches_default():
     law0, sp, dp = _cubic_law(p_r_dbm=35.0, bit=0)
     law1 = fit_from_moments(decision_moments(sp, dp, 1))
-    f0 = BitConditionedLaw(bit=0, law=law0)
-    f1 = BitConditionedLaw(bit=1, law=law1)
-    th_a, pe_a = optimize_threshold(f0, f1)
-    th_b, pe_b = optimize_threshold(f0, f1, search=(f0.mean() / 50,
-                                                    f1.mean() * 5))
+    th_a, pe_a = optimize_threshold(law0, law1)
+    th_b, pe_b = optimize_threshold(law0, law1, search=(moment(law0, 1) / 50,
+                                                        moment(law1, 1) * 5))
     assert th_b == pytest.approx(th_a, rel=1e-6)
     assert pe_b == pytest.approx(pe_a, rel=1e-9)
 

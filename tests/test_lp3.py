@@ -1,4 +1,4 @@
-"""Log-Pearson-III law: gamma kernels, pdf/cdf/quantile, three-moment fit."""
+"""Log-Pearson-III law: gamma kernels, cdf/quantile, three-moment fit."""
 
 import math
 
@@ -9,30 +9,71 @@ from scipy.integrate import quad
 
 from cubicber import Lp3Params, fit_from_moments
 from cubicber.lp3 import (DivergentMomentError, Lp3Error, NoSolutionError,
-                          SingularBoundaryError, cdf, moment, pdf, quantile,
-                          reg_gamma_p, reg_gamma_q)
+                          _gamma_pq, cdf, moment, quantile, reg_gamma_p)
+from conftest import lp3_pdf as pdf
+
+
+def gamma_q(a, x):
+    # the Q side of the package's incomplete-gamma kernel
+    return _gamma_pq(a, x)[1]
 
 
 # --------------------------------------------------------------------------
 # regularized incomplete gamma
 # --------------------------------------------------------------------------
 
-# 60-digit-arithmetic reference values for the extreme-shape deep tails,
-# where double-precision library routines are not trustworthy.
+# Reference values for the extreme-shape deep tails, where double-precision
+# library routines are not trustworthy: 50-digit quadratures of the gamma
+# density (test_frozen_extreme_references re-derives them).
 FROZEN_EXTREME = [
     ("p", 5e7, 49_950_000.0, 7.5602850527274779e-13),
     ("p", 9.99e7, 99_800_100.0, 7.7518570002858812e-24),
     ("p", 1e10, 9_999_000_000.0, 7.5945012109770733e-24),
     ("p", 1e12, 999_990_000_000.0, 7.6173142106034659e-24),
     ("q", 1e10, 10_001_000_000.0, 7.6452856435125053e-24),
-    ("q", 1e12, 1.00001e12, 7.6223926363828332e-24),
+    ("q", 1e12, 1.00001e12, 7.6223926457786912e-24),
 ]
 
 
 @pytest.mark.parametrize("kind,a,x,ref", FROZEN_EXTREME)
 def test_reg_gamma_extreme_shape_tails(kind, a, x, ref):
-    fn = reg_gamma_p if kind == "p" else reg_gamma_q
+    fn = reg_gamma_p if kind == "p" else gamma_q
     assert fn(a, x) == pytest.approx(ref, rel=2e-9)
+
+
+def _mp_tail(mpmath, kind, a, x, layout):
+    # P (kind "p") or Q of the gamma law at 50 digits, by quadrature of its
+    # density: layout 0 in the standard score u = (t - a)/sqrt(a) with
+    # knots at even u out to |u| = 60, layout 1 in t itself over 189
+    # Gauss-Legendre panels of 0.37 sqrt(a) from x outward
+    with mpmath.workdps(50):
+        a, x = mpmath.mpf(a), mpmath.mpf(x)
+        s, lg = mpmath.sqrt(a), mpmath.loggamma(a)
+        sign = 1 if kind == "q" else -1
+        if layout == 0:
+            def density(u):
+                t = a + u * s
+                return s * mpmath.exp((a - 1) * mpmath.log(t) - t - lg)
+
+            ux = (x - a) / s
+            knots = [mpmath.mpf(k) for k in range(-60, 61, 2)
+                     if sign * (k - ux) > 0]
+            return mpmath.quad(density,
+                               [ux] + knots if kind == "q" else knots + [ux])
+
+        def density(t):
+            return mpmath.exp((a - 1) * mpmath.log(t) - t - lg)
+
+        edges = [x + sign * s * mpmath.mpf("0.37") * i for i in range(190)]
+        return abs(mpmath.quad(density, edges, method="gauss-legendre"))
+
+
+def test_frozen_extreme_references():
+    mpmath = pytest.importorskip("mpmath")
+    for kind, a, x, ref in FROZEN_EXTREME:
+        for layout in (0, 1):
+            val = float(_mp_tail(mpmath, kind, a, x, layout))
+            assert ref == pytest.approx(val, rel=1e-15), (kind, a, layout)
 
 
 def test_reg_gamma_matches_scipy_moderate_shape():
@@ -48,7 +89,7 @@ def test_reg_gamma_matches_scipy_moderate_shape():
             if p_ref > 1e-280:
                 assert reg_gamma_p(a, x) == pytest.approx(p_ref, rel=5e-11)
             if q_ref > 1e-280:
-                assert reg_gamma_q(a, x) == pytest.approx(q_ref, rel=5e-11)
+                assert gamma_q(a, x) == pytest.approx(q_ref, rel=5e-11)
 
 
 def test_reg_gamma_matches_mpmath_spot():
@@ -58,7 +99,7 @@ def test_reg_gamma_matches_mpmath_spot():
         p_ref = float(mpmath.gammainc(a, 0, x, regularized=True))
         q_ref = float(mpmath.gammainc(a, x, mpmath.inf, regularized=True))
         assert reg_gamma_p(a, x) == pytest.approx(p_ref, rel=1e-12)
-        assert reg_gamma_q(a, x) == pytest.approx(q_ref, rel=1e-12)
+        assert gamma_q(a, x) == pytest.approx(q_ref, rel=1e-12)
 
 
 def test_reg_gamma_complement_identity():
@@ -66,13 +107,13 @@ def test_reg_gamma_complement_identity():
     for _ in range(200):
         a = 10.0 ** rng.uniform(-2, 7)
         x = a * rng.uniform(0.3, 3.0)
-        assert reg_gamma_p(a, x) + reg_gamma_q(a, x) == pytest.approx(
+        assert reg_gamma_p(a, x) + gamma_q(a, x) == pytest.approx(
             1.0, abs=1e-14)
 
 
 def test_reg_gamma_edges_and_domain():
     assert reg_gamma_p(3.0, 0.0) == 0.0
-    assert reg_gamma_q(3.0, 0.0) == 1.0
+    assert gamma_q(3.0, 0.0) == 1.0
     assert reg_gamma_p(3.0, math.inf) == 1.0
     with pytest.raises(Lp3Error):
         reg_gamma_p(0.0, 1.0)
@@ -121,7 +162,7 @@ def test_reg_gamma_mixed_array_matches_mpmath_and_scalars():
         s = math.sqrt(a)
         xs = np.array([0.0, 0.2 * a, max(a - 7 * s, 0.5 * a), a, a + 0.5,
                        a + 1.0, a + s, a + 7 * s, 4 * a + 10, math.inf])
-        p, q = reg_gamma_p(a, xs), reg_gamma_q(a, xs)
+        p, q = reg_gamma_p(a, xs), gamma_q(a, xs)
         rel = 1e-12 if a < 1e8 else 2e-9
         for x, pv, qv in zip(xs, p, q):
             p_ref, q_ref = _mp_gamma_pq(mpmath, a, x)
@@ -129,7 +170,7 @@ def test_reg_gamma_mixed_array_matches_mpmath_and_scalars():
             assert qv == pytest.approx(q_ref, rel=rel, abs=1e-300)
             # a scalar call is the same kernel on a 1-element array
             assert reg_gamma_p(a, float(x)) == pv
-            assert reg_gamma_q(a, float(x)) == qv
+            assert gamma_q(a, float(x)) == qv
 
 
 def test_reg_gamma_array_errors(monkeypatch):
@@ -137,7 +178,7 @@ def test_reg_gamma_array_errors(monkeypatch):
     with pytest.raises(Lp3Error):
         reg_gamma_p(2.0, np.array([0.5, math.nan, 9.0]))
     with pytest.raises(Lp3Error):
-        reg_gamma_q(2.0, np.array([0.5, -1.0]))
+        gamma_q(2.0, np.array([0.5, -1.0]))
     with pytest.raises(Lp3Error):
         reg_gamma_p(xs, 1.0)  # the shape is a scalar
     # no term or step can fall below a zero tolerance: both the series and
@@ -165,7 +206,7 @@ def test_param_validation():
 
 
 # --------------------------------------------------------------------------
-# pdf / cdf / quantile
+# cdf / quantile, and the density oracle of the tests
 # --------------------------------------------------------------------------
 
 CASES = [
@@ -239,16 +280,14 @@ def test_pdf_integrates_to_one(p):
 
 
 def test_pdf_outside_support_and_boundary():
-    # gamma = 0 puts the support edge at y = 1 exactly, so the z == 0
-    # branch is actually reachable in floating point
+    # the oracle's edge cases; gamma = 0 puts the support edge at y = 1
+    # exactly, so the z == 0 branch is reachable in floating point
     p = Lp3Params(alpha=2.5, beta=0.2, gamma=0.0)
     assert pdf(p, 0.9) == 0.0
     assert pdf(p, 1.0) == 0.0  # alpha > 1: density vanishes at the edge
-    with pytest.raises(Lp3Error):
+    with pytest.raises(ValueError):
         pdf(p, 0.0)
-    singular = Lp3Params(alpha=0.7, beta=0.1, gamma=0.0)
-    with pytest.raises(SingularBoundaryError):
-        pdf(singular, 1.0)
+    assert pdf(Lp3Params(alpha=0.7, beta=0.1, gamma=0.0), 1.0) == math.inf
     flat = Lp3Params(alpha=1.0, beta=0.5, gamma=0.0)
     assert pdf(flat, 1.0) == pytest.approx(2.0, rel=1e-15)
 
@@ -292,9 +331,7 @@ def test_moment_divergence_and_domain():
 # --------------------------------------------------------------------------
 
 def exact_moments(p):
-    from types import SimpleNamespace
-    return SimpleNamespace(mu1=moment(p, 1), mu2=moment(p, 2),
-                           mu3=moment(p, 3))
+    return tuple(moment(p, n) for n in (1, 2, 3))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0, 50.0])
@@ -309,11 +346,12 @@ def test_fit_round_trip(alpha, beta, gamma):
 
 
 def test_fit_accepts_moment_triple():
-    from cubicber import MomentTriple
+    # any (mu1, mu2, mu3) sequence, e.g. decision_moments' tuple or an array
     p = Lp3Params(alpha=3.0, beta=0.15, gamma=-2.0)
-    m = MomentTriple(mu1=moment(p, 1), mu2=moment(p, 2), mu3=moment(p, 3))
-    q = fit_from_moments(m)
-    assert q.alpha == pytest.approx(3.0, rel=1e-7)
+    m = exact_moments(p)
+    for seq in (m, list(m), np.array(m)):
+        assert fit_from_moments(seq) == fit_from_moments(m)
+    assert fit_from_moments(m).alpha == pytest.approx(3.0, rel=1e-7)
 
 
 def test_fit_moment_readback():
@@ -321,22 +359,20 @@ def test_fit_moment_readback():
     p = Lp3Params(alpha=7.0, beta=-0.12, gamma=1.5)
     m = exact_moments(p)
     q = fit_from_moments(m)
-    assert moment(q, 1) == pytest.approx(m.mu1, rel=1e-9)
-    assert moment(q, 2) == pytest.approx(m.mu2, rel=1e-9)
-    assert moment(q, 3) == pytest.approx(m.mu3, rel=1e-9)
+    for n in (1, 2, 3):
+        assert moment(q, n) == pytest.approx(m[n - 1], rel=1e-9)
 
 
 def test_fit_rejects_infeasible_moments():
-    from types import SimpleNamespace
     with pytest.raises(NoSolutionError):
-        fit_from_moments(SimpleNamespace(mu1=1.0, mu2=0.9, mu3=2.0))
-    with pytest.raises(NoSolutionError):
-        fit_from_moments(SimpleNamespace(mu1=-1.0, mu2=2.0, mu3=2.0))
+        fit_from_moments((1.0, 0.9, 2.0))
+    with pytest.raises(NoSolutionError, match="moments must be positive"):
+        fit_from_moments((-1.0, 2.0, 2.0))
     # rho <= 1: third moment too small for any LP3 law
     with pytest.raises(NoSolutionError):
-        fit_from_moments(SimpleNamespace(mu1=1.0, mu2=2.0, mu3=1.5))
+        fit_from_moments((1.0, 2.0, 1.5))
     with pytest.raises(NoSolutionError):
-        fit_from_moments(SimpleNamespace(mu1=1.0, mu2=2.0, mu3=2.0))
+        fit_from_moments((1.0, 2.0, 2.0))
 
 
 def test_fit_near_lognormal_fallback():
@@ -346,8 +382,7 @@ def test_fit_near_lognormal_fallback():
     m1 = math.exp(mu + s2 / 2)
     m2 = math.exp(2 * mu + 2 * s2)
     m3 = math.exp(3 * mu + 4.5 * s2)
-    from types import SimpleNamespace
-    q = fit_from_moments(SimpleNamespace(mu1=m1, mu2=m2, mu3=m3))
+    q = fit_from_moments((m1, m2, m3))
     assert abs(q.beta) == pytest.approx(1e-9)
     assert moment(q, 1) == pytest.approx(m1, rel=1e-5)
     assert moment(q, 2) == pytest.approx(m2, rel=1e-5)

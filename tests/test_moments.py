@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from cubicber import MomentTriple, SystemParams, decision_moments, derive
+from cubicber import SystemParams, decision_moments, derive, fit_from_moments
+from cubicber.lp3 import NoSolutionError
 from cubicber.moments import (VAR_NOISE_PRD_COEFF, mean_decision,
                               second_moment, third_moment, variance_decision)
 from cubicber.params import ParamError
@@ -152,20 +153,19 @@ def test_moments_scale_as_responsivity_power():
 def test_decision_moments_bundles_the_three():
     sp = make_system(prd=25.0, p_r_dbm=33.0)
     dp = derive(sp)
-    m = decision_moments(sp, dp, 1)
-    assert m.mu1 == mean_decision(sp, dp, 1)
-    assert m.mu2 == second_moment(sp, dp, 1)
-    assert m.mu3 == third_moment(sp, dp, 1)
-    assert m.bit == 1
+    assert decision_moments(sp, dp, 1) == (mean_decision(sp, dp, 1),
+                                           second_moment(sp, dp, 1),
+                                           third_moment(sp, dp, 1))
 
 
 def test_moment_triple_validation():
+    # the fit checks the sign of a moment triple; decision_moments the bit
+    for bad in ((0.0, 1.0, 1.0), (1.0, -1.0, 1.0)):
+        with pytest.raises(NoSolutionError, match="moments must be positive"):
+            fit_from_moments(bad)
+    sp = make_system()
     with pytest.raises(ParamError):
-        MomentTriple(mu1=0.0, mu2=1.0, mu3=1.0)
-    with pytest.raises(ParamError):
-        MomentTriple(mu1=1.0, mu2=-1.0, mu3=1.0)
-    with pytest.raises(ParamError):
-        MomentTriple(mu1=1.0, mu2=1.0, mu3=1.0, bit=2)
+        decision_moments(sp, derive(sp), 2)
 
 
 def test_bad_bit_rejected():

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubicber import derive, empirical_ber, generate_samples
 from cubicber.montecarlo import (MIN_OVERSAMPLE, MIN_WINDOW, SampleSet,
-                                 SampleSizeError, _grid, estimate_moments,
-                                 load_csv, sample_moments, save_csv)
+                                 _grid, load_csv, sample_moments, save_csv)
 from cubicber.moments import mean_decision
 from cubicber.params import ParamError
 from conftest import make_system
@@ -59,7 +58,7 @@ def test_sample_set_validation():
     with pytest.raises(ParamError):
         SampleSet(order=1, bit=1, values=np.array([1.0, math.nan]))
     s = SampleSet(order=2, bit=0, values=[3.0, 1.0, 2.0])
-    assert len(s) == 3
+    assert s.values.shape == (3,)
     assert s.values.dtype == np.float64
 
 
@@ -72,9 +71,8 @@ def test_generate_samples_shapes(ref_system):
     out = generate_samples(sp, dp, 1, 50, orders=(3, 1), seed=9)
     assert sorted(out) == [1, 3]
     for o, s in out.items():
-        assert s.order == o and s.bit == 1 and len(s) == 50
-        assert s.seed == 9 and s.start_trial == 0
-        assert s.oversample == 16 and s.window == 32
+        assert s.order == o and s.bit == 1 and s.values.shape == (50,)
+        assert s.start_trial == 0
         assert np.all(s.values >= 0) and np.all(np.isfinite(s.values))
 
 
@@ -156,17 +154,13 @@ def test_sample_moments_match_closed_form(mc_small):
     # (the closed forms cover the cubic receiver)
     sp, dp, sets = mc_small
     for bit in (0, 1):
-        triple, se = estimate_moments(sets[bit][3])
+        mus, se = sample_moments(sets[bit][3].values)
         closed = mean_decision(sp, dp, bit)
-        assert abs(triple.mu1 - closed) < 5.0 * se[0]
+        assert abs(mus[0] - closed) < 5.0 * se[0]
 
 
-def test_estimate_moments_needs_1000(ref_system):
-    sp, dp = ref_system
-    s = generate_samples(sp, dp, 1, 999, orders=(3,))[3]
-    with pytest.raises(SampleSizeError):
-        estimate_moments(s)
-    # the helper underneath has no size floor and no sign check
+def test_sample_moments_has_no_size_floor():
+    # no size floor and no sign check: the CLI sets the trial floor
     assert sample_moments(np.zeros(5)) == ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
@@ -238,7 +232,6 @@ def test_save_load_round_trip(tmp_path, ref_system):
     assert np.array_equal(lookup[(1, 1)].values, sets[1].values)
     assert np.array_equal(lookup[(3, 1)].values, sets[3].values)
     assert lookup[(3, 1)].start_trial == 100
-    assert lookup[(3, 1)].oversample is None  # config is not persisted
 
 
 def test_save_single_set_and_header_check(tmp_path, ref_system):
