@@ -19,6 +19,8 @@ import argparse
 import math
 import os
 import sys
+import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -51,7 +53,7 @@ _POINT_ERRORS = (lp3.Lp3Error, ParamError, detection.BracketError,
 
 
 # Default of every setting that a command-line flag or a config key sets.
-_DEFAULTS = {"trials": 100_000, "seed": 1, "oversample": 16, "window": 32,
+_DEFAULTS = {"trials": 100_000, "seed": 1, "oversample": 16,
              "orders": (3,), "r_l": (1000.0,), "order": 3, "bit": 1}
 
 
@@ -70,14 +72,14 @@ class _Settings:
         return self.cfg.get(key, _DEFAULTS.get(key))
 
 
-def _check_mc(trials: int, seed: int, oversample: int, window: int) -> None:
+def _check_mc(trials: int, seed: int, oversample: int) -> None:
     """The Monte-Carlo settings, checked before any sampling starts."""
     if trials < 1000:
         raise ConfigError(f"Monte-Carlo needs trials >= 1000, got {trials}")
     if not 0 <= seed < montecarlo.SEED_LIMIT:
         raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
     try:
-        montecarlo._check_synthesis_config(oversample, window)
+        montecarlo._check_oversample(oversample)
     except ParamError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -93,7 +95,6 @@ class SweepConfig:
     trials: int = _DEFAULTS["trials"]
     seed: int = _DEFAULTS["seed"]
     oversample: int = _DEFAULTS["oversample"]
-    window: int = _DEFAULTS["window"]
     analytic_only: bool = False
     out: str | None = None
 
@@ -111,7 +112,7 @@ class SweepConfig:
         if not self.r_l_values or any(r <= 0 for r in self.r_l_values):
             raise ConfigError("r_l values must be positive")
         if self._needs_mc():
-            _check_mc(self.trials, self.seed, self.oversample, self.window)
+            _check_mc(self.trials, self.seed, self.oversample)
 
     def _needs_mc(self) -> bool:
         if self.analytic_only:
@@ -158,7 +159,6 @@ def _sweep_config(s: _Settings) -> SweepConfig:
         trials=s["trials"],
         seed=s["seed"],
         oversample=s["oversample"],
-        window=s["window"],
         analytic_only=analytic_only,
         out=s["out"],
     )
@@ -181,29 +181,75 @@ def _point_system(cfg: SweepConfig, x: float, r_l: float) -> SystemParams:
                    g_amp=_g_amp_for_sigma0_sq(cfg.base, sigma0_sq))
 
 
+def _sampled_orders(cfg: SweepConfig) -> tuple:
+    return tuple(sorted(set(cfg.orders)))
+
+
+def _bit0_key(cfg: SweepConfig, sp: SystemParams):
+    """All that the bit-0 samples of a point depend on. Bit 0 carries no
+    signal, so p_r and r_l enter none of them."""
+    return (replace(sp, p_r=0.0, r_l=1.0), cfg.trials, _sampled_orders(cfg),
+            cfg.oversample, cfg.seed)
+
+
+class _Bit0Samples:
+    """The bit-0 sample sets of one sweep, drawn once per distinct key.
+
+    A shared set is bitwise the one each point would draw itself, since
+    streams are counter-based. A set is kept from the first to the last
+    point of its key, and one of a single point is not kept at all. One
+    lock per key: no two threads draw the same key, and different keys
+    draw in parallel.
+    """
+
+    def __init__(self, cfg: SweepConfig, points):
+        self._users = Counter()  # key -> points still to ask for it
+        for x, rl in points:
+            try:
+                self._users[_bit0_key(cfg, _point_system(cfg, x, rl))] += 1
+            except _POINT_ERRORS:
+                pass  # the point reports it in its rows
+        self._lock = threading.Lock()
+        self._slots = {}  # key -> [lock, sample sets or None]
+
+    def get(self, key, draw):
+        with self._lock:
+            self._users[key] -= 1
+            slot = self._slots.setdefault(key, [threading.Lock(), None])
+            if self._users[key] <= 0:
+                del self._slots[key]
+        with slot[0]:
+            if slot[1] is None:
+                slot[1] = draw()
+            return slot[1]
+
+
 class _PointCache:
     """Per-sweep-point store so laws and moments are computed once."""
 
-    def __init__(self, cfg, sp, dp):
+    def __init__(self, cfg, sp, dp, bit0: _Bit0Samples):
         self.cfg = cfg
         self.sp = sp
         self.dp = dp
         self.phys = detection.noise_physics(sp, dp)
-        self._samples = None
+        self._bit0 = bit0
+        self._samples = {}
         self._laws = {}
 
     def samples(self, bit):
         if self.cfg.analytic_only:
             raise ParamError("Monte-Carlo sampling disabled by analytic_only")
-        if self._samples is None:
-            need = tuple(sorted(set(self.cfg.orders)))
-            self._samples = {
-                b: montecarlo.generate_samples(
-                    self.sp, self.dp, bit=b, n_trials=self.cfg.trials,
-                    orders=need, oversample=self.cfg.oversample,
-                    window=self.cfg.window, seed=self.cfg.seed)
-                for b in (0, 1)
-            }
+        if bit not in self._samples:
+            def draw():
+                return montecarlo.generate_samples(
+                    self.sp, self.dp, bit=bit, n_trials=self.cfg.trials,
+                    orders=_sampled_orders(self.cfg),
+                    oversample=self.cfg.oversample, seed=self.cfg.seed)
+            if bit == 0:
+                key = _bit0_key(self.cfg, self.sp)
+                self._samples[bit] = self._bit0.get(key, draw)
+            else:
+                self._samples[bit] = draw()
         return self._samples[bit]
 
     def law(self, bit, order):
@@ -232,12 +278,13 @@ def _variant_point(cache: _PointCache, order: int, variant: str):
                                         cache.law(1, order)[0], phys)
 
 
-def _eval_point(cfg: SweepConfig, x: float, r_l: float) -> list[dict]:
+def _eval_point(cfg: SweepConfig, x: float, r_l: float,
+                bit0: _Bit0Samples) -> list[dict]:
     rows = []
     try:
         sp = _point_system(cfg, x, r_l)
         dp = derive(sp)
-        cache = _PointCache(cfg, sp, dp)
+        cache = _PointCache(cfg, sp, dp, bit0)
         point_err = None
     except (_POINT_ERRORS + (ConfigError,)) as exc:
         cache, point_err = None, str(exc)
@@ -260,12 +307,14 @@ def _eval_point(cfg: SweepConfig, x: float, r_l: float) -> list[dict]:
 def run_ber_sweep(cfg: SweepConfig) -> list[dict]:
     """All sweep rows, deterministically sorted by x, load, order, variant."""
     points = [(x, rl) for x in cfg.x_values for rl in cfg.r_l_values]
+    bit0 = _Bit0Samples(cfg, points)
     workers = min(len(points), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda p: _eval_point(cfg, *p), points))
+            chunks = list(pool.map(lambda p: _eval_point(cfg, *p, bit0),
+                                   points))
     else:
-        chunks = [_eval_point(cfg, *p) for p in points]
+        chunks = [_eval_point(cfg, *p, bit0) for p in points]
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r["x_value"], r["rl_ohm"], r["order"],
                              r["variant"]))
@@ -379,20 +428,20 @@ def _cmd_mc_validate(s: _Settings) -> int:
     base = _base_system(s.cfg)
     if len(s["r_l"]) > 1:
         raise ConfigError("mc-validate takes a single r_l")
-    trials, seed = s["trials"], s["seed"]
-    oversample, window = s["oversample"], s["window"]
-    _check_mc(trials, seed, oversample, window)
+    trials, seed, oversample = s["trials"], s["seed"], s["oversample"]
+    _check_mc(trials, seed, oversample)
 
     dp = derive(base)
     lines = [f"mc-validate prd={base.prd:.10g} p_r={base.p_r:.10g} "
-             f"sigma0_sq={dp.sigma0_sq:.10g} trials={trials} seed={seed}"]
+             f"sigma0_sq={dp.sigma0_sq:.10g} trials={trials} seed={seed} "
+             f"stream={montecarlo.STREAM}"]
     all_pass = True
     gof_source = None
     for bit in (0, 1):
         try:
             sets = montecarlo.generate_samples(
                 base, dp, bit=bit, n_trials=trials, orders=(3,),
-                oversample=oversample, window=window, seed=seed)
+                oversample=oversample, seed=seed)
         except ParamError as exc:
             print(f"sampling failed: {exc}", file=sys.stderr)
             return EXIT_NUMERIC

@@ -9,6 +9,7 @@ exists in the package.
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -64,8 +65,12 @@ def test_names_read_by_the_benchmark_exist():
         if not callable(getattr(mod, func, None)):
             missing.append(name)
     assert not missing
-    assert isinstance(importlib.import_module("cubicber._mc_numpy")._CHUNK,
-                      int)
+    kernel = importlib.import_module("cubicber._mc_numpy")
+    assert isinstance(kernel._CHUNK, int)
+    # traced.py reads the normal, Philox and GEMM counts from the argument
+    # S (the noise basis) by position and name
+    assert str(inspect.signature(kernel.decision_sums)) == \
+        "(seed, start_trial, ntrials, bit, S, w, sig, sigma0)"
 
 
 def test_cli_names_used_by_the_benchmark_self_tests():

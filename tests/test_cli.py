@@ -9,10 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from cubicber import lp3, montecarlo
+from cubicber import cli, lp3, montecarlo
 from cubicber.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_TOLERANCE, main
 from cubicber.lp3 import Lp3Params
-from cubicber.params import derive
+from cubicber.params import SystemParams, derive
 
 HEADER = "x_value,x_kind,prd,rl_ohm,variant,th_opt,ber,order,error"
 
@@ -214,6 +214,65 @@ def test_pre_amplifier_loss_key_is_rejected(tmp_path, capsys):
     assert err.startswith("config error") and "unknown key 'l1'" in err
 
 
+@pytest.mark.parametrize("command", ["ber-sweep", "mc-validate"])
+def test_window_key_is_rejected(tmp_path, capsys, command):
+    # the Karhunen-Loeve basis has no truncation margin to set
+    body = {"ber-sweep": "sweep_p_r_dbm = 33:33:1\nvariants = mc\n",
+            "mc-validate": "prd = 10\np_r = 33dBm\n"}[command]
+    cfg = write_cfg(tmp_path, body + "window = 32\n")
+    assert main([command, "--config", cfg, "--trials", "2000"]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "unknown key 'window'" in err
+
+
+def _mc_sweep(x_kind, xs, r_l_values=(1000.0,)):
+    base = SystemParams(tau_c=100e-15, prd=10.0, wavelength=1.55e-6,
+                        g_amp=1e5)
+    return cli.SweepConfig(base, x_kind, xs, orders=(1, 3),
+                           variants=("lp3", "mc"), r_l_values=r_l_values,
+                           trials=2000, seed=6)
+
+
+def _bit0_draws(monkeypatch):
+    draws = []
+    real = montecarlo.generate_samples
+
+    def counted(sp, dp, bit, *args, **kw):
+        draws.append((bit, sp.p_r, sp.g_amp))
+        return real(sp, dp, bit, *args, **kw)
+
+    monkeypatch.setattr(montecarlo, "generate_samples", counted)
+    return draws
+
+
+def test_power_sweep_shares_bit0_samples_bitwise(monkeypatch):
+    # bit 0 carries no signal: one draw serves every power and load, and
+    # the rows are byte for byte those of points evaluated one by one
+    cfg = _mc_sweep("p_r_dbm", (31.0, 33.0, 35.0), (1000.0, 10000.0))
+    alone = cli._Bit0Samples(cfg, [])  # shares nothing
+    serial = [r for x in cfg.x_values for rl in cfg.r_l_values
+              for r in cli._eval_point(cfg, x, rl, alone)]
+    serial.sort(key=lambda r: (r["x_value"], r["rl_ohm"], r["order"],
+                               r["variant"]))
+    draws = _bit0_draws(monkeypatch)
+    swept = cli.run_ber_sweep(cfg)
+    assert [cli._format_row(r) for r in swept] == \
+        [cli._format_row(r) for r in serial]
+    assert not any(r["error"] for r in swept)
+    assert sum(bit == 0 for bit, _, _ in draws) == 1
+    assert sum(bit == 1 for bit, _, _ in draws) == 6
+
+
+def test_sigma0_sweep_draws_bit0_at_every_point(monkeypatch):
+    # the ASE level changes the bit-0 law, so nothing can be shared
+    draws = _bit0_draws(monkeypatch)
+    rows = cli.run_ber_sweep(_mc_sweep("sigma0_sq_dbm", (16.0, 18.0, 20.0)))
+    assert not any(r["error"] for r in rows)
+    gains = [g for bit, _, g in draws if bit == 0]
+    assert len(gains) == 3 and len(set(gains)) == 3
+
+
 def test_sweep_missing_config_file(tmp_path, capsys):
     rc = main(["ber-sweep", "--config", str(tmp_path / "nope.cfg")])
     assert rc == EXIT_CONFIG
@@ -406,6 +465,7 @@ def test_mc_validate_passes(tmp_path, capsys):
             assert f"bit{bit} mu{n}:" in text
     assert "FAIL" not in text
     assert "gof skipped" in text
+    assert text.splitlines()[0].endswith(" seed=3 stream=2")
     assert out.read_text().startswith("# schema=1\nmc-validate ")
 
 
@@ -436,7 +496,6 @@ def test_mc_validate_rejects_seed_past_2_64(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("body,msg", [
-    ("window = 8\n", "window must be an integer >= 16"),
     ("oversample = 4\n", "oversample must be an integer >= 8"),
 ])
 def test_mc_validate_rejects_bad_grid(tmp_path, capsys, body, msg):
