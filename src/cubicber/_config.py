@@ -157,6 +157,7 @@ _SCHEMA = {
     "trials": _integer,
     "seed": _integer,
     "oversample": _integer,
+    "window": _integer,
     "out": _string,
     # fit / gof inputs
     "samples": _string,

@@ -12,7 +12,7 @@ _CHUNK = 2048  # aligned block width in absolute trial index
 def decision_sums(seed, start_trial, ntrials, bit, S, w, sig, sigma0):
     """(ntrials, 3) trapezoid sums of |r|^2, |r|^4, |r|^6 on the grid.
 
-    S: (ngrid, ncoef) noise basis; w: (ngrid,) trapezoid weights in units of
+    S: (ngrid, ncoef) sinc basis; w: (ngrid,) trapezoid weights in units of
     the coefficient spacing; sig: (ngrid,) real signal amplitude samples.
 
     Blocks are aligned to absolute multiples of _CHUNK and always computed

@@ -53,7 +53,7 @@ _POINT_ERRORS = (lp3.Lp3Error, ParamError, detection.BracketError,
 
 
 # Default of every setting that a command-line flag or a config key sets.
-_DEFAULTS = {"trials": 100_000, "seed": 1, "oversample": 16,
+_DEFAULTS = {"trials": 100_000, "seed": 1, "oversample": 16, "window": 32,
              "orders": (3,), "r_l": (1000.0,), "order": 3, "bit": 1}
 
 
@@ -72,14 +72,14 @@ class _Settings:
         return self.cfg.get(key, _DEFAULTS.get(key))
 
 
-def _check_mc(trials: int, seed: int, oversample: int) -> None:
+def _check_mc(trials: int, seed: int, oversample: int, window: int) -> None:
     """The Monte-Carlo settings, checked before any sampling starts."""
     if trials < 1000:
         raise ConfigError(f"Monte-Carlo needs trials >= 1000, got {trials}")
     if not 0 <= seed < montecarlo.SEED_LIMIT:
         raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
     try:
-        montecarlo._check_oversample(oversample)
+        montecarlo._check_synthesis_config(oversample, window)
     except ParamError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -95,6 +95,7 @@ class SweepConfig:
     trials: int = _DEFAULTS["trials"]
     seed: int = _DEFAULTS["seed"]
     oversample: int = _DEFAULTS["oversample"]
+    window: int = _DEFAULTS["window"]
     analytic_only: bool = False
     out: str | None = None
 
@@ -112,7 +113,7 @@ class SweepConfig:
         if not self.r_l_values or any(r <= 0 for r in self.r_l_values):
             raise ConfigError("r_l values must be positive")
         if self._needs_mc():
-            _check_mc(self.trials, self.seed, self.oversample)
+            _check_mc(self.trials, self.seed, self.oversample, self.window)
 
     def _needs_mc(self) -> bool:
         if self.analytic_only:
@@ -159,6 +160,7 @@ def _sweep_config(s: _Settings) -> SweepConfig:
         trials=s["trials"],
         seed=s["seed"],
         oversample=s["oversample"],
+        window=s["window"],
         analytic_only=analytic_only,
         out=s["out"],
     )
@@ -181,15 +183,11 @@ def _point_system(cfg: SweepConfig, x: float, r_l: float) -> SystemParams:
                    g_amp=_g_amp_for_sigma0_sq(cfg.base, sigma0_sq))
 
 
-def _sampled_orders(cfg: SweepConfig) -> tuple:
-    return tuple(sorted(set(cfg.orders)))
-
-
-def _bit0_key(cfg: SweepConfig, sp: SystemParams):
-    """All that the bit-0 samples of a point depend on. Bit 0 carries no
-    signal, so p_r and r_l enter none of them."""
-    return (replace(sp, p_r=0.0, r_l=1.0), cfg.trials, _sampled_orders(cfg),
-            cfg.oversample, cfg.seed)
+def _bit0_key(sp: SystemParams) -> SystemParams:
+    """What the bit-0 samples of a point depend on, beside the sampling
+    settings that every point of a sweep shares. Bit 0 carries no signal,
+    so p_r and r_l enter none of them."""
+    return replace(sp, p_r=0.0, r_l=1.0)
 
 
 class _Bit0Samples:
@@ -206,7 +204,7 @@ class _Bit0Samples:
         self._users = Counter()  # key -> points still to ask for it
         for x, rl in points:
             try:
-                self._users[_bit0_key(cfg, _point_system(cfg, x, rl))] += 1
+                self._users[_bit0_key(_point_system(cfg, x, rl))] += 1
             except _POINT_ERRORS:
                 pass  # the point reports it in its rows
         self._lock = threading.Lock()
@@ -243,11 +241,11 @@ class _PointCache:
             def draw():
                 return montecarlo.generate_samples(
                     self.sp, self.dp, bit=bit, n_trials=self.cfg.trials,
-                    orders=_sampled_orders(self.cfg),
-                    oversample=self.cfg.oversample, seed=self.cfg.seed)
+                    orders=tuple(sorted(set(self.cfg.orders))),
+                    oversample=self.cfg.oversample, window=self.cfg.window,
+                    seed=self.cfg.seed)
             if bit == 0:
-                key = _bit0_key(self.cfg, self.sp)
-                self._samples[bit] = self._bit0.get(key, draw)
+                self._samples[bit] = self._bit0.get(_bit0_key(self.sp), draw)
             else:
                 self._samples[bit] = draw()
         return self._samples[bit]
@@ -428,20 +426,20 @@ def _cmd_mc_validate(s: _Settings) -> int:
     base = _base_system(s.cfg)
     if len(s["r_l"]) > 1:
         raise ConfigError("mc-validate takes a single r_l")
-    trials, seed, oversample = s["trials"], s["seed"], s["oversample"]
-    _check_mc(trials, seed, oversample)
+    trials, seed = s["trials"], s["seed"]
+    oversample, window = s["oversample"], s["window"]
+    _check_mc(trials, seed, oversample, window)
 
     dp = derive(base)
     lines = [f"mc-validate prd={base.prd:.10g} p_r={base.p_r:.10g} "
-             f"sigma0_sq={dp.sigma0_sq:.10g} trials={trials} seed={seed} "
-             f"stream={montecarlo.STREAM}"]
+             f"sigma0_sq={dp.sigma0_sq:.10g} trials={trials} seed={seed}"]
     all_pass = True
     gof_source = None
     for bit in (0, 1):
         try:
             sets = montecarlo.generate_samples(
                 base, dp, bit=bit, n_trials=trials, orders=(3,),
-                oversample=oversample, seed=seed)
+                oversample=oversample, window=window, seed=seed)
         except ParamError as exc:
             print(f"sampling failed: {exc}", file=sys.stderr)
             return EXIT_NUMERIC

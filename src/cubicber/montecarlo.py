@@ -1,30 +1,23 @@
 """Monte-Carlo generation of receiver decision-variable samples.
 
-The optical field over the decision window is sampled on a grid of step
-1/M in normalized time u = t/tau_c: r = b*sqrt(P_r)*sinc(u) + n, where the
-noise n has i.i.d. in-phase and quadrature parts of covariance
-sigma0^2 * sinc(u_i - u_j). The noise is synthesized from the discrete
-Karhunen-Loeve basis of that kernel on the grid nodes, n = sigma0 * B c
-with B = V sqrt(Lambda) and i.i.d. standard normal c, keeping the modes of
-eigenvalue above KL_FLOOR; B B^T then equals the kernel to that floor at
-every node pair. About 2WT = PRD modes carry the energy (Slepian & Pollak
-1961; Landau & Widom 1980), a few more reach the floor. Decision variables
-are trapezoid integrals of |r|^2n over the window, scaled by the receiver
+The optical field over the decision window is reconstructed from its
+Nyquist-rate samples: r(u) = b*sqrt(P_r)*sinc(u) + sum_m c_m sinc(u - m)
+in normalized time u = t/tau_c, with i.i.d. complex Gaussian coefficients
+c_m of per-quadrature standard deviation sigma0. That makes the target
+autocorrelation exact by construction; truncation of the coefficient range
+is controlled by the window margin K. Decision variables are trapezoid
+integrals of |r|^2n over the window at step 1/M, scaled by the receiver
 prefactor.
 
 Randomness is counter-based: a sample is a pure function of (seed, bit,
 trial index, config), so trials can be generated in any order and in
-chunks of any size, with bitwise-identical results. This is sample stream
-2: the same seed gives other samples than the truncated sinc basis of
-version 0.1, whose streams are not reproduced.
+chunks of any size, with bitwise-identical results.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +26,7 @@ from . import _mc_numpy
 from .params import DerivedParams, ParamError, SystemParams
 
 MIN_OVERSAMPLE = 8
-KL_FLOOR = 1e-12     # smallest kept eigenvalue of the grid noise kernel
-STREAM = 2           # sample stream version, printed by mc-validate
+MIN_WINDOW = 16
 SEED_LIMIT = 2**64   # Philox key width
 TRIAL_LIMIT = 2**63  # trial indices are int64
 
@@ -61,60 +53,23 @@ class SampleSet:
             raise ParamError("decision samples must be finite and >= 0")
 
 
-def _check_oversample(oversample: int) -> None:
+def _check_synthesis_config(oversample: int, window: int) -> None:
     if int(oversample) != oversample or oversample < MIN_OVERSAMPLE:
         raise ParamError(f"oversample must be an integer >= {MIN_OVERSAMPLE}")
+    if int(window) != window or window < MIN_WINDOW:
+        raise ParamError(f"window must be an integer >= {MIN_WINDOW}")
 
 
-@functools.cache
-def _kl_basis(ngrid: int, m: int) -> np.ndarray:
-    """(ngrid, nmodes) basis B = V sqrt(Lambda) of C_ij = sinc((i - j)/m).
-
-    C is m times the prolate (DPSS) kernel of bandwidth W = 1/(2m), so its
-    leading eigenvectors are those of the commuting tridiagonal matrix
-    (Slepian 1978), found by bisection and inverse iteration; the
-    eigenvalues are their Rayleigh quotients under C, applied as a
-    Toeplitz product so that no ngrid x ngrid matrix is formed. Each
-    column's sign makes its largest-|.| entry positive (the first one, of
-    a mirror pair equal to rounding).
-    """
-    from scipy.linalg import eigh_tridiagonal, matmul_toeplitz
-    i = np.arange(ngrid)
-    diag = ((ngrid - 1 - 2 * i) / 2.0) ** 2 * math.cos(math.pi / m)
-    off = i[1:] * (ngrid - i[1:]) / 2.0
-    kernel = np.sinc(i / m)
-    # 2WT = ngrid/m modes carry the field; the floor is 12-18 modes past
-    # that up to PRD 100, and the loop widens the selection if it is not
-    k = min(ngrid, -(-ngrid // m) + 24)
-    while True:
-        _, v = eigh_tridiagonal(diag, off, select="i",
-                                select_range=(ngrid - k, ngrid - 1))
-        v = v[:, ::-1]  # descending eigenvalue
-        lam = np.einsum("ij,ij->j", v, matmul_toeplitz(kernel, v))
-        if lam[-1] < KL_FLOOR or k == ngrid:
-            break
-        k = min(ngrid, 2 * k)
-    keep = lam > KL_FLOOR
-    v, lam = v[:, keep], lam[keep]
-    mag = np.abs(v)
-    lead = np.argmax(mag >= (1.0 - 1e-9) * mag.max(axis=0), axis=0)
-    sign = np.sign(v[lead, np.arange(v.shape[1])])
-    basis = v * (sign * np.sqrt(lam))
-    basis.setflags(write=False)
-    return basis
-
-
-_basis_lock = threading.Lock()
-
-
-def _grid(span_u: float, oversample: int):
-    """Nodes u (step 1/oversample over span_u, in tau_c), the noise basis
-    and the trapezoid weights. The basis is built once per grid size."""
+def _grid(span_u: float, oversample: int, window: int):
+    # span_u: integration span in units of tau_c. Grid nodes step
+    # 1/oversample; coefficient indices run `window` past the span edge
+    # so the discarded sinc tails are negligible.
     m = int(oversample)
     ngrid = int(round(span_u * m)) + 1
     u = -0.5 * span_u + np.arange(ngrid) / m
-    with _basis_lock:  # sweep threads wait for one build, not race it
-        basis = _kl_basis(ngrid, m)
+    mmax = int(math.floor(0.5 * span_u + window))
+    coeffs = np.arange(-mmax, mmax + 1)
+    basis = np.sinc(u[:, None] - coeffs[None, :])
     weights = np.full(ngrid, 1.0 / m)
     weights[0] *= 0.5
     weights[-1] *= 0.5
@@ -133,13 +88,14 @@ def _order_prefactor(order: int, sp: SystemParams, dp: DerivedParams) -> float:
 
 def generate_samples(sp: SystemParams, dp: DerivedParams, bit: int,
                      n_trials: int, orders=(1, 2, 3), oversample: int = 16,
-                     seed: int = 0, start_trial: int = 0) -> dict[int, SampleSet]:
+                     window: int = 32, seed: int = 0,
+                     start_trial: int = 0) -> dict[int, SampleSet]:
     """Decision samples for one bit, all requested receiver orders at once.
 
     The three orders share the same synthesized field, so requesting them
     together costs the same as any single one.
     """
-    _check_oversample(oversample)
+    _check_synthesis_config(oversample, window)
     if bit not in (0, 1):
         raise ParamError("bit must be 0 or 1")
     if n_trials < 1:
@@ -151,7 +107,7 @@ def generate_samples(sp: SystemParams, dp: DerivedParams, bit: int,
     orders = tuple(orders)
     if not orders or any(o not in (1, 2, 3) for o in orders):
         raise ParamError("orders must be a nonempty subset of {1, 2, 3}")
-    u, basis, weights = _grid(sp.prd, oversample)
+    u, basis, weights = _grid(sp.prd, oversample, window)
     amp = math.sqrt(sp.p_r) if bit == 1 else 0.0
     sig = amp * np.sinc(u)
     sigma0 = math.sqrt(dp.sigma0_sq)

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubicber import derive, empirical_ber, generate_samples
-from cubicber import montecarlo
-from cubicber.montecarlo import (MIN_OVERSAMPLE, SampleSet, _grid,
-                                 _order_prefactor, load_csv, sample_moments,
-                                 save_csv)
+from cubicber.montecarlo import (MIN_OVERSAMPLE, MIN_WINDOW, SampleSet,
+                                 _grid, _order_prefactor, load_csv,
+                                 sample_moments, save_csv)
 from cubicber.moments import mean_decision
 from cubicber.params import ParamError
 from conftest import make_system
@@ -36,8 +35,8 @@ def test_generate_samples_validation(ref_system):
         generate_samples(sp, dp, 1, 10, orders=(4,))
     with pytest.raises(ParamError):
         generate_samples(sp, dp, 1, 10, oversample=MIN_OVERSAMPLE - 1)
-    with pytest.raises(TypeError):  # the basis has no margin to set
-        generate_samples(sp, dp, 1, 10, window=32)
+    with pytest.raises(ParamError):
+        generate_samples(sp, dp, 1, 10, window=MIN_WINDOW - 1)
     # the Philox key holds 64 bits and trial indices are int64: no aliasing
     with pytest.raises(ParamError):
         generate_samples(sp, dp, 1, 10, seed=2**64 + 5)
@@ -132,26 +131,23 @@ def test_noiseless_limit_matches_analytic():
 
 def test_noise_autocovariance():
     # i.i.d. unit coefficients make the per-quadrature covariance of the
-    # synthesized field, in units of sigma0^2, exactly B B^T; the target
-    # is sinc(u_i - u_j) at every node pair, up to the dropped modes
-    for span_u in (10.0, 25.0, 100.0):
-        u, B, w = _grid(span_u, 16)
+    # synthesized field, in units of sigma0^2, exactly S S^T; the target is
+    # sinc(u_i - u_j). Truncating the coefficients `window` past the span
+    # leaves < 0.55% between nodes at window 32 (measured max 5.5e-3 at
+    # PRD 10, 5.0e-3 at a span of 20).
+    for span_u in (10.0, 20.0):
+        u, S, w = _grid(span_u, 16, 32)
         assert np.allclose(np.diff(u), 1.0 / 16, rtol=0, atol=1e-12)
         assert u[-1] - u[0] == pytest.approx(span_u, rel=1e-12)
         assert w.sum() == pytest.approx(span_u, rel=1e-12)  # trapezoid
-        cov = B @ B.T
-        err = np.abs(cov - np.sinc(u[:, None] - u[None, :])).max()
-        assert err <= 1e-10, span_u
-        # about 2WT = span modes carry the field, a few more reach 1e-12
-        assert span_u < B.shape[1] < span_u + 24
-        # sign rule: the largest-|.| entry of each column (the first of a
-        # mirror pair, equal to rounding) is positive
-        mag = np.abs(B)
-        lead = np.argmax(mag >= (1.0 - 1e-9) * mag.max(axis=0), axis=0)
-        assert (B[lead, np.arange(B.shape[1])] > 0).all()
-        assert _grid(span_u, 16)[1] is B  # built once per grid size
-        montecarlo._kl_basis.cache_clear()
-        assert np.array_equal(_grid(span_u, 16)[1], B)  # rebuilt bitwise
+        cov = S @ S.T
+        assert np.abs(cov - np.sinc(u[:, None] - u[None, :])).max() <= 1e-2
+        # from a node on the integer lattice the sum collapses to one term
+        m = u.size // 2
+        assert u[m] == 0.0
+        for lag_u in (0.0, 0.5, 1.0, 2.5):
+            j = m + int(lag_u * 16)
+            assert abs(cov[m, j] - np.sinc(lag_u)) <= 1e-12
 
 
 def _pair_moment(n, rho):
@@ -163,12 +159,12 @@ def _pair_moment(n, rho):
 
 def test_bit0_moments_match_the_discrete_model(mc_small):
     # The sampler alone, no closed form: with noise covariance sigma0^2 G,
-    # G = B B^T, the decision sum y = c sum_i w_i |r_i|^2n has the exact
+    # G = S S^T, the decision sum y = c sum_i w_i |r_i|^2n has the exact
     # moments mu1 = c sum_i w_i n! (2 sigma0^2 G_ii)^n and
     # mu2 = c^2 sum_ij w_i w_j E|r_i|^2n |r_j|^2n, for every order n.
     sp, dp, sets = mc_small
-    u, B, w = _grid(sp.prd, 16)
-    G = B @ B.T
+    u, S, w = _grid(sp.prd, 16, 32)
+    G = S @ S.T
     g = np.sqrt(np.diag(G))
     rho = G / np.outer(g, g)
     for n in (1, 2, 3):
