@@ -7,16 +7,15 @@ decision level y with variance
     sigma^2(y) = 2 q_e y / T_p + 4 K_B T_r / (R_L T_p),
 
 is folded in by integrating the level-dependent Gaussian kernel against the
-clean-law cdf. That integral is a fixed Gauss-Kronrod 7/15 panel rule,
-evaluated for a whole array of thresholds at once: the panel edges are
-about 30 LP3 quantiles (1e-13 to 1 - 1e-10, for the steep lower tail of
-the bit-0 law) and, per threshold x, the levels y where (y - x)/sigma(y)
-runs over -10..14 in unit steps. The error gate is the summed |K15 - G7|
-over the panels: above 1e-9 + 1e-6 |value| it raises QuadratureError.
+clean-law cdf, or density. Both run on one fixed Gauss-Kronrod 7/15 panel
+rule for a whole array of thresholds at once: the panel edges are about 30
+LP3 quantiles (1e-13 to 1 - 1e-10, for the steep lower tail of the bit-0
+law) and, per threshold x, the levels y where (y - x)/sigma(y) runs over
+-10..14 in unit steps. The error gate is the summed |K15 - G7| over the
+panels: above 1e-9 + 1e-6 |value| it raises QuadratureError.
 
-The error probability for a threshold is the usual average of the two
-conditional tail probabilities, optimized here by a coarse log grid (one
-array evaluation) plus golden-section refinement.
+PE, the average of the two conditional tail probabilities, has derivative
+(f1 - f0)/2, so its minimum is a crossing of the two bit densities.
 """
 
 from __future__ import annotations
@@ -109,6 +108,11 @@ def cdf_shot_thermal(law0: lp3.Lp3Params, x, phys: NoisePhysics):
     of fixed Gauss-Kronrod 7/15 panels (see _st_block); a threshold whose
     summed |K15 - G7| exceeds 1e-9 + 1e-6 |value| raises QuadratureError.
     """
+    return _shot_thermal(law0, x, phys, density=False)
+
+
+def _shot_thermal(law0, x, phys, density):
+    # cdf_shot_thermal, or with density the density of Y + N at x
     xs = np.asarray(x, float)
     if not np.isfinite(xs).all():
         raise ParamError("threshold x must be finite")
@@ -118,12 +122,13 @@ def cdf_shot_thermal(law0: lp3.Lp3Params, x, phys: NoisePhysics):
     flat = xs.ravel()
     out = np.empty(flat.shape)
     for k in range(0, flat.size, _BLOCK):
-        out[k:k + _BLOCK] = _st_block(law0, flat[k:k + _BLOCK], cuts, phys)
+        out[k:k + _BLOCK] = _st_block(law0, flat[k:k + _BLOCK], cuts, phys,
+                                      density)
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
-def _st_block(law0, x, cuts, phys):
-    # One pass of cdf_shot_thermal over the thresholds x (1-d). The panel
+def _st_block(law0, x, cuts, phys, density):
+    # One pass of _shot_thermal over the thresholds x (1-d). The panel
     # edges of threshold x_i are the fixed quantile edges plus its kernel
     # edges, clipped to [lo, hi_i]; clipped edges give empty panels, so
     # every threshold has the same panel count and the sums stay
@@ -145,20 +150,26 @@ def _st_block(law0, x, cuts, phys):
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
     y = mid[..., None] + half[..., None] * _GK_X  # (threshold, panel, node)
     xb = np.broadcast_to(x[:, None, None], y.shape)
-    # -u'(y), the Gaussian kernel; it underflows to 0 far from x, where
-    # F_Y is not needed
+    # phi(x; y, sigma^2(y)) for the density, -u'(y) for the cdf; it
+    # underflows to 0 far from x, where the law is not needed
     s2 = 2.0 * qe_tp * y + th_tp
-    f = ((qe_tp * (xb + y) + th_tp) / (s2 * np.sqrt(2.0 * math.pi * s2))
-         * np.exp(-(xb - y) ** 2 / (2.0 * s2)))
+    f = np.exp(-(xb - y) ** 2 / (2.0 * s2))
+    if density:
+        f /= np.sqrt(2.0 * math.pi * s2)
+    else:
+        f *= (qe_tp * (xb + y) + th_tp) / (s2 * np.sqrt(2.0 * math.pi * s2))
     live = f > 0.0
-    f[live] *= lp3.cdf(law0, y[live])
+    f[live] *= (np.exp(lp3.logpdf(law0, y[live])) if density
+                else lp3.cdf(law0, y[live]))
     kron = (f * _GK_WK).sum(axis=2) * half
     gauss = (f * _GK_WG).sum(axis=2) * half
     val = kron.sum(axis=1)
     err = np.abs(kron - gauss).sum(axis=1)
     if (err > 1e-9 + 1e-6 * np.abs(val)).any():
-        raise QuadratureError(f"shot/thermal cdf integral error estimate "
+        raise QuadratureError(f"shot/thermal integral error estimate "
                               f"{err.max():g} too large")
+    if density:  # the mass beyond the cuts is below 1e-12
+        return val
     # tail above the cut: F_Y ~ 1 there, so it integrates to u(hi)
     s_hi = np.sqrt(2.0 * qe_tp * hi + th_tp)
     tail = 0.5 * _sc.erfc((hi - x) / (s_hi * math.sqrt(2.0)))
@@ -180,58 +191,48 @@ def error_probability(law0: lp3.Lp3Params, law1: lp3.Lp3Params, th,
     return 0.5 * (1.0 - f0) + 0.5 * f1
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def optimize_threshold(law0: lp3.Lp3Params, law1: lp3.Lp3Params,
-                       phys: NoisePhysics | None = None, search=None):
+                       phys: NoisePhysics | None = None):
     """Minimize PE over the threshold. Returns (th_opt, pe_min).
 
-    phys: shot/thermal noise folded into both laws, as in
-    error_probability. search: optional (lo, hi) bracket; default spans
-    mean0/100 to mean1*10. A coarse 256-point log grid locates the basin
-    (PE is unimodal for stochastically ordered laws); golden-section then
-    refines to 1e-10 relative width. Raises BracketError when the minimum
-    sits at a bracket endpoint, i.e. the optimum was not enclosed.
+    phys as in error_probability. ln f1 - ln f0 is scanned on a 256-point
+    log grid from mean0/100 to mean1*10, each rise through 0 is bisected to
+    adjacent floats, and PE is evaluated at the crossings and the grid
+    ends. Raises BracketError when an end beats every crossing, or there is
+    none although the densities differ; coincident laws give PE 1/2.
     """
-    if search is None:
-        lo = lp3.moment(law0, 1) / 100.0
-        hi = lp3.moment(law1, 1) * 10.0
-        if not lo > 0.0:
-            lo = hi * 1e-18
-    else:
-        lo, hi = float(search[0]), float(search[1])
+    lo = lp3.moment(law0, 1) / 100.0
+    hi = lp3.moment(law1, 1) * 10.0
+    if not lo > 0.0:
+        lo = hi * 1e-18
     if not (0.0 < lo < hi):
         raise BracketError(f"invalid threshold bracket ({lo}, {hi})")
 
-    grid = np.geomspace(lo, hi, 256)
-    pe = error_probability(law0, law1, grid, phys)
-    interior_min = pe[1:-1].min()
-    if min(pe[0], pe[-1]) < interior_min * (1.0 - 1e-9):
-        raise BracketError(
-            "PE decreases toward a bracket endpoint; widen the search")
-    i = 1 + int(np.argmin(pe[1:-1]))
+    def gap(th):
+        if phys is None:
+            return lp3.logpdf(law1, th) - lp3.logpdf(law0, th)
+        return (np.log(_shot_thermal(law1, th, phys, density=True))
+                - np.log(_shot_thermal(law0, th, phys, density=True)))
 
-    a, b = grid[i - 1], grid[i + 1]
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = error_probability(law0, law1, c, phys)
-    fd = error_probability(law0, law1, d, phys)
-    best_t, best_p = (grid[i], float(pe[i]))
-    while (b - a) > 1e-10 * b:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = error_probability(law0, law1, c, phys)
-            t, p = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = error_probability(law0, law1, d, phys)
-            t, p = d, fd
-        if p < best_p:
-            best_t, best_p = t, p
-    return float(best_t), float(best_p)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 densities
+        grid = np.geomspace(lo, hi, 256)
+        d = gap(grid)
+        rise = np.flatnonzero((d[:-1] < 0.0) & (d[1:] >= 0.0))
+        a, b = grid[rise], grid[rise + 1]
+        while True:
+            mid = 0.5 * (a + b)
+            if not ((a < mid) & (mid < b)).any():
+                break
+            below = gap(mid) < 0.0
+            a, b = np.where(below, mid, a), np.where(below, b, mid)
+    if rise.size == 0 and (np.abs(d) > 0.0).any():
+        raise BracketError("the bit densities do not cross in the bracket")
+    cands = np.concatenate([[lo], b, [hi]])
+    pe = error_probability(law0, law1, cands, phys)
+    i = 1 + int(np.argmin(pe[1:-1])) if rise.size else int(np.argmin(pe))
+    if min(pe[0], pe[-1]) < pe[i] * (1.0 - 1e-9):
+        raise BracketError("PE decreases toward a bracket endpoint")
+    return float(cands[i]), float(pe[i])
 
 
 def gaussian_approx_ber(m0: float, v0: float, m1: float, v1: float):

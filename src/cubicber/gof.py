@@ -9,7 +9,7 @@ each fitted cdf, and ranks the candidates per statistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
@@ -86,17 +86,12 @@ def default_bins(n: int) -> int:
 
 def _fit_lp3(x, m, v):
     p = lp3.fit_from_moments(sample_moments(x)[0])
-    return ({"alpha": p.alpha, "beta": p.beta, "gamma": p.gamma},
-            lambda y: lp3.cdf(p, y))
+    return lambda y: lp3.cdf(p, y)
 
 
 def _fit_normal(x, m, v):
     s = math.sqrt(v)
-
-    def f(y):
-        return ndtr((np.asarray(y, np.float64) - m) / s)
-
-    return {"loc": m, "scale": s}, f
+    return lambda y: ndtr((np.asarray(y, np.float64) - m) / s)
 
 
 def _fit_lognormal(x, m, v):
@@ -113,7 +108,7 @@ def _fit_lognormal(x, m, v):
         out[pos] = ndtr((np.log(y[pos]) - mu) / s)
         return out
 
-    return {"mu": mu, "sigma": s}, f
+    return f
 
 
 def _fit_gamma(x, m, v):
@@ -129,7 +124,7 @@ def _fit_gamma(x, m, v):
         out[pos] = lp3.reg_gamma_p(shape, y[pos] / scale)
         return out
 
-    return {"shape": shape, "scale": scale}, f
+    return f
 
 
 def _fit_inverse_gaussian(x, m, v):
@@ -149,7 +144,7 @@ def _fit_inverse_gaussian(x, m, v):
         out[pos] = np.clip(t1 + t2, 0.0, 1.0)
         return out
 
-    return {"mean": m, "shape": lam}, f
+    return f
 
 
 _CANDIDATES = (
@@ -165,7 +160,6 @@ _CANDIDATES = (
 class CandidateResult:
     distribution: str
     fitted: bool
-    params: dict = field(default_factory=dict)
     error: str | None = None
     ks: float = math.nan
     ad: float = math.nan
@@ -225,13 +219,12 @@ def rank_distributions(s: SampleSet, bins: int | None = None) -> GofReport:
             row.error = "degenerate sample variance"
             continue
         try:
-            params, f = fitter(x, m, v)
+            f = fitter(x, m, v)
         except (GofError, ParamError, lp3.Lp3Error, ValueError,
                 ZeroDivisionError, OverflowError) as exc:
             row.error = str(exc)
             continue
         row.fitted = True
-        row.params = params
         fx = np.asarray(f(x), np.float64)  # one cdf pass feeds all three
         for stat_name, fn in (("ks", lambda: ks_statistic(fx)),
                               ("ad", lambda: ad_statistic(fx)),

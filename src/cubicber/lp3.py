@@ -255,6 +255,18 @@ def cdf(p: Lp3Params, y):
     return float(out) if out.ndim == 0 else out
 
 
+def logpdf(p: Lp3Params, y):
+    """Log of the LP3 density, scalar or ndarray y; no incomplete gamma.
+
+    -inf off the open support z = (ln y - gamma)/beta > 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ly = np.log(np.atleast_1d(np.asarray(y, float)))
+        z = (ly - p.gamma) / p.beta
+        out = np.where((0.0 < z) & (z < math.inf), _log_prefactor(p.alpha, z)
+                       - np.log(z) - ly - math.log(abs(p.beta)), -math.inf)
+    return float(out[0]) if np.ndim(y) == 0 else out
+
+
 def moment(p: Lp3Params, n: int) -> float:
     """Raw moment E{Y^n} = exp(n gamma) (1 - n beta)^(-alpha); needs n beta < 1."""
     if n < 1:

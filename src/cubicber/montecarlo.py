@@ -61,16 +61,16 @@ def _check_synthesis_config(oversample: int, window: int) -> None:
 
 
 def _grid(span_u: float, oversample: int, window: int):
-    # span_u: integration span in units of tau_c. Grid nodes step
-    # 1/oversample; coefficient indices run `window` past the span edge
-    # so the discarded sinc tails are negligible.
-    m = int(oversample)
-    ngrid = int(round(span_u * m)) + 1
-    u = -0.5 * span_u + np.arange(ngrid) / m
+    # span_u: integration span in units of tau_c. The nodes split it into
+    # n = round(span_u * oversample) equal steps, exactly 1/oversample when
+    # span_u * oversample is whole; coefficient indices run `window` past
+    # the span edge so the discarded sinc tails are negligible.
+    n = max(1, int(round(span_u * int(oversample))))
+    u = -0.5 * span_u + np.arange(n + 1) / (n / span_u)
     mmax = int(math.floor(0.5 * span_u + window))
     coeffs = np.arange(-mmax, mmax + 1)
     basis = np.sinc(u[:, None] - coeffs[None, :])
-    weights = np.full(ngrid, 1.0 / m)
+    weights = np.full(n + 1, span_u / n)
     weights[0] *= 0.5
     weights[-1] *= 0.5
     return u, basis, weights
@@ -165,9 +165,7 @@ def empirical_ber(s0: SampleSet, s1: SampleSet):
 
 
 def save_csv(path, sample_sets) -> None:
-    """Write sample sets as CSV with columns trial,order,bit,value."""
-    if isinstance(sample_sets, SampleSet):
-        sample_sets = [sample_sets]
+    """Write a list of sample sets as CSV: columns trial,order,bit,value."""
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["trial", "order", "bit", "value"])

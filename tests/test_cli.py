@@ -354,8 +354,8 @@ def test_fit_infeasible_moments_is_numeric_failure(tmp_path, capsys):
         assert "fit failed" in capsys.readouterr().err
     # all-zero samples load fine and fail in the fit, not as config errors
     zeros = tmp_path / "zeros.csv"
-    montecarlo.save_csv(zeros, montecarlo.SampleSet(order=3, bit=0,
-                                                    values=np.zeros(4)))
+    montecarlo.save_csv(zeros, [montecarlo.SampleSet(order=3, bit=0,
+                                                     values=np.zeros(4))])
     rc = main(["fit", "--samples", str(zeros), "--bit", "0"])
     assert rc == EXIT_NUMERIC
     assert "fit failed" in capsys.readouterr().err

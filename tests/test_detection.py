@@ -17,7 +17,7 @@ from cubicber.lp3 import cdf as lp3_cdf
 from cubicber.lp3 import moment, quantile
 from cubicber.moments import decision_moments
 from cubicber.params import K_BOLTZMANN, ParamError, Q_ELECTRON
-from conftest import make_system
+from conftest import lp3_pdf, make_system
 
 
 def _cubic_law(prd=10.0, p_r_dbm=35.0, bit=1):
@@ -213,9 +213,8 @@ def test_shot_thermal_search_matches_adaptive(p_r_dbm, r_l, th_ref, pe_ref):
 
 
 def test_shot_thermal_search_call_count(monkeypatch):
-    # host-independent cost guard: the 256-point grid is one array call per
-    # bit, so a search costs two calls plus two per golden-section point
-    # (it was 604 scalar calls)
+    # host-independent cost guard: the search bisects on densities, so the
+    # cdf quadrature runs once per bit, on the crossings and the two ends
     sizes = []
     real = detection.cdf_shot_thermal
 
@@ -225,8 +224,49 @@ def test_shot_thermal_search_call_count(monkeypatch):
 
     monkeypatch.setattr(detection, "cdf_shot_thermal", counting)
     optimize_threshold(*_st_laws())
-    assert sizes[:2] == [256, 256]
-    assert len(sizes) <= 120
+    assert len(sizes) == 2 and sizes[0] == sizes[1] >= 3
+
+
+def _st_pdf_quad(law, x, phys):
+    # independent reference: adaptive quadrature of the density of Y + N,
+    # the integral of f_Y(y) phi(x; y, sigma^2(y)), with the LP3 density
+    # of conftest
+    qe_tp = phys.q_e / phys.t_p
+    th_tp = 4.0 * phys.k_b * phys.t_r / (phys.r_l * phys.t_p)
+
+    def integrand(y):
+        s2 = 2.0 * qe_tp * y + th_tp
+        return (lp3_pdf(law, y) * math.exp(-(x - y) ** 2 / (2.0 * s2))
+                / math.sqrt(2.0 * math.pi * s2))
+
+    s_x = math.sqrt(2.0 * qe_tp * x + th_tp)
+    lo, hi = quantile(law, np.array([1e-16, 1.0 - 1e-15]))
+    pts = [x - 8 * s_x, x, x + 8 * s_x]
+    pts += list(quantile(law, np.array([1e-10, 1e-6, 1e-3, 0.1, 0.5, 0.9])))
+    val, _ = quad(integrand, lo, hi, points=sorted(p for p in pts
+                                                   if lo < p < hi),
+                  epsabs=0.0, epsrel=1e-13, limit=1000)
+    return val
+
+
+@pytest.mark.parametrize("prd,p_r_dbm",
+                         [(prd, dbm) for prd in (10.0, 25.0)
+                          for dbm in (29.0, 31.0, 33.0, 35.0, 37.0)])
+def test_lp3_threshold_is_where_the_densities_cross(prd, p_r_dbm):
+    # PE'(th) = (f1 - f0)/2: the optimum equates the two bit densities
+    law0, sp, dp = _cubic_law(prd=prd, p_r_dbm=p_r_dbm, bit=0)
+    law1 = fit_from_moments(decision_moments(sp, dp, 1))
+    th, _ = optimize_threshold(law0, law1)
+    f0, f1 = lp3_pdf(law0, th), lp3_pdf(law1, th)
+    assert abs(f1 - f0) <= 1e-9 * f1
+
+
+@pytest.mark.parametrize("p_r_dbm,r_l", [c[:2] for c in ADAPTIVE_SEARCHES])
+def test_shot_thermal_threshold_is_where_the_densities_cross(p_r_dbm, r_l):
+    law0, law1, phys = _st_laws(p_r_dbm, r_l)
+    th, _ = optimize_threshold(law0, law1, phys)
+    f0, f1 = (_st_pdf_quad(law, th, phys) for law in (law0, law1))
+    assert abs(f1 - f0) <= 1e-9 * f1
 
 
 # --------------------------------------------------------------------------
@@ -291,24 +331,7 @@ def test_optimize_threshold_rejects_inverted_laws():
     law0, sp, dp = _cubic_law(p_r_dbm=35.0, bit=0)
     law1 = fit_from_moments(decision_moments(sp, dp, 1))
     with pytest.raises(BracketError):  # laws swapped on purpose
-        optimize_threshold(law1, law0, search=(moment(law0, 1) / 100,
-                                               moment(law1, 1) * 10))
-
-
-def test_optimize_threshold_bad_bracket():
-    law, sp, dp = _cubic_law()
-    with pytest.raises(BracketError):
-        optimize_threshold(law, law, search=(2.0, 1.0))
-
-
-def test_optimize_threshold_custom_search_matches_default():
-    law0, sp, dp = _cubic_law(p_r_dbm=35.0, bit=0)
-    law1 = fit_from_moments(decision_moments(sp, dp, 1))
-    th_a, pe_a = optimize_threshold(law0, law1)
-    th_b, pe_b = optimize_threshold(law0, law1, search=(moment(law0, 1) / 50,
-                                                        moment(law1, 1) * 5))
-    assert th_b == pytest.approx(th_a, rel=1e-6)
-    assert pe_b == pytest.approx(pe_a, rel=1e-9)
+        optimize_threshold(law1, law0)
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,8 @@ from scipy.integrate import quad
 
 from cubicber import Lp3Params, fit_from_moments
 from cubicber.lp3 import (DivergentMomentError, Lp3Error, NoSolutionError,
-                          _gamma_pq, cdf, moment, quantile, reg_gamma_p)
+                          _gamma_pq, cdf, logpdf, moment, quantile,
+                          reg_gamma_p)
 from conftest import lp3_pdf as pdf
 
 
@@ -290,6 +291,19 @@ def test_pdf_outside_support_and_boundary():
     assert pdf(Lp3Params(alpha=0.7, beta=0.1, gamma=0.0), 1.0) == math.inf
     flat = Lp3Params(alpha=1.0, beta=0.5, gamma=0.0)
     assert pdf(flat, 1.0) == pytest.approx(2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("p", CASES + [
+    Lp3Params(alpha=323.0, beta=0.01, gamma=-15.0)])  # a bit-0-like law
+def test_logpdf_matches_the_density_oracle(p):
+    ys = quantile(p, np.array([1e-9, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-9]))
+    want = [math.log(pdf(p, y)) for y in ys]
+    assert logpdf(p, ys) == pytest.approx(want, rel=1e-13, abs=1e-13)
+    assert logpdf(p, float(ys[3])) == pytest.approx(want[3], rel=1e-13)
+    # off the support, at y <= 0 and at y = inf the log density is -inf
+    off = math.exp(p.gamma) * (0.5 if p.beta > 0 else 2.0)
+    assert np.all(logpdf(p, [off, 0.0, -1.0, math.inf]) == -math.inf)
+    assert logpdf(p, off) == -math.inf
 
 
 def test_extreme_shape_cdf_quantile_consistency():

@@ -150,6 +150,18 @@ def test_noise_autocovariance():
             assert abs(cov[m, j] - np.sinc(lag_u)) <= 1e-12
 
 
+def test_grid_spans_a_fractional_window():
+    # PRD 10.03 at oversample 16 is 160.48 steps: the nodes must still run
+    # from -PRD/2 to +PRD/2 in equal steps and the trapezoid weights must
+    # sum to PRD, the divisor of the decision sum
+    u, S, w = _grid(10.03, 16, 32)
+    assert u.size == 161
+    assert u[0] == -5.015
+    assert u[-1] == pytest.approx(5.015, rel=1e-15)
+    assert np.allclose(np.diff(u), 10.03 / 160, rtol=0, atol=1e-14)
+    assert w.sum() == pytest.approx(10.03, rel=1e-14)
+
+
 def _pair_moment(n, rho):
     # E|z_i|^2n |z_j|^2n / (n! (2 sigma^2)^n)^2 for circular complex
     # Gaussians of correlation rho (Isserlis: a permanent of the pair
@@ -266,7 +278,7 @@ def test_save_single_set_and_header_check(tmp_path, ref_system):
     sp, dp = ref_system
     s = generate_samples(sp, dp, 0, 16, orders=(2,))[2]
     path = tmp_path / "one.csv"
-    save_csv(path, s)
+    save_csv(path, [s])
     assert load_csv(path)[0].order == 2
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b,c\n1,2,3\n")
