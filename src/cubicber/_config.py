@@ -3,7 +3,7 @@
 Grammar: UTF-8 lines, `key = value`, `#` starts a comment, blank lines
 ignored. Values carry optional unit suffixes (`tau_c = 100fs`,
 `p_r = 35dBm`, `r_l = 1kohm`); bare numbers mean SI base units. Unknown
-keys and duplicate keys are hard errors.
+keys, duplicate keys and values that are not finite are hard errors.
 """
 
 from __future__ import annotations
@@ -156,8 +156,6 @@ _SCHEMA = {
     "analytic_only": _boolean,
     "trials": _integer,
     "seed": _integer,
-    "oversample": _integer,
-    "window": _integer,
     "out": _string,
     # fit / gof inputs
     "samples": _string,
@@ -189,9 +187,17 @@ def parse_config(text: str) -> dict:
         if raw == "":
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
         try:
-            out[key] = _SCHEMA[key](raw)
+            value = _SCHEMA[key](raw)
+            items = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(v) for v in items
+                       if isinstance(v, float)):
+                raise OverflowError
+        except OverflowError:  # e.g. 1e400, 4000dB or 1e303Mohm
+            raise ConfigError(f"line {lineno}: {key}: {raw!r} is out of "
+                              "range") from None
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {key}: {exc}") from None
+        out[key] = value
     return out
 
 

@@ -53,8 +53,8 @@ _POINT_ERRORS = (lp3.Lp3Error, ParamError, detection.BracketError,
 
 
 # Default of every setting that a command-line flag or a config key sets.
-_DEFAULTS = {"trials": 100_000, "seed": 1, "oversample": 16, "window": 32,
-             "orders": (3,), "r_l": (1000.0,), "order": 3, "bit": 1}
+_DEFAULTS = {"trials": 100_000, "seed": 1, "orders": (3,), "r_l": (1000.0,),
+             "order": 3, "bit": 1}
 
 
 class _Settings:
@@ -72,16 +72,12 @@ class _Settings:
         return self.cfg.get(key, _DEFAULTS.get(key))
 
 
-def _check_mc(trials: int, seed: int, oversample: int, window: int) -> None:
+def _check_mc(trials: int, seed: int) -> None:
     """The Monte-Carlo settings, checked before any sampling starts."""
     if trials < 1000:
         raise ConfigError(f"Monte-Carlo needs trials >= 1000, got {trials}")
     if not 0 <= seed < montecarlo.SEED_LIMIT:
         raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
-    try:
-        montecarlo._check_synthesis_config(oversample, window)
-    except ParamError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -94,8 +90,6 @@ class SweepConfig:
     r_l_values: tuple = _DEFAULTS["r_l"]
     trials: int = _DEFAULTS["trials"]
     seed: int = _DEFAULTS["seed"]
-    oversample: int = _DEFAULTS["oversample"]
-    window: int = _DEFAULTS["window"]
     analytic_only: bool = False
     out: str | None = None
 
@@ -113,7 +107,7 @@ class SweepConfig:
         if not self.r_l_values or any(r <= 0 for r in self.r_l_values):
             raise ConfigError("r_l values must be positive")
         if self._needs_mc():
-            _check_mc(self.trials, self.seed, self.oversample, self.window)
+            _check_mc(self.trials, self.seed)
 
     def _needs_mc(self) -> bool:
         if self.analytic_only:
@@ -159,8 +153,6 @@ def _sweep_config(s: _Settings) -> SweepConfig:
         r_l_values=tuple(s["r_l"]),
         trials=s["trials"],
         seed=s["seed"],
-        oversample=s["oversample"],
-        window=s["window"],
         analytic_only=analytic_only,
         out=s["out"],
     )
@@ -242,7 +234,6 @@ class _PointCache:
                 return montecarlo.generate_samples(
                     self.sp, self.dp, bit=bit, n_trials=self.cfg.trials,
                     orders=tuple(sorted(set(self.cfg.orders))),
-                    oversample=self.cfg.oversample, window=self.cfg.window,
                     seed=self.cfg.seed)
             if bit == 0:
                 self._samples[bit] = self._bit0.get(_bit0_key(self.sp), draw)
@@ -427,8 +418,7 @@ def _cmd_mc_validate(s: _Settings) -> int:
     if len(s["r_l"]) > 1:
         raise ConfigError("mc-validate takes a single r_l")
     trials, seed = s["trials"], s["seed"]
-    oversample, window = s["oversample"], s["window"]
-    _check_mc(trials, seed, oversample, window)
+    _check_mc(trials, seed)
 
     dp = derive(base)
     lines = [f"mc-validate prd={base.prd:.10g} p_r={base.p_r:.10g} "
@@ -438,8 +428,7 @@ def _cmd_mc_validate(s: _Settings) -> int:
     for bit in (0, 1):
         try:
             sets = montecarlo.generate_samples(
-                base, dp, bit=bit, n_trials=trials, orders=(3,),
-                oversample=oversample, window=window, seed=seed)
+                base, dp, bit=bit, n_trials=trials, orders=(3,), seed=seed)
         except ParamError as exc:
             print(f"sampling failed: {exc}", file=sys.stderr)
             return EXIT_NUMERIC

@@ -60,45 +60,30 @@ class Lp3Params:
 _EPS = 1e-16
 _FPMIN = 1e-300
 _LARGE_SHAPE = 1e8  # switch to the uniform asymptotic above this
-_BLOCK = 32         # fewest series terms formed per array pass
-_CHUNK = 8192       # elements per kernel pass: bounds the series' term table
-
-
-def _accumulate(ufunc, rows):
-    # ufunc.accumulate(rows, axis=0), the sequential running result down
-    # each column. numpy's accumulate walks the columns one by one, so for
-    # wide arrays a loop over the rows is faster; both round alike.
-    if rows.shape[1] < 256:
-        return ufunc.accumulate(rows, axis=0)
-    out = np.empty_like(rows)
-    out[0] = rows[0]
-    for i in range(1, rows.shape[0]):
-        ufunc(out[i - 1], rows[i], out=out[i])
-    return out
-
-
-def _first_below_eps(terms, totals):
-    # Per column: the first row whose term is below eps relative to the
-    # partial sum, or -1 where no row is.
-    conv = np.abs(terms) < np.abs(totals) * _EPS
-    return np.where(conv.any(axis=0), conv.argmax(axis=0), -1)
+_CHUNK = 8192       # elements per kernel pass: bounds the working arrays
 
 
 def _phi(dl):
-    # dl - log1p(dl), elementwise. For |dl| < 0.1 the alternating series
-    # sum_k (-1)^k dl^k / k, k >= 2, avoids the cancellation; each element
-    # stops at its first term below eps relative to the partial sum.
+    # dl - log1p(dl), elementwise. For |dl| < 0.1 the series
+    # sum_k (-dl)^k / k, k = 2..39, avoids the cancellation; one term per
+    # pass, each element stops at its first term below eps relative to the
+    # partial sum.
     out = dl - np.log1p(dl)
-    small = np.abs(dl) < 0.1
-    if small.any():
-        d = dl[small]
-        k = np.arange(2, 40)[:, None]
-        powers = _accumulate(np.multiply, np.vstack(
-            [d * d, np.broadcast_to(d, (k.size - 1, d.size))]))
-        terms = np.where(k % 2 == 0, 1.0, -1.0) * powers / k
-        totals = _accumulate(np.add, terms)
-        first = _first_below_eps(terms, totals)
-        out[small] = totals[first, np.arange(d.size)]
+    act = np.flatnonzero(np.abs(dl) < 0.1)
+    nd = power = -dl[act]
+    total = np.zeros(act.size)
+    for k in range(2, 40):
+        if act.size == 0:
+            break
+        power = power * nd
+        term = power / k
+        total = total + term
+        done = np.abs(term) < np.abs(total) * _EPS
+        if done.any():
+            out[act[done]] = total[done]
+            keep = ~done
+            act, nd, power, total = act[keep], nd[keep], power[keep], total[keep]
+    out[act] = total
     return out
 
 
@@ -116,31 +101,28 @@ def _log_prefactor(a: float, x):
 
 
 def _pq_series(a: float, x):
-    # Lower series: P = x^a e^-x / Gamma(a+1) * sum x^n / ((a+1)...(a+n)).
-    # A block of terms at a time: the running products and sums are
-    # sequential accumulations, so each element gets the sum of the
-    # term-by-term recurrence, stopped at its first term below eps. Few
-    # elements take long blocks, which cost little more than short ones.
-    # Worst case needs ~ sqrt(a) terms when x ~ a; cap generously.
-    cap = 400 + int(12.0 * math.sqrt(a))
-    ap = np.add.accumulate(np.concatenate(([a], np.ones(cap))))[1:]
-    rows = max(_BLOCK, 4096 // x.size)
+    # Lower series: P = x^a e^-x / Gamma(a+1) * sum x^n / ((a+1)...(a+n)),
+    # one term per pass; converged elements leave the active set. All terms
+    # are positive. Worst case needs ~ sqrt(a) terms when x ~ a; cap
+    # generously.
     out = np.empty(x.shape)
     act = np.arange(x.size)
+    xa = x
     term = np.full(x.shape, 1.0 / a)
     total = term.copy()
-    for j in range(0, cap, rows):
-        # rows: successive terms; columns: the active elements
-        ratio = x[act] / ap[j:j + rows, None]
-        terms = _accumulate(np.multiply, np.vstack([term, ratio]))[1:]
-        totals = _accumulate(np.add, np.vstack([total, terms]))[1:]
-        first = _first_below_eps(terms, totals)
-        done = first >= 0
-        out[act[done]] = totals[first[done], done]
-        act, term, total = act[~done], terms[-1, ~done], totals[-1, ~done]
-        if act.size == 0:
-            p = out * np.exp(_log_prefactor(a, x))
-            return np.minimum(p, 1.0), np.maximum(1.0 - p, 0.0)
+    ap = a
+    for _ in range(400 + int(12.0 * math.sqrt(a))):
+        ap += 1.0
+        term *= xa / ap
+        total += term
+        done = term < total * _EPS
+        if done.any():
+            out[act[done]] = total[done]
+            keep = ~done
+            act, xa, term, total = act[keep], xa[keep], term[keep], total[keep]
+            if act.size == 0:
+                p = out * np.exp(_log_prefactor(a, x))
+                return np.minimum(p, 1.0), np.maximum(1.0 - p, 0.0)
     raise Lp3Error("incomplete gamma series failed to converge")
 
 

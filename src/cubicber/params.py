@@ -7,7 +7,8 @@ meters, kelvin, ohms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 # CODATA-2018 exact values. Hard-coded on purpose: results must not depend
 # on the environment.
@@ -43,6 +44,9 @@ class SystemParams:
     r_l: float = 1000.0   # load resistance, ohm
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ParamError(f"{f.name} must be finite")
         checks = [
             (self.tau_c > 0, "tau_c must be > 0"),
             (self.prd >= 1, "prd must be >= 1"),

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from cubicber._config import KNOWN_KEYS, ConfigError, load_config, parse_config
+from cubicber.cli import EXIT_CONFIG, main
 
 
 def one(key, raw):
@@ -193,6 +194,31 @@ def test_empty_value():
 def test_value_error_carries_line_and_key():
     with pytest.raises(ConfigError, match=r"line 2: tau_c:"):
         parse_config("prd = 10\ntau_c = 100lightyears\n")
+
+
+@pytest.mark.parametrize("key,raw", [
+    ("trials", "1e400"), ("seed", "1e400"), ("bins", "1e400"),
+    ("sweep_p_r_dbm", "33:1e400:1"), ("sweep_prd", "10, 1e400"),
+    ("g_amp", "4000dB"), ("p_r", "4000dBm"), ("prd", "1e400"),
+    ("r_l", "1e303Mohm"), ("tau_c", "1e400fs"), ("moments", "1, 2, 1e400"),
+])
+def test_values_that_are_not_finite_rejected(key, raw):
+    with pytest.raises(ConfigError,
+                       match=rf"^line 2: {key}: .* is out of range$"):
+        parse_config(f"# not finite\n{key} = {raw}\n")
+
+
+@pytest.mark.parametrize("body", [
+    "trials = 1e400\n", "seed = 1e400\n", "sweep_p_r_dbm = 33:1e400:1\n",
+    "g_amp = 4000dB\n", "p_r = 4000dBm\n", "prd = 1e400\n",
+    "r_l = 1e303Mohm\n",
+])
+def test_values_that_are_not_finite_exit_2(tmp_path, capsys, body):
+    cfg = tmp_path / "run.cfg"
+    axis = "" if body.startswith("sweep") else "sweep_p_r_dbm = 33:33:1\n"
+    cfg.write_text("variants = lp3\n" + body + axis, encoding="utf-8")
+    assert main(["ber-sweep", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: line 2: ")
 
 
 def test_empty_text_is_empty_dict():

@@ -174,6 +174,31 @@ def test_reg_gamma_mixed_array_matches_mpmath_and_scalars():
             assert gamma_q(a, float(x)) == qv
 
 
+@pytest.mark.parametrize("size", [300, 9000])
+@pytest.mark.parametrize("a", [0.5, 50.0, 322.879774755266, 1e4, 1e10])
+def test_element_bits_do_not_depend_on_the_array(a, size):
+    # Arrays wider than 256 elements, and longer than one 8192-element
+    # kernel chunk, mixing series and continued-fraction points with points
+    # near the peak (|x/a - 1| < 0.1, the small-|dl| series of the density
+    # prefactor): a sample of elements must equal 1-element calls bit for
+    # bit in P, the cdf of either skew and the log-density.
+    rng = np.random.default_rng(size + int(math.log(a) * 100))
+    near = a * (1.0 + rng.uniform(-0.1, 0.1, size))
+    far = a * np.exp(rng.uniform(-5.0, 2.0, size))
+    x = np.where(rng.random(size) < 0.5, near, far)
+    assert (x < a + 1.0).any() and (x >= a + 1.0).any()
+    laws = [Lp3Params(alpha=a, beta=b / a, gamma=0.1) for b in (1.0, -1.0)]
+    ys = [np.exp(law.gamma + law.beta * x) for law in laws]
+    p = reg_gamma_p(a, x)
+    cdfs = [cdf(law, y) for law, y in zip(laws, ys)]
+    logs = [logpdf(law, y) for law, y in zip(laws, ys)]
+    for i in rng.choice(size, 100, replace=False):
+        assert reg_gamma_p(a, float(x[i])) == p[i]
+        for law, y, c, lg in zip(laws, ys, cdfs, logs):
+            assert cdf(law, float(y[i])) == c[i]
+            assert logpdf(law, float(y[i])) == lg[i]
+
+
 def test_reg_gamma_array_errors(monkeypatch):
     xs = np.array([0.5, 2.0, 9.0])
     with pytest.raises(Lp3Error):

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubicber import derive, empirical_ber, generate_samples
-from cubicber.montecarlo import (MIN_OVERSAMPLE, MIN_WINDOW, SampleSet,
-                                 _grid, _order_prefactor, load_csv,
-                                 sample_moments, save_csv)
+from cubicber.montecarlo import (SampleSet, _grid, _order_prefactor,
+                                 load_csv, sample_moments, save_csv)
 from cubicber.moments import mean_decision
 from cubicber.params import ParamError
 from conftest import make_system
@@ -33,10 +32,6 @@ def test_generate_samples_validation(ref_system):
         generate_samples(sp, dp, 1, 10, orders=())
     with pytest.raises(ParamError):
         generate_samples(sp, dp, 1, 10, orders=(4,))
-    with pytest.raises(ParamError):
-        generate_samples(sp, dp, 1, 10, oversample=MIN_OVERSAMPLE - 1)
-    with pytest.raises(ParamError):
-        generate_samples(sp, dp, 1, 10, window=MIN_WINDOW - 1)
     # the Philox key holds 64 bits and trial indices are int64: no aliasing
     with pytest.raises(ParamError):
         generate_samples(sp, dp, 1, 10, seed=2**64 + 5)
@@ -132,11 +127,11 @@ def test_noiseless_limit_matches_analytic():
 def test_noise_autocovariance():
     # i.i.d. unit coefficients make the per-quadrature covariance of the
     # synthesized field, in units of sigma0^2, exactly S S^T; the target is
-    # sinc(u_i - u_j). Truncating the coefficients `window` past the span
-    # leaves < 0.55% between nodes at window 32 (measured max 5.5e-3 at
-    # PRD 10, 5.0e-3 at a span of 20).
+    # sinc(u_i - u_j). Truncating the coefficients WINDOW = 32 past the
+    # span leaves < 0.55% between nodes (measured max 5.5e-3 at PRD 10,
+    # 5.0e-3 at a span of 20).
     for span_u in (10.0, 20.0):
-        u, S, w = _grid(span_u, 16, 32)
+        u, S, w = _grid(span_u)
         assert np.allclose(np.diff(u), 1.0 / 16, rtol=0, atol=1e-12)
         assert u[-1] - u[0] == pytest.approx(span_u, rel=1e-12)
         assert w.sum() == pytest.approx(span_u, rel=1e-12)  # trapezoid
@@ -151,10 +146,10 @@ def test_noise_autocovariance():
 
 
 def test_grid_spans_a_fractional_window():
-    # PRD 10.03 at oversample 16 is 160.48 steps: the nodes must still run
+    # PRD 10.03 at OVERSAMPLE = 16 is 160.48 steps: the nodes must still run
     # from -PRD/2 to +PRD/2 in equal steps and the trapezoid weights must
     # sum to PRD, the divisor of the decision sum
-    u, S, w = _grid(10.03, 16, 32)
+    u, S, w = _grid(10.03)
     assert u.size == 161
     assert u[0] == -5.015
     assert u[-1] == pytest.approx(5.015, rel=1e-15)
@@ -175,7 +170,7 @@ def test_bit0_moments_match_the_discrete_model(mc_small):
     # moments mu1 = c sum_i w_i n! (2 sigma0^2 G_ii)^n and
     # mu2 = c^2 sum_ij w_i w_j E|r_i|^2n |r_j|^2n, for every order n.
     sp, dp, sets = mc_small
-    u, S, w = _grid(sp.prd, 16, 32)
+    u, S, w = _grid(sp.prd)
     G = S @ S.T
     g = np.sqrt(np.diag(G))
     rho = G / np.outer(g, g)

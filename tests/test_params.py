@@ -57,6 +57,10 @@ def test_l2_scales_noise_only():
     ("p_r", -1e-3),
     ("t_r", 0.0),
     ("r_l", 0.0),
+    ("tau_c", math.inf), ("prd", math.inf), ("wavelength", math.inf),
+    ("g_amp", math.inf), ("p_r", math.inf), ("r_l", math.inf),
+    ("t_r", math.inf), ("n_sp", math.inf), ("k", math.inf),
+    ("gamma_nl", math.inf), ("prd", math.nan),
 ])
 def test_domain_violations_raise(field, value):
     kw = dict(tau_c=100e-15, prd=10.0, wavelength=1.55e-6, g_amp=1e5)
