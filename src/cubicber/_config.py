@@ -21,8 +21,14 @@ class ConfigError(ValueError):
 _TIME = {"fs": 1e-15, "ps": 1e-12, "ns": 1e-9, "us": 1e-6, "ms": 1e-3,
          "s": 1.0}
 _LENGTH = {"nm": 1e-9, "um": 1e-6, "mm": 1e-3, "m": 1.0}
-_POWER = {"nW": 1e-9, "uW": 1e-6, "mW": 1e-3, "W": 1.0}
+_POWER = {"nW": 1e-9, "uW": 1e-6, "mW": 1e-3, "W": 1.0,
+          "dBm": dbm_to_watts}
 _RESISTANCE = {"ohm": 1.0, "kohm": 1e3, "Mohm": 1e6}
+_TEMPERATURE = {"K": 1.0}
+# linear by default; dB converts, also for losses <= 0 dB
+_GAIN = {"dB": db_to_linear}
+# the most points one sweep range may hold
+SWEEP_MAX_POINTS = 100_000
 
 _QTY_RE = re.compile(r"^([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([A-Za-z]*)$")
 
@@ -43,7 +49,8 @@ def _quantity(raw: str, table, what: str) -> float:
     if suffix == "":
         return mag
     if suffix in table:
-        return mag * table[suffix]
+        unit = table[suffix]
+        return unit(mag) if callable(unit) else mag * unit
     raise ConfigError(f"{what} does not take unit {suffix!r} (in {raw!r})")
 
 
@@ -56,32 +63,13 @@ def _length(raw): return _quantity(raw, _LENGTH, "a length")
 def _resistance(raw): return _quantity(raw, _RESISTANCE, "a resistance")
 
 
-def _power(raw: str) -> float:
-    mag, suffix = _split_quantity(raw)
-    if suffix == "":
-        return mag
-    if suffix == "dBm":
-        return dbm_to_watts(mag)
-    if suffix in _POWER:
-        return mag * _POWER[suffix]
-    raise ConfigError(f"a power does not take unit {suffix!r} (in {raw!r})")
+def _power(raw): return _quantity(raw, _POWER, "a power")
 
 
-def _temperature(raw: str) -> float:
-    mag, suffix = _split_quantity(raw)
-    if suffix in ("", "K"):
-        return mag
-    raise ConfigError(f"a temperature does not take unit {suffix!r}")
+def _temperature(raw): return _quantity(raw, _TEMPERATURE, "a temperature")
 
 
-def _gain(raw: str) -> float:
-    """Linear by default; a dB suffix converts (also for losses <= 0 dB)."""
-    mag, suffix = _split_quantity(raw)
-    if suffix == "":
-        return mag
-    if suffix == "dB":
-        return db_to_linear(mag)
-    raise ConfigError(f"a gain does not take unit {suffix!r}")
+def _gain(raw): return _quantity(raw, _GAIN, "a gain")
 
 
 def _bare(raw: str) -> float:
@@ -129,6 +117,9 @@ def _sweep_range(raw: str):
     if stop < start:
         raise ConfigError("sweep stop must be >= start")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    if n > SWEEP_MAX_POINTS:
+        raise ConfigError(f"sweep range has {n:.3g} points, more than "
+                          f"{SWEEP_MAX_POINTS}")
     return tuple(start + i * step for i in range(n))
 
 

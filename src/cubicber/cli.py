@@ -262,6 +262,10 @@ def _variant_point(cache: _PointCache, order: int, variant: str):
     if variant == "gauss_approx":
         (m0, s0, _), (m1, s1, _) = (cache.law(b, order)[1] for b in (0, 1))
         return detection.gaussian_approx_ber(m0, s0 - m0 ** 2, m1, s1 - m1 ** 2)
+    if variant == "lp3_shot_thermal" and order == 2:
+        # order 2's detector scale is a placeholder, so sigma^2(y) is too
+        raise ParamError("order 2 has no physical detector scale for "
+                         "shot/thermal noise")
     phys = cache.phys if variant == "lp3_shot_thermal" else None
     return detection.optimize_threshold(cache.law(0, order)[0],
                                         cache.law(1, order)[0], phys)
@@ -275,7 +279,7 @@ def _eval_point(cfg: SweepConfig, x: float, r_l: float,
         dp = derive(sp)
         cache = _PointCache(cfg, sp, dp, bit0)
         point_err = None
-    except (_POINT_ERRORS + (ConfigError,)) as exc:
+    except _POINT_ERRORS as exc:
         cache, point_err = None, str(exc)
     for order in cfg.orders:
         for variant in cfg.variants:

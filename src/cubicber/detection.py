@@ -6,13 +6,15 @@ decision level y with variance
 
     sigma^2(y) = 2 q_e y / T_p + 4 K_B T_r / (R_L T_p),
 
-is folded in by integrating the level-dependent Gaussian kernel against the
-clean-law cdf, or density. Both run on one fixed Gauss-Kronrod 7/15 panel
-rule for a whole array of thresholds at once: the panel edges are about 30
-LP3 quantiles (1e-13 to 1 - 1e-10, for the steep lower tail of the bit-0
-law) and, per threshold x, the levels y where (y - x)/sigma(y) runs over
--10..14 in unit steps. The error gate is the summed |K15 - G7| over the
-panels: above 1e-9 + 1e-6 |value| it raises QuadratureError.
+is folded in by integrating the conditional Gaussian cdf at the threshold x,
+Phi((x - y)/sigma(y)), or its density, against the clean-law density
+f_Y(y). The cdf and the density differ only in that kernel. Both run on one
+fixed Gauss-Kronrod 7/15 panel rule for a whole array of thresholds at
+once: the panel edges are about 30 LP3 quantiles (1e-13 to 1 - 1e-10, for
+the steep lower tail of the bit-0 law) and, per threshold x, the levels y
+where (y - x)/sigma(y) runs over -10..14 in unit steps. The error gate is
+the summed |K15 - G7| over the panels: above 1e-9 + 1e-6 |value| it raises
+QuadratureError.
 
 PE, the average of the two conditional tail probabilities, has derivative
 (f1 - f0)/2, so its minimum is a crossing of the two bit densities.
@@ -100,13 +102,13 @@ _BLOCK = 16
 def cdf_shot_thermal(law0: lp3.Lp3Params, x, phys: NoisePhysics):
     """cdf of Y + N at x, N | Y=y ~ Normal(0, sigma^2(y)), Y ~ LP3(law0).
 
-    x is a scalar or an ndarray of thresholds. Written as the integral over
-    y of (-u'(y)) F_Y(y), u(y) = P{N <= x - y | y}, obtained from the
-    conditional form by parts, over [quantile(1e-14), max(quantile(1 -
-    1e-12), x + 10 sigma(x))]; the truncated upper tail contributes u(hi)
-    * P{Y > hi} ~ u(hi), exactly enough at the cut. The integral is a sum
-    of fixed Gauss-Kronrod 7/15 panels (see _st_block); a threshold whose
-    summed |K15 - G7| exceeds 1e-9 + 1e-6 |value| raises QuadratureError.
+    x is a scalar or an ndarray of thresholds. The integral over y of
+    Phi((x - y)/sigma(y)) f_Y(y), over [quantile(1e-14), max(quantile(1 -
+    1e-12), x + 10 sigma(x))]. Like the density, it leaves out the law's
+    mass beyond the cuts, at most 1e-14 below and 1e-12 above. The
+    integral is a sum of fixed Gauss-Kronrod 7/15 panels (see _st_block);
+    a threshold whose summed |K15 - G7| exceeds 1e-9 + 1e-6 |value| raises
+    QuadratureError.
     """
     return _shot_thermal(law0, x, phys, density=False)
 
@@ -150,17 +152,17 @@ def _st_block(law0, x, cuts, phys, density):
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
     y = mid[..., None] + half[..., None] * _GK_X  # (threshold, panel, node)
     xb = np.broadcast_to(x[:, None, None], y.shape)
-    # phi(x; y, sigma^2(y)) for the density, -u'(y) for the cdf; it
-    # underflows to 0 far from x, where the law is not needed
+    # the conditional kernel: phi(x; y, sigma^2(y)) for the density,
+    # Phi((x - y)/sigma(y)) for the cdf. Where it underflows to 0 (far
+    # from x, or far above x for the cdf) the law is not needed.
     s2 = 2.0 * qe_tp * y + th_tp
-    f = np.exp(-(xb - y) ** 2 / (2.0 * s2))
     if density:
+        f = np.exp(-(xb - y) ** 2 / (2.0 * s2))
         f /= np.sqrt(2.0 * math.pi * s2)
     else:
-        f *= (qe_tp * (xb + y) + th_tp) / (s2 * np.sqrt(2.0 * math.pi * s2))
+        f = _sc.ndtr((xb - y) / np.sqrt(s2))
     live = f > 0.0
-    f[live] *= (np.exp(lp3.logpdf(law0, y[live])) if density
-                else lp3.cdf(law0, y[live]))
+    f[live] *= np.exp(lp3.logpdf(law0, y[live]))
     kron = (f * _GK_WK).sum(axis=2) * half
     gauss = (f * _GK_WG).sum(axis=2) * half
     val = kron.sum(axis=1)
@@ -168,12 +170,7 @@ def _st_block(law0, x, cuts, phys, density):
     if (err > 1e-9 + 1e-6 * np.abs(val)).any():
         raise QuadratureError(f"shot/thermal integral error estimate "
                               f"{err.max():g} too large")
-    if density:  # the mass beyond the cuts is below 1e-12
-        return val
-    # tail above the cut: F_Y ~ 1 there, so it integrates to u(hi)
-    s_hi = np.sqrt(2.0 * qe_tp * hi + th_tp)
-    tail = 0.5 * _sc.erfc((hi - x) / (s_hi * math.sqrt(2.0)))
-    return np.clip(val + tail, 0.0, 1.0)
+    return val  # without the law's mass beyond the cuts, below 1e-12
 
 
 def error_probability(law0: lp3.Lp3Params, law1: lp3.Lp3Params, th,

@@ -94,21 +94,25 @@ def _fit_normal(x, m, v):
     return lambda y: ndtr((np.asarray(y, np.float64) - m) / s)
 
 
+def _on_positive(cdf):
+    # a cdf given on y > 0, extended by 0 to the rest of the line
+    def f(y):
+        y = np.asarray(y, np.float64)
+        out = np.zeros(y.shape, np.float64)
+        pos = y > 0.0
+        out[pos] = cdf(y[pos])
+        return out
+
+    return f
+
+
 def _fit_lognormal(x, m, v):
     if m <= 0.0:
         raise GofError("lognormal needs a positive mean")
     s2 = math.log1p(v / (m * m))
     mu = math.log(m) - 0.5 * s2
     s = math.sqrt(s2)
-
-    def f(y):
-        y = np.asarray(y, np.float64)
-        out = np.zeros(y.shape, np.float64)
-        pos = y > 0.0
-        out[pos] = ndtr((np.log(y[pos]) - mu) / s)
-        return out
-
-    return f
+    return _on_positive(lambda y: ndtr((np.log(y) - mu) / s))
 
 
 def _fit_gamma(x, m, v):
@@ -116,15 +120,7 @@ def _fit_gamma(x, m, v):
         raise GofError("gamma needs a positive mean")
     shape = m * m / v
     scale = v / m
-
-    def f(y):
-        y = np.asarray(y, np.float64)
-        out = np.zeros(y.shape, np.float64)
-        pos = y > 0.0
-        out[pos] = lp3.reg_gamma_p(shape, y[pos] / scale)
-        return out
-
-    return f
+    return _on_positive(lambda y: lp3.reg_gamma_p(shape, y / scale))
 
 
 def _fit_inverse_gaussian(x, m, v):
@@ -133,18 +129,13 @@ def _fit_inverse_gaussian(x, m, v):
     lam = m ** 3 / v
 
     def f(y):
-        y = np.asarray(y, np.float64)
-        out = np.zeros(y.shape, np.float64)
-        pos = y > 0.0
-        yp = y[pos]
-        r = np.sqrt(lam / yp)
+        r = np.sqrt(lam / y)
         # second term computed in log space: exp(2 lam/m) alone overflows
-        t1 = ndtr(r * (yp / m - 1.0))
-        t2 = np.exp(2.0 * lam / m + log_ndtr(-r * (yp / m + 1.0)))
-        out[pos] = np.clip(t1 + t2, 0.0, 1.0)
-        return out
+        t1 = ndtr(r * (y / m - 1.0))
+        t2 = np.exp(2.0 * lam / m + log_ndtr(-r * (y / m + 1.0)))
+        return np.clip(t1 + t2, 0.0, 1.0)
 
-    return f
+    return _on_positive(f)
 
 
 _CANDIDATES = (

@@ -222,6 +222,24 @@ def _mc_sweep(x_kind, xs, r_l_values=(1000.0,)):
                            trials=2000, seed=6)
 
 
+def test_order_2_shot_thermal_rows_are_errors():
+    # order 2's detector scale is a placeholder, so sigma^2(y) = 2 q y / T_p
+    # has no physical scale there; orders 1 and 3 fold the noise in
+    base = SystemParams(tau_c=100e-15, prd=10.0, wavelength=1.55e-6,
+                        g_amp=1e5)
+    cfg = cli.SweepConfig(base, "p_r_dbm", (35.0,), orders=(1, 2, 3),
+                          variants=("lp3", "lp3_shot_thermal"),
+                          trials=2000, seed=6)
+    rows = {(r["order"], r["variant"]): r for r in cli.run_ber_sweep(cfg)}
+    assert len(rows) == 6
+    bad = rows[2, "lp3_shot_thermal"]
+    assert math.isnan(bad["th_opt"]) and math.isnan(bad["ber"])
+    assert "order 2" in bad["error"]
+    for key, r in rows.items():
+        if key != (2, "lp3_shot_thermal"):
+            assert r["error"] == "" and 0.0 < r["ber"] < 0.5
+
+
 def _bit0_draws(monkeypatch):
     draws = []
     real = montecarlo.generate_samples

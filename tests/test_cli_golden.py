@@ -53,8 +53,8 @@ GOLDEN_SWEEPS = {
 SHOT_THERMAL = ("prd = 10\nsweep_p_r_dbm = 35:37:2\norders = 3\n"
                 "variants = lp3_shot_thermal\n")
 GOLDEN_SHOT_THERMAL = HEAD + """\
-35,p_r_dbm,10,1000,lp3_shot_thermal,1.7296245502701063e-05,0.0049524610997932145,3,
-37,p_r_dbm,10,1000,lp3_shot_thermal,3.6976885637601802e-05,0.00012260574258177192,3,
+35,p_r_dbm,10,1000,lp3_shot_thermal,1.7296245502701063e-05,0.0049524610997932119,3,
+37,p_r_dbm,10,1000,lp3_shot_thermal,3.6976885637601802e-05,0.00012260574258182347,3,
 """
 
 GAMP1 = "prd = 10\ng_amp = 1\nsweep_p_r_dbm = 33:35:2\n"

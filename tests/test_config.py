@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from cubicber._config import KNOWN_KEYS, ConfigError, load_config, parse_config
+from cubicber._config import (KNOWN_KEYS, SWEEP_MAX_POINTS, ConfigError,
+                              load_config, parse_config)
 from cubicber.cli import EXIT_CONFIG, main
 
 
@@ -154,6 +155,25 @@ def test_sweep_range_single_point():
 def test_sweep_range_errors(raw, frag):
     with pytest.raises(ConfigError, match=frag):
         one("sweep_p_r_dbm", raw)
+
+
+def test_sweep_range_at_the_point_cap_parses():
+    got = one("sweep_p_r_dbm", f"0:{SWEEP_MAX_POINTS - 1}:1")
+    assert len(got) == SWEEP_MAX_POINTS
+    assert got[-1] == SWEEP_MAX_POINTS - 1
+
+
+def test_sweep_range_past_the_point_cap_exits_2(tmp_path, capsys):
+    # counted before any point is built: 1e300 points would exhaust memory
+    for raw in (f"0:{SWEEP_MAX_POINTS}:1", "33:1e300:1"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"variants = lp3\nsweep_p_r_dbm = {raw}\n",
+                       encoding="utf-8")
+        assert main(["ber-sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 2: sweep_p_r_dbm: ")
+        assert f"more than {SWEEP_MAX_POINTS}" in err
+        assert "Traceback" not in err
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from cubicber import (Lp3Params, NoisePhysics,
                       cdf_shot_thermal, derive, error_probability,
                       fit_from_moments, gaussian_approx_ber, noise_physics,
                       optimize_threshold)
-from cubicber import detection
+from cubicber import detection, lp3
 from cubicber.detection import BracketError, QuadratureError
 from cubicber.lp3 import cdf as lp3_cdf
 from cubicber.lp3 import moment, quantile
@@ -132,8 +132,10 @@ def _st_laws(p_r_dbm=37.0, r_l=1000.0):
 
 
 def _st_quad(law, x, phys):
-    # independent reference: adaptive quadrature of the same integral, with
-    # scipy's incomplete gamma for the LP3 cdf
+    # independent reference: adaptive quadrature of the cdf rewritten by
+    # parts, the integral of (-u'(y)) F_Y(y) with u(y) = P{N <= x - y | y}
+    # plus the tail above the cut, with scipy's incomplete gamma for F_Y;
+    # cdf_shot_thermal integrates the conditional form instead
     qe_tp = phys.q_e / phys.t_p
     th_tp = 4.0 * phys.k_b * phys.t_r / (phys.r_l * phys.t_p)
 
@@ -174,6 +176,36 @@ def test_cdf_shot_thermal_array_matches_adaptive_quadrature():
         # a scalar threshold runs the same panels
         for i in (0, 128, 255):
             assert cdf_shot_thermal(law, grid[i], phys) == got[i]
+
+
+@pytest.mark.parametrize("prd,p_r_dbm",
+                         [(10.0, 33.0), (10.0, 37.0), (25.0, 35.0)])
+def test_cdf_shot_thermal_derivative_is_the_density(prd, p_r_dbm):
+    # the cdf and the density integrate the same law against the
+    # conditional Gaussian cdf and density, so one is the other's derivative
+    law0, sp, dp = _cubic_law(prd=prd, p_r_dbm=p_r_dbm, bit=0)
+    law1 = fit_from_moments(decision_moments(sp, dp, 1))
+    phys = noise_physics(sp, dp)
+    for law in (law0, law1):
+        x = quantile(law, np.array([0.05, 0.25, 0.5, 0.75, 0.95]))
+        h = 1e-4 * x
+        slope = (cdf_shot_thermal(law, x + h, phys)
+                 - cdf_shot_thermal(law, x - h, phys)) / (2.0 * h)
+        dens = detection._shot_thermal(law, x, phys, density=True)
+        assert np.abs(slope / dens - 1.0).max() <= 1e-6
+
+
+def test_cdf_shot_thermal_needs_no_lp3_cdf(monkeypatch):
+    # the law enters through its density only: no incomplete gamma per node
+    law0, law1, phys = _st_laws()
+
+    def refuse(*_):
+        raise AssertionError("lp3.cdf called")
+
+    monkeypatch.setattr(lp3, "cdf", refuse)
+    for law in (law0, law1):
+        got = cdf_shot_thermal(law, np.geomspace(1e-7, 1e-4, 32), phys)
+        assert ((got >= 0.0) & (got <= 1.0)).all()
 
 
 def test_cdf_shot_thermal_rejects_nonfinite_thresholds():
