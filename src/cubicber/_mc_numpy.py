@@ -10,10 +10,16 @@ _CHUNK = 2048  # aligned block width in absolute trial index
 
 
 def decision_sums(seed, start_trial, ntrials, bit, S, w, sig, sigma0):
-    """(ntrials, 3) trapezoid sums of |r|^2, |r|^4, |r|^6 on the grid.
+    """Trapezoid sums of |r|^2, |r|^4, |r|^6 on the grid, per trial.
 
     S: (ngrid, ncoef) sinc basis; w: (ngrid,) trapezoid weights in units of
-    the coefficient spacing; sig: (ngrid,) real signal amplitude samples.
+    the coefficient spacing; sig: (ngrid,) real signal amplitude samples,
+    giving an (ntrials, 3) result, or (k, ngrid) for k signals on the same
+    noise field, giving (k, ntrials, 3).
+
+    The noise field of a block is drawn and synthesized once and each
+    signal is added to it, by the same floating-point operations as for a
+    single signal, so a row of sig gets the sums that sig alone would get.
 
     Blocks are aligned to absolute multiples of _CHUNK and always computed
     whole, so every trial goes through a matrix product of the exact same
@@ -21,24 +27,29 @@ def decision_sums(seed, start_trial, ntrials, bit, S, w, sig, sigma0):
     keeps results bitwise independent of chunking even though the floating
     sums inside a BLAS product are shape-sensitive.
     """
-    ncoef = S.shape[1]
+    sigs = np.atleast_2d(sig)
+    ngrid, ncoef = S.shape
     start = int(start_trial)
     stop = start + int(ntrials)
-    out = np.empty((stop - start, 3), np.float64)
+    out = np.empty((len(sigs), stop - start, 3), np.float64)
     blocks = np.arange(ncoef, dtype=np.int64)
     St = np.ascontiguousarray(S.T)
     for base in range((start // _CHUNK) * _CHUNK, stop, _CHUNK):
         if sigma0 == 0.0:
-            ap = np.broadcast_to(sig, (_CHUNK, sig.size))
-            aq = np.zeros((_CHUNK, sig.size))
+            noise = np.zeros((_CHUNK, ngrid))
+            aq2 = 0.0
         else:
             trials = np.arange(base, base + _CHUNK, dtype=np.int64)
             zp, zq = _rng.coefficient_normals(seed, trials, bit, blocks)
-            ap = (sigma0 * zp) @ St + sig
-            aq = (sigma0 * zq) @ St
-        m2 = ap * ap + aq * aq
-        m4 = m2 * m2
-        sums = np.stack([m2 @ w, m4 @ w, (m4 * m2) @ w], axis=1)
+            noise = (sigma0 * zp) @ St
+            aq2 = (sigma0 * zq) @ St
+            aq2 *= aq2
         a, b = max(start, base), min(stop, base + _CHUNK)
-        out[a - start:b - start] = sums[a - base:b - base]
-    return out
+        for i, s in enumerate(sigs):
+            # the last signal may overwrite the field: one array fewer
+            ap = np.add(noise, s, out=noise if i == len(sigs) - 1 else None)
+            m2 = ap * ap + aq2
+            m4 = m2 * m2
+            sums = np.stack([m2 @ w, m4 @ w, (m4 * m2) @ w], axis=1)
+            out[i, a - start:b - start] = sums[a - base:b - base]
+    return out if np.ndim(sig) == 2 else out[0]

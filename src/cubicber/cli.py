@@ -175,54 +175,99 @@ def _point_system(cfg: SweepConfig, x: float, r_l: float) -> SystemParams:
                    g_amp=_g_amp_for_sigma0_sq(cfg.base, sigma0_sq))
 
 
-def _bit0_key(sp: SystemParams) -> SystemParams:
-    """What the bit-0 samples of a point depend on, beside the sampling
-    settings that every point of a sweep shares. Bit 0 carries no signal,
-    so p_r and r_l enter none of them."""
+def _noise_key(sp: SystemParams) -> SystemParams:
+    """What the noise field of a point depends on, beside the sampling
+    settings that every point of a sweep shares. p_r scales only the
+    signal, and r_l enters no sample, so neither is in it."""
     return replace(sp, p_r=0.0, r_l=1.0)
 
 
-class _Bit0Samples:
-    """The bit-0 sample sets of one sweep, drawn once per distinct key.
+# Decision sums that one bit-1 batch holds at most (the sample sets of a
+# batch take no more), so memory does not grow with the sweep's length.
+_BATCH_BYTES = 64 * 2**20
 
-    A shared set is bitwise the one each point would draw itself, since
-    streams are counter-based. A set is kept from the first to the last
-    point of its key, and one of a single point is not kept at all. One
-    lock per key: no two threads draw the same key, and different keys
-    draw in parallel.
+
+class _Batch:
+    """The sample sets of one bit, one noise key and some powers."""
+
+    def __init__(self, powers, users):
+        self.powers = powers  # in sweep order
+        self.users = users    # points still to take their sets
+        self.lock = threading.Lock()
+        self.sets = None      # p_r -> {order: SampleSet}
+
+
+class _SampleStore:
+    """The sample sets of one sweep, shared by the points of a noise key.
+
+    Bit 0 carries no signal, so one set serves every point of a key. Bit 1
+    draws a key's distinct powers in sweep order, in batches of at most
+    _BATCH_BYTES of decision sums, one noise field per batch. A shared set
+    is bitwise the one each point would draw alone, since streams are
+    counter-based. A batch is dropped once its last point has its sets.
+    One lock per batch: no two threads draw the same batch, and different
+    batches draw in parallel. A store built with no points shares nothing.
     """
 
     def __init__(self, cfg: SweepConfig, points):
-        self._users = Counter()  # key -> points still to ask for it
-        for x, rl in points:
+        self._cfg = cfg
+        users = {}  # noise key -> Counter(p_r -> points)
+        for x, rl in points if cfg._needs_mc() else ():
             try:
-                self._users[_bit0_key(_point_system(cfg, x, rl))] += 1
+                sp = _point_system(cfg, x, rl)
             except _POINT_ERRORS:
-                pass  # the point reports it in its rows
+                continue  # the point reports it in its rows
+            users.setdefault(_noise_key(sp), Counter())[sp.p_r] += 1
+        self._batches = {}  # (bit, noise key, p_r) -> _Batch
+        for key, count in users.items():
+            per = max(1, _BATCH_BYTES // (24 * cfg.trials))  # 3 sums a trial
+            powers = list(count)
+            groups = [(0, powers)] + [(1, powers[i:i + per])
+                                      for i in range(0, len(powers), per)]
+            for bit, ps in groups:
+                batch = _Batch(tuple(ps), sum(count[p] for p in ps))
+                for p in ps:
+                    self._batches[bit, key, p] = batch
         self._lock = threading.Lock()
-        self._slots = {}  # key -> [lock, sample sets or None]
 
-    def get(self, key, draw):
+    def get(self, sp: SystemParams, dp, bit: int) -> dict:
+        """{order: SampleSet} of one bit at the point sp."""
+        key = _noise_key(sp)
         with self._lock:
-            self._users[key] -= 1
-            slot = self._slots.setdefault(key, [threading.Lock(), None])
-            if self._users[key] <= 0:
-                del self._slots[key]
-        with slot[0]:
-            if slot[1] is None:
-                slot[1] = draw()
-            return slot[1]
+            batch = self._batches.get((bit, key, sp.p_r))
+            if batch is not None:
+                batch.users -= 1
+                if batch.users == 0:
+                    for p in batch.powers:
+                        del self._batches[bit, key, p]
+        if batch is None:
+            return self._draw(sp, dp, bit)
+        with batch.lock:
+            if batch.sets is None:
+                if bit == 0:
+                    batch.sets = dict.fromkeys(batch.powers,
+                                               self._draw(sp, dp, 0))
+                else:
+                    batch.sets = dict(zip(batch.powers, self._draw(
+                        sp, dp, 1, batch.powers)))
+            return batch.sets[sp.p_r]
+
+    def _draw(self, sp, dp, bit, powers=None):
+        return montecarlo.generate_samples(
+            sp, dp, bit=bit, n_trials=self._cfg.trials,
+            orders=tuple(sorted(set(self._cfg.orders))),
+            seed=self._cfg.seed, powers=powers)
 
 
 class _PointCache:
     """Per-sweep-point store so laws and moments are computed once."""
 
-    def __init__(self, cfg, sp, dp, bit0: _Bit0Samples):
+    def __init__(self, cfg, sp, dp, store: _SampleStore):
         self.cfg = cfg
         self.sp = sp
         self.dp = dp
         self.phys = detection.noise_physics(sp, dp)
-        self._bit0 = bit0
+        self._store = store
         self._samples = {}
         self._laws = {}
 
@@ -230,15 +275,7 @@ class _PointCache:
         if self.cfg.analytic_only:
             raise ParamError("Monte-Carlo sampling disabled by analytic_only")
         if bit not in self._samples:
-            def draw():
-                return montecarlo.generate_samples(
-                    self.sp, self.dp, bit=bit, n_trials=self.cfg.trials,
-                    orders=tuple(sorted(set(self.cfg.orders))),
-                    seed=self.cfg.seed)
-            if bit == 0:
-                self._samples[bit] = self._bit0.get(_bit0_key(self.sp), draw)
-            else:
-                self._samples[bit] = draw()
+            self._samples[bit] = self._store.get(self.sp, self.dp, bit)
         return self._samples[bit]
 
     def law(self, bit, order):
@@ -272,12 +309,12 @@ def _variant_point(cache: _PointCache, order: int, variant: str):
 
 
 def _eval_point(cfg: SweepConfig, x: float, r_l: float,
-                bit0: _Bit0Samples) -> list[dict]:
+                store: _SampleStore) -> list[dict]:
     rows = []
     try:
         sp = _point_system(cfg, x, r_l)
         dp = derive(sp)
-        cache = _PointCache(cfg, sp, dp, bit0)
+        cache = _PointCache(cfg, sp, dp, store)
         point_err = None
     except _POINT_ERRORS as exc:
         cache, point_err = None, str(exc)
@@ -300,14 +337,14 @@ def _eval_point(cfg: SweepConfig, x: float, r_l: float,
 def run_ber_sweep(cfg: SweepConfig) -> list[dict]:
     """All sweep rows, deterministically sorted by x, load, order, variant."""
     points = [(x, rl) for x in cfg.x_values for rl in cfg.r_l_values]
-    bit0 = _Bit0Samples(cfg, points)
+    store = _SampleStore(cfg, points)
     workers = min(len(points), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda p: _eval_point(cfg, *p, bit0),
+            chunks = list(pool.map(lambda p: _eval_point(cfg, *p, store),
                                    points))
     else:
-        chunks = [_eval_point(cfg, *p, bit0) for p in points]
+        chunks = [_eval_point(cfg, *p, store) for p in points]
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r["x_value"], r["rl_ohm"], r["order"],
                              r["variant"]))

@@ -113,14 +113,20 @@ def cdf_shot_thermal(law0: lp3.Lp3Params, x, phys: NoisePhysics):
     return _shot_thermal(law0, x, phys, density=False)
 
 
-def _shot_thermal(law0, x, phys, density):
-    # cdf_shot_thermal, or with density the density of Y + N at x
+def _cuts(law0):
+    # the two cuts and the fixed edges of a law
+    return lp3.quantile(law0, np.concatenate(
+        [[1e-14], _EDGE_PROBS, [1.0 - 1e-12]]))
+
+
+def _shot_thermal(law0, x, phys, density, cuts=None):
+    # cdf_shot_thermal, or with density the density of Y + N at x; cuts
+    # are _cuts(law0), which a caller on one law many times computes once
     xs = np.asarray(x, float)
     if not np.isfinite(xs).all():
         raise ParamError("threshold x must be finite")
-    # the two cuts and the fixed edges, once per call
-    cuts = lp3.quantile(law0, np.concatenate(
-        [[1e-14], _EDGE_PROBS, [1.0 - 1e-12]]))
+    if cuts is None:
+        cuts = _cuts(law0)
     flat = xs.ravel()
     out = np.empty(flat.shape)
     for k in range(0, flat.size, _BLOCK):
@@ -205,11 +211,14 @@ def optimize_threshold(law0: lp3.Lp3Params, law1: lp3.Lp3Params,
     if not (0.0 < lo < hi):
         raise BracketError(f"invalid threshold bracket ({lo}, {hi})")
 
+    if phys is not None:  # the laws' panel cuts, once for every gap call
+        cuts0, cuts1 = _cuts(law0), _cuts(law1)
+
     def gap(th):
         if phys is None:
             return lp3.logpdf(law1, th) - lp3.logpdf(law0, th)
-        return (np.log(_shot_thermal(law1, th, phys, density=True))
-                - np.log(_shot_thermal(law0, th, phys, density=True)))
+        return (np.log(_shot_thermal(law1, th, phys, True, cuts1))
+                - np.log(_shot_thermal(law0, th, phys, True, cuts0)))
 
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 densities
         grid = np.geomspace(lo, hi, 256)

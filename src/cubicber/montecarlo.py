@@ -13,14 +13,16 @@ receiver prefactor.
 
 Randomness is counter-based: a sample is a pure function of (seed, bit,
 trial index, config), so trials can be generated in any order and in
-chunks of any size, with bitwise-identical results.
+chunks of any size, with bitwise-identical results. The noise field does
+not depend on the received power, so one draw of it serves several
+powers (generate_samples with powers=), bitwise as separate draws.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,11 +85,16 @@ def _order_prefactor(order: int, sp: SystemParams, dp: DerivedParams) -> float:
 
 def generate_samples(sp: SystemParams, dp: DerivedParams, bit: int,
                      n_trials: int, orders=(1, 2, 3), seed: int = 0,
-                     start_trial: int = 0) -> dict[int, SampleSet]:
+                     start_trial: int = 0, powers=None):
     """Decision samples for one bit, all requested receiver orders at once.
 
     The three orders share the same synthesized field, so requesting them
-    together costs the same as any single one.
+    together costs the same as any single one. Returns {order: SampleSet}.
+
+    With powers, a sequence of received powers p_r in watts, returns one
+    {order: SampleSet} per power, each bitwise the one that
+    generate_samples(replace(sp, p_r=p), ...) returns. The noise field does
+    not depend on p_r, so it is drawn and synthesized once for all of them.
     """
     if bit not in (0, 1):
         raise ParamError("bit must be 0 or 1")
@@ -100,17 +107,21 @@ def generate_samples(sp: SystemParams, dp: DerivedParams, bit: int,
     orders = tuple(orders)
     if not orders or any(o not in (1, 2, 3) for o in orders):
         raise ParamError("orders must be a nonempty subset of {1, 2, 3}")
+    systems = [sp] if powers is None else [replace(sp, p_r=p) for p in powers]
+    if not systems:
+        raise ParamError("powers must be nonempty")
     u, basis, weights = _grid(sp.prd)
-    amp = math.sqrt(sp.p_r) if bit == 1 else 0.0
-    sig = amp * np.sinc(u)
+    pulse = np.sinc(u)
+    sigs = np.stack([(math.sqrt(s.p_r) if bit == 1 else 0.0) * pulse
+                     for s in systems])
     sigma0 = math.sqrt(dp.sigma0_sq)
     sums = _mc_numpy.decision_sums(seed, start_trial, n_trials, bit, basis,
-                                   weights, sig, sigma0)
-    out = {}
-    for o in orders:
-        y = (_order_prefactor(o, sp, dp) / sp.prd) * sums[:, o - 1]
-        out[o] = SampleSet(order=o, bit=bit, values=y, start_trial=start_trial)
-    return out
+                                   weights, sigs, sigma0)
+    scale = {o: _order_prefactor(o, sp, dp) / sp.prd for o in orders}
+    out = [{o: SampleSet(order=o, bit=bit, values=scale[o] * s[:, o - 1],
+                         start_trial=start_trial) for o in orders}
+           for s in sums]
+    return out[0] if powers is None else out
 
 
 def sample_moments(values):

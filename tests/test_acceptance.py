@@ -59,32 +59,34 @@ def moment_grid():
 
     Bit-0 samples and closed forms are both independent of the received
     power (the signal amplitude enters multiplied by the bit), so each
-    PRD needs one bit-0 run reused across the three powers.
+    PRD needs one bit-0 run reused across the three powers. The bit-1
+    noise field does not depend on the power either, so one batch call
+    draws it once for the three powers, bitwise as if drawn at each.
     """
     t0 = time.time()
     rows = []
     for prd in MOMENT_GRID_PRDS:
-        bit0 = None
-        for dbm in MOMENT_GRID_DBM:
-            sp = _system(prd, dbm)
+        systems = [_system(prd, dbm) for dbm in MOMENT_GRID_DBM]
+        sp = systems[0]
+        dp = derive(sp)
+        s0 = montecarlo.generate_samples(sp, dp, bit=0, n_trials=TRIALS,
+                                         orders=(3,), seed=101)[3]
+        sampled = {0: montecarlo.sample_moments(s0.values)[0]}
+        del s0
+        batch = montecarlo.generate_samples(
+            sp, dp, bit=1, n_trials=TRIALS, orders=(3,), seed=101,
+            powers=[s.p_r for s in systems])
+        sampled[1] = [montecarlo.sample_moments(b[3].values)[0]
+                      for b in batch]
+        del batch
+        for i, (dbm, sp) in enumerate(zip(MOMENT_GRID_DBM, systems)):
             dp = derive(sp)
             for bit in (0, 1):
-                if bit == 0:
-                    if bit0 is None:
-                        s = montecarlo.generate_samples(
-                            sp, dp, bit=0, n_trials=TRIALS, orders=(3,),
-                            seed=101)[3]
-                        bit0 = montecarlo.sample_moments(s.values)[0]
-                    sampled = bit0
-                else:
-                    s = montecarlo.generate_samples(
-                        sp, dp, bit=1, n_trials=TRIALS, orders=(3,),
-                        seed=101)[3]
-                    sampled = montecarlo.sample_moments(s.values)[0]
                 closed = (mean_decision(sp, dp, bit),
                           second_moment(sp, dp, bit),
                           third_moment(sp, dp, bit))
-                rows.append((prd, bit, dbm, closed, sampled))
+                rows.append((prd, bit, dbm, closed,
+                             sampled[0] if bit == 0 else sampled[1][i]))
     return rows, time.time() - t0
 
 
@@ -96,20 +98,23 @@ def power_sweep():
     million trials per bit, the closed-moment LP3 BER, the closed-moment
     Gaussian BER (cubic), and the sample-moment Gaussian BER (linear).
     Bit-0 samples do not depend on the received power, so one run serves
-    every power, bitwise as if drawn at each.
+    every power; bit-1 samples differ between powers only in the signal
+    term, so one batch call draws their noise field once. Both are
+    bitwise as if drawn at each power.
     """
     t0 = time.time()
     points = []
-    bit0 = None
-    for dbm in SWEEP_DBM:
-        sp = _system(10.0, dbm)
+    systems = [_system(10.0, dbm) for dbm in SWEEP_DBM]
+    sp = systems[0]
+    dp = derive(sp)
+    bit0 = montecarlo.generate_samples(
+        sp, dp, bit=0, n_trials=TRIALS, orders=(1, 2, 3), seed=42)
+    bit1 = montecarlo.generate_samples(
+        sp, dp, bit=1, n_trials=TRIALS, orders=(1, 2, 3), seed=42,
+        powers=[s.p_r for s in systems])
+    for dbm, sp in zip(SWEEP_DBM, systems):
         dp = derive(sp)
-        if bit0 is None:
-            bit0 = montecarlo.generate_samples(
-                sp, dp, bit=0, n_trials=TRIALS, orders=(1, 2, 3), seed=42)
-        s = {0: bit0,
-             1: montecarlo.generate_samples(sp, dp, bit=1, n_trials=TRIALS,
-                                            orders=(1, 2, 3), seed=42)}
+        s = {0: bit0, 1: bit1.pop(0)}
         mc = {o: montecarlo.empirical_ber(s[0][o], s[1][o])[1]
               for o in (1, 2, 3)}
         m1 = {b: montecarlo.sample_moments(s[b][1].values)[0]

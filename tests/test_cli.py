@@ -5,6 +5,8 @@ reasonable; stdout/stderr are captured with capsys.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -240,7 +242,7 @@ def test_order_2_shot_thermal_rows_are_errors():
             assert r["error"] == "" and 0.0 < r["ber"] < 0.5
 
 
-def _bit0_draws(monkeypatch):
+def _draws(monkeypatch):
     draws = []
     real = montecarlo.generate_samples
 
@@ -252,31 +254,86 @@ def _bit0_draws(monkeypatch):
     return draws
 
 
+def _serial_rows(cfg):
+    # each point evaluated on its own, from a store that shares nothing
+    alone = cli._SampleStore(cfg, [])
+    rows = [r for x in cfg.x_values for rl in cfg.r_l_values
+            for r in cli._eval_point(cfg, x, rl, alone)]
+    rows.sort(key=lambda r: (r["x_value"], r["rl_ohm"], r["order"],
+                             r["variant"]))
+    return [cli._format_row(r) for r in rows]
+
+
 def test_power_sweep_shares_bit0_samples_bitwise(monkeypatch):
-    # bit 0 carries no signal: one draw serves every power and load, and
-    # the rows are byte for byte those of points evaluated one by one
+    # bit 0 carries no signal and bit 1 differs between powers only in its
+    # signal term: one draw of each serves every power and load, and the
+    # rows are byte for byte those of points evaluated one by one
     cfg = _mc_sweep("p_r_dbm", (31.0, 33.0, 35.0), (1000.0, 10000.0))
-    alone = cli._Bit0Samples(cfg, [])  # shares nothing
-    serial = [r for x in cfg.x_values for rl in cfg.r_l_values
-              for r in cli._eval_point(cfg, x, rl, alone)]
-    serial.sort(key=lambda r: (r["x_value"], r["rl_ohm"], r["order"],
-                               r["variant"]))
-    draws = _bit0_draws(monkeypatch)
+    serial = _serial_rows(cfg)
+    draws = _draws(monkeypatch)
     swept = cli.run_ber_sweep(cfg)
-    assert [cli._format_row(r) for r in swept] == \
-        [cli._format_row(r) for r in serial]
+    assert [cli._format_row(r) for r in swept] == serial
     assert not any(r["error"] for r in swept)
     assert sum(bit == 0 for bit, _, _ in draws) == 1
-    assert sum(bit == 1 for bit, _, _ in draws) == 6
+    assert sum(bit == 1 for bit, _, _ in draws) == 1
+
+
+def test_power_sweep_batches_bit1_within_the_byte_budget(monkeypatch):
+    # a budget of two powers' decision sums splits five powers into
+    # batches of 2, 2 and 1; the rows do not move
+    cfg = _mc_sweep("p_r_dbm", (29.0, 31.0, 33.0, 35.0, 37.0),
+                    (1000.0, 10000.0))
+    serial = _serial_rows(cfg)
+    monkeypatch.setattr(cli, "_BATCH_BYTES", 2 * 24 * cfg.trials + 1)
+    draws = _draws(monkeypatch)
+    swept = cli.run_ber_sweep(cfg)
+    assert [cli._format_row(r) for r in swept] == serial
+    assert sum(bit == 0 for bit, _, _ in draws) == 1
+    assert sum(bit == 1 for bit, _, _ in draws) == 3
+
+
+def test_sample_store_under_thread_contention(monkeypatch):
+    # more threads than cores and a short switch interval: each batch is
+    # drawn once, every point gets the sets it would draw alone, and the
+    # store lets go of every batch once its last point has its sets
+    cfg = _mc_sweep("p_r_dbm", (29.0, 31.0, 33.0, 35.0), (1000.0, 10000.0))
+    points = [(x, rl) for x in cfg.x_values for rl in cfg.r_l_values]
+    monkeypatch.setattr(cli, "_BATCH_BYTES", 2 * 24 * cfg.trials)
+    store = cli._SampleStore(cfg, points)
+    draws = _draws(monkeypatch)
+    got = {}
+
+    def take(point):
+        sp = cli._point_system(cfg, *point)
+        got[point] = {b: store.get(sp, derive(sp), b) for b in (0, 1)}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for f in [pool.submit(take, p) for p in points]:
+                f.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(bit for bit, _, _ in draws) == [0, 1, 1]
+    assert store._batches == {}
+    alone = cli._SampleStore(cfg, [])
+    for point, sets in got.items():
+        sp = cli._point_system(cfg, *point)
+        for b in (0, 1):
+            own = alone.get(sp, derive(sp), b)
+            for o in cfg.orders:
+                assert np.array_equal(sets[b][o].values, own[o].values)
 
 
 def test_sigma0_sweep_draws_bit0_at_every_point(monkeypatch):
-    # the ASE level changes the bit-0 law, so nothing can be shared
-    draws = _bit0_draws(monkeypatch)
+    # the ASE level changes the noise field, so nothing can be shared
+    draws = _draws(monkeypatch)
     rows = cli.run_ber_sweep(_mc_sweep("sigma0_sq_dbm", (16.0, 18.0, 20.0)))
     assert not any(r["error"] for r in rows)
-    gains = [g for bit, _, g in draws if bit == 0]
-    assert len(gains) == 3 and len(set(gains)) == 3
+    for b in (0, 1):
+        gains = [g for bit, _, g in draws if bit == b]
+        assert len(gains) == 3 and len(set(gains)) == 3
 
 
 def test_sweep_missing_config_file(tmp_path, capsys):

@@ -246,7 +246,9 @@ def test_shot_thermal_search_matches_adaptive(p_r_dbm, r_l, th_ref, pe_ref):
 
 def test_shot_thermal_search_call_count(monkeypatch):
     # host-independent cost guard: the search bisects on densities, so the
-    # cdf quadrature runs once per bit, on the crossings and the two ends
+    # cdf quadrature runs once per bit, on the crossings and the two ends;
+    # the panel cuts are computed once per law for the ~100 density calls,
+    # and once per law by each of those two cdf calls
     sizes = []
     real = detection.cdf_shot_thermal
 
@@ -254,9 +256,19 @@ def test_shot_thermal_search_call_count(monkeypatch):
         sizes.append(np.size(x))
         return real(law, x, phys)
 
+    quantiles = []
+    real_quantile = lp3.quantile
+
+    def counting_quantile(law, p):
+        quantiles.append(law)
+        return real_quantile(law, p)
+
     monkeypatch.setattr(detection, "cdf_shot_thermal", counting)
-    optimize_threshold(*_st_laws())
+    monkeypatch.setattr(lp3, "quantile", counting_quantile)
+    law0, law1, phys = _st_laws()
+    optimize_threshold(law0, law1, phys)
     assert len(sizes) == 2 and sizes[0] == sizes[1] >= 3
+    assert quantiles == [law0, law1, law0, law1]
 
 
 def _st_pdf_quad(law, x, phys):

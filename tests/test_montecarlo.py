@@ -1,6 +1,7 @@
 """Field synthesis and decision-variable sampling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from cubicber import derive, empirical_ber, generate_samples
 from cubicber.montecarlo import (SampleSet, _grid, _order_prefactor,
                                  load_csv, sample_moments, save_csv)
 from cubicber.moments import mean_decision
-from cubicber.params import ParamError
+from cubicber.params import ParamError, dbm_to_watts
 from conftest import make_system
 
 
@@ -94,6 +95,47 @@ def test_trial_slicing_is_bitwise(ref_system):
                              start_trial=s)[o].values
             for s, n in chunks])
         assert np.array_equal(full[o].values, glued)
+
+
+def _same_sets(a, b):
+    assert sorted(a) == sorted(b)
+    for o in a:
+        assert (a[o].order, a[o].bit, a[o].start_trial) == \
+            (b[o].order, b[o].bit, b[o].start_trial)
+        assert np.array_equal(a[o].values, b[o].values)
+
+
+@pytest.mark.parametrize("bit, start, n, orders, g_amp", [
+    (1, 0, 2048, (1, 2, 3), 1e5),   # one whole block
+    (1, 700, 3000, (3,), 1e5),      # unaligned start, ragged length
+    (1, 4095, 2, (2, 1), 1e5),      # straddles a block edge
+    (0, 100, 2500, (1, 3), 1e5),    # bit 0: no signal at any power
+    (1, 5, 20, (1, 2, 3), 1.0),     # sigma0 = 0: no noise drawn
+])
+def test_power_batch_is_bitwise_the_per_power_draws(bit, start, n, orders,
+                                                    g_amp):
+    # one noise field serves every power, and each power gets the bits it
+    # would get from a call of its own
+    sp = make_system(prd=10.0, g_amp=g_amp)
+    dp = derive(sp)
+    powers = [dbm_to_watts(x) for x in (37.0, 29.0, 33.0, 37.0)]
+    batch = generate_samples(sp, dp, bit, n, orders=orders, seed=8,
+                             start_trial=start, powers=powers)
+    assert len(batch) == len(powers)
+    for p, got in zip(powers, batch):
+        _same_sets(got, generate_samples(replace(sp, p_r=p), dp, bit, n,
+                                         orders=orders, seed=8,
+                                         start_trial=start))
+
+
+def test_power_batch_validation(ref_system):
+    sp, dp = ref_system
+    with pytest.raises(ParamError):
+        generate_samples(sp, dp, 1, 10, powers=[])
+    with pytest.raises(ParamError):
+        generate_samples(sp, dp, 1, 10, powers=[1.0, -1.0])
+    with pytest.raises(ParamError):
+        generate_samples(sp, dp, 1, 10, powers=[math.inf])
 
 
 # --------------------------------------------------------------------------
