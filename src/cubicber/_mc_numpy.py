@@ -1,4 +1,11 @@
-"""Synthesis kernel: chunked numpy matrix products over trial blocks."""
+"""Synthesis kernel: chunked numpy matrix products over trial blocks.
+
+Each block of _CHUNK trials is synthesized by two full-width matrix
+products into buffers allocated once per call, and the |r|^2n terms and
+their reductions run over row tiles of about _rng._TILE grid values held
+in two small reused buffers, so the temporaries stay in cache and no
+block-sized array is allocated per block.
+"""
 
 from __future__ import annotations
 
@@ -26,6 +33,14 @@ def decision_sums(seed, start_trial, ntrials, bit, S, w, sig, sigma0):
     shape and content no matter how the caller partitions the range. That
     keeps results bitwise independent of chunking even though the floating
     sums inside a BLAS product are shape-sensitive.
+
+    The reductions run over tiles of a fixed number of rows, aligned to the
+    block start and computed whole; only tiles that hold requested trials
+    are reduced. Each row's reduction is a dot product whose bits depend
+    only on how the BLAS groups rows, and the groups of a tile whose row
+    count is a multiple of 16 line up with those of the whole block (a
+    203-row tile changed bits), so the tile rows are a multiple of 16 and
+    the sums are bitwise those of whole-block products.
     """
     sigs = np.atleast_2d(sig)
     ngrid, ncoef = S.shape
@@ -34,22 +49,33 @@ def decision_sums(seed, start_trial, ntrials, bit, S, w, sig, sigma0):
     out = np.empty((len(sigs), stop - start, 3), np.float64)
     blocks = np.arange(ncoef, dtype=np.int64)
     St = np.ascontiguousarray(S.T)
+    noise = np.zeros((_CHUNK, ngrid))
+    aq2 = np.zeros((_CHUNK, ngrid))
+    sums = np.empty((3, _CHUNK))
+    rows = min(_CHUNK, max(16, _rng._TILE // ngrid // 16 * 16))
+    m2 = np.empty((rows, ngrid))
+    m4 = np.empty((rows, ngrid))
     for base in range((start // _CHUNK) * _CHUNK, stop, _CHUNK):
-        if sigma0 == 0.0:
-            noise = np.zeros((_CHUNK, ngrid))
-            aq2 = 0.0
-        else:
+        if sigma0 != 0.0:
             trials = np.arange(base, base + _CHUNK, dtype=np.int64)
             zp, zq = _rng.coefficient_normals(seed, trials, bit, blocks)
-            noise = (sigma0 * zp) @ St
-            aq2 = (sigma0 * zq) @ St
+            zp *= sigma0
+            zq *= sigma0
+            np.matmul(zp, St, out=noise)
+            np.matmul(zq, St, out=aq2)
             aq2 *= aq2
-        a, b = max(start, base), min(stop, base + _CHUNK)
+        a, b = max(start, base) - base, min(stop, base + _CHUNK) - base
         for i, s in enumerate(sigs):
-            # the last signal may overwrite the field: one array fewer
-            ap = np.add(noise, s, out=noise if i == len(sigs) - 1 else None)
-            m2 = ap * ap + aq2
-            m4 = m2 * m2
-            sums = np.stack([m2 @ w, m4 @ w, (m4 * m2) @ w], axis=1)
-            out[i, a - start:b - start] = sums[a - base:b - base]
+            for r in range(a // rows * rows, b, rows):
+                n = min(rows, _CHUNK - r)
+                t2, t4 = m2[:n], m4[:n]
+                np.add(noise[r:r + n], s, out=t2)
+                t2 *= t2
+                t2 += aq2[r:r + n]
+                np.matmul(t2, w, out=sums[0, r:r + n])
+                np.multiply(t2, t2, out=t4)
+                np.matmul(t4, w, out=sums[1, r:r + n])
+                t4 *= t2  # |r|^6
+                np.matmul(t4, w, out=sums[2, r:r + n])
+            out[i, base + a - start:base + b - start] = sums[:, a:b].T
     return out if np.ndim(sig) == 2 else out[0]

@@ -19,6 +19,10 @@ _W0 = np.uint32(0x9E3779B9)
 _W1 = np.uint32(0xBB67AE85)
 _MASK32 = np.uint64(0xFFFFFFFF)
 
+# values per tile of the chunked array passes (256 KiB of float64), so that
+# a tile's temporaries stay in cache
+_TILE = 1 << 15
+
 
 def philox4(c0, c1, c2, c3, k0, k1):
     """One Philox4x32-10 block per element of the uint32 counter arrays.
@@ -85,7 +89,8 @@ _PF = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
 def _poly7(coeffs, r):
     acc = np.full_like(r, coeffs[7])
     for c in coeffs[6::-1]:
-        acc = acc * r + c
+        acc *= r
+        acc += c
     return acc
 
 
@@ -128,19 +133,22 @@ def coefficient_normals(seed, trials, bit, blocks):
     seed = int(seed)
     trials = np.asarray(trials, np.int64)
     blocks = np.asarray(blocks, np.int64)
-    t = trials[:, None]
-    b = np.broadcast_to(blocks[None, :], (trials.size, blocks.size))
-    c0 = b.astype(np.uint32)
-    c1 = np.broadcast_to(np.uint32(bit), c0.shape)
-    c2 = (t & 0xFFFFFFFF).astype(np.uint32)
-    c3 = (t >> 32).astype(np.uint32)
-    c2 = np.broadcast_to(c2, c0.shape)
-    c3 = np.broadcast_to(c3, c0.shape)
+    zp = np.empty((trials.size, blocks.size))
+    zq = np.empty((trials.size, blocks.size))
+    c0 = blocks.astype(np.uint32)
+    c1 = np.uint32(bit)
     k0 = np.uint32(seed & 0xFFFFFFFF)
     k1 = np.uint32((seed >> 32) & 0xFFFFFFFF)
-    r0, r1, r2, r3 = philox4(c0, c1, c2, c3, k0, k1)
-    ua = (r0.astype(np.uint64) << np.uint64(32)) | r1.astype(np.uint64)
-    ub = (r2.astype(np.uint64) << np.uint64(32)) | r3.astype(np.uint64)
-    zp = inverse_normal_cdf(_u64_to_unit(ua))
-    zq = inverse_normal_cdf(_u64_to_unit(ub))
+    # row tiles of about _TILE counters; every value is elementwise in its
+    # counter, so the tiling leaves the bits alone
+    rows = max(1, _TILE // max(1, blocks.size))
+    for i in range(0, trials.size, rows):
+        t = trials[i:i + rows, None]
+        c2 = (t & 0xFFFFFFFF).astype(np.uint32)
+        c3 = (t >> 32).astype(np.uint32)
+        r0, r1, r2, r3 = philox4(c0, c1, c2, c3, k0, k1)
+        ua = (r0.astype(np.uint64) << np.uint64(32)) | r1.astype(np.uint64)
+        ub = (r2.astype(np.uint64) << np.uint64(32)) | r3.astype(np.uint64)
+        zp[i:i + rows] = inverse_normal_cdf(_u64_to_unit(ua))
+        zq[i:i + rows] = inverse_normal_cdf(_u64_to_unit(ub))
     return zp, zq

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special as sc
 
-from cubicber._rng import (_u64_to_unit, coefficient_normals,
+from cubicber._rng import (_TILE, _u64_to_unit, coefficient_normals,
                            inverse_normal_cdf, philox4)
 
 
@@ -124,6 +124,20 @@ def test_coefficient_normals_trial_slices_are_consistent():
                                          0, blocks)
     assert np.array_equal(part_p, full_p[13:29])
     assert np.array_equal(part_q, full_q[13:29])
+
+
+@pytest.mark.parametrize("nblocks, ntrials", [
+    (75, 2 * (_TILE // 75) + 5),  # trials not a multiple of the tile rows
+    (_TILE + 3, 3),               # a row wider than a tile: one per tile
+])
+def test_coefficient_normals_tiles_are_the_rows(nblocks, ntrials):
+    blocks = np.arange(nblocks, dtype=np.int64)
+    trials = np.arange(2**32 - 2, 2**32 - 2 + ntrials, dtype=np.int64)
+    zp, zq = coefficient_normals(9, trials, 1, blocks)
+    rows = [coefficient_normals(9, trials[i:i + 1], 1, blocks)
+            for i in range(ntrials)]
+    assert np.array_equal(zp, np.concatenate([p for p, _ in rows]))
+    assert np.array_equal(zq, np.concatenate([q for _, q in rows]))
 
 
 def test_coefficient_normals_moments():
