@@ -16,12 +16,14 @@ line and are deterministic given config + seed.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import os
 import sys
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -557,10 +559,63 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS numpy has loaded, or
+    None where it cannot be found (another BLAS, or no /proc/self/maps)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.split()[-1]})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get is not None and put is not None:
+                get.restype = ctypes.c_int
+                put.argtypes = [ctypes.c_int]
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run OpenBLAS on one thread while a command runs.
+
+    The commands' parallelism is ber-sweep's point pool. BLAS threads on
+    top of it oversubscribe the cores, and between two products they spin
+    on the core the caller's next numpy pass needs, so a run's time follows
+    whatever else holds that core. On 2 vCPUs a busy process beside
+    mc-validate at PRD 100 slowed it by 16% on one BLAS thread and by 39%
+    on two; unloaded, two threads were at most ~0.1 s of 1.5 s faster.
+    The products split their output, not their sums, over threads: the
+    outputs are the same bytes on one thread or two (test_mc_numpy.py
+    checks the sampling kernel).
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(_Settings(args))
+        with _one_blas_thread():
+            return args.run(_Settings(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

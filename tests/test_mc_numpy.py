@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cubicber import derive
+from cubicber import cli, derive
 from cubicber._mc_numpy import _CHUNK, decision_sums
 from cubicber._rng import coefficient_normals
 from cubicber.montecarlo import _grid
@@ -87,3 +87,19 @@ def test_decision_sums_peak_memory_stays_within_three_block_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * block_array
+
+
+@pytest.mark.parametrize("prd", [10.0, 100.0])
+def test_decision_sums_do_not_depend_on_the_blas_thread_count(prd):
+    # the CLI runs OpenBLAS on one thread (cli._one_blas_thread)
+    if cli._openblas_thread_calls() is None:
+        pytest.skip("no OpenBLAS thread control found")
+    S, w, sigs, sigma0 = _inputs(prd)
+    default = decision_sums(2, 100, 3000, 1, S, w, sigs, sigma0)
+    get, _ = cli._openblas_thread_calls()
+    before = get()
+    with cli._one_blas_thread():
+        assert get() == 1
+        single = decision_sums(2, 100, 3000, 1, S, w, sigs, sigma0)
+    assert get() == before
+    assert np.array_equal(single, default)
