@@ -55,27 +55,30 @@ def decision_sums(seed, start_trial, ntrials, bit, S, w, sig, sigma0):
     rows = min(_CHUNK, max(16, _rng._TILE // ngrid // 16 * 16))
     m2 = np.empty((rows, ngrid))
     m4 = np.empty((rows, ngrid))
-    for base in range((start // _CHUNK) * _CHUNK, stop, _CHUNK):
-        if sigma0 != 0.0:
-            trials = np.arange(base, base + _CHUNK, dtype=np.int64)
-            zp, zq = _rng.coefficient_normals(seed, trials, bit, blocks)
-            zp *= sigma0
-            zq *= sigma0
-            np.matmul(zp, St, out=noise)
-            np.matmul(zq, St, out=aq2)
-            aq2 *= aq2
-        a, b = max(start, base) - base, min(stop, base + _CHUNK) - base
-        for i, s in enumerate(sigs):
-            for r in range(a // rows * rows, b, rows):
-                n = min(rows, _CHUNK - r)
-                t2, t4 = m2[:n], m4[:n]
-                np.add(noise[r:r + n], s, out=t2)
-                t2 *= t2
-                t2 += aq2[r:r + n]
-                np.matmul(t2, w, out=sums[0, r:r + n])
-                np.multiply(t2, t2, out=t4)
-                np.matmul(t4, w, out=sums[1, r:r + n])
-                t4 *= t2  # |r|^6
-                np.matmul(t4, w, out=sums[2, r:r + n])
-            out[i, base + a - start:base + b - start] = sums[:, a:b].T
+    # an overflow makes an inf sum, which SampleSet turns into the point's
+    # error; errstate is thread-local, so it is set here, not by a caller
+    with np.errstate(over="ignore"):
+        for base in range((start // _CHUNK) * _CHUNK, stop, _CHUNK):
+            if sigma0 != 0.0:
+                trials = np.arange(base, base + _CHUNK, dtype=np.int64)
+                zp, zq = _rng.coefficient_normals(seed, trials, bit, blocks)
+                zp *= sigma0
+                zq *= sigma0
+                np.matmul(zp, St, out=noise)
+                np.matmul(zq, St, out=aq2)
+                aq2 *= aq2
+            a, b = max(start, base) - base, min(stop, base + _CHUNK) - base
+            for i, s in enumerate(sigs):
+                for r in range(a // rows * rows, b, rows):
+                    n = min(rows, _CHUNK - r)
+                    t2, t4 = m2[:n], m4[:n]
+                    np.add(noise[r:r + n], s, out=t2)
+                    t2 *= t2
+                    t2 += aq2[r:r + n]
+                    np.matmul(t2, w, out=sums[0, r:r + n])
+                    np.multiply(t2, t2, out=t4)
+                    np.matmul(t4, w, out=sums[1, r:r + n])
+                    t4 *= t2  # |r|^6
+                    np.matmul(t4, w, out=sums[2, r:r + n])
+                out[i, base + a - start:base + b - start] = sums[:, a:b].T
     return out if np.ndim(sig) == 2 else out[0]

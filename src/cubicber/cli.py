@@ -20,8 +20,6 @@ import ctypes
 import math
 import os
 import sys
-import threading
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -184,101 +182,43 @@ def _noise_key(sp: SystemParams) -> SystemParams:
     return replace(sp, p_r=0.0, r_l=1.0)
 
 
-# Decision sums that one bit-1 batch holds at most (the sample sets of a
-# batch take no more), so memory does not grow with the sweep's length.
+# Decision sums that one bit-1 draw holds at most (its sample sets take no
+# more), so memory does not grow with the sweep's length.
 _BATCH_BYTES = 64 * 2**20
 
 
-class _Batch:
-    """The sample sets of one bit, one noise key and some powers."""
-
-    def __init__(self, powers, users):
-        self.powers = powers  # in sweep order
-        self.users = users    # points still to take their sets
-        self.lock = threading.Lock()
-        self.sets = None      # p_r -> {order: SampleSet}
-
-
-class _SampleStore:
-    """The sample sets of one sweep, shared by the points of a noise key.
-
-    Bit 0 carries no signal, so one set serves every point of a key. Bit 1
-    draws a key's distinct powers in sweep order, in batches of at most
-    _BATCH_BYTES of decision sums, one noise field per batch. A shared set
-    is bitwise the one each point would draw alone, since streams are
-    counter-based. A batch is dropped once its last point has its sets.
-    One lock per batch: no two threads draw the same batch, and different
-    batches draw in parallel. A store built with no points shares nothing.
-    """
-
-    def __init__(self, cfg: SweepConfig, points):
-        self._cfg = cfg
-        users = {}  # noise key -> Counter(p_r -> points)
-        for x, rl in points if cfg._needs_mc() else ():
-            try:
-                sp = _point_system(cfg, x, rl)
-            except _POINT_ERRORS:
-                continue  # the point reports it in its rows
-            users.setdefault(_noise_key(sp), Counter())[sp.p_r] += 1
-        self._batches = {}  # (bit, noise key, p_r) -> _Batch
-        for key, count in users.items():
-            per = max(1, _BATCH_BYTES // (24 * cfg.trials))  # 3 sums a trial
-            powers = list(count)
-            groups = [(0, powers)] + [(1, powers[i:i + per])
-                                      for i in range(0, len(powers), per)]
-            for bit, ps in groups:
-                batch = _Batch(tuple(ps), sum(count[p] for p in ps))
-                for p in ps:
-                    self._batches[bit, key, p] = batch
-        self._lock = threading.Lock()
-
-    def get(self, sp: SystemParams, dp, bit: int) -> dict:
-        """{order: SampleSet} of one bit at the point sp."""
-        key = _noise_key(sp)
-        with self._lock:
-            batch = self._batches.get((bit, key, sp.p_r))
-            if batch is not None:
-                batch.users -= 1
-                if batch.users == 0:
-                    for p in batch.powers:
-                        del self._batches[bit, key, p]
-        if batch is None:
-            return self._draw(sp, dp, bit)
-        with batch.lock:
-            if batch.sets is None:
-                if bit == 0:
-                    batch.sets = dict.fromkeys(batch.powers,
-                                               self._draw(sp, dp, 0))
-                else:
-                    batch.sets = dict(zip(batch.powers, self._draw(
-                        sp, dp, 1, batch.powers)))
-            return batch.sets[sp.p_r]
-
-    def _draw(self, sp, dp, bit, powers=None):
+def _draw(cfg: SweepConfig, sp: SystemParams, bit: int, powers=None):
+    """The sweep's sample sets of one bit at sp (see generate_samples), or
+    the message of the point error that drawing them raised."""
+    try:
         return montecarlo.generate_samples(
-            sp, dp, bit=bit, n_trials=self._cfg.trials,
-            orders=tuple(sorted(set(self._cfg.orders))),
-            seed=self._cfg.seed, powers=powers)
+            sp, derive(sp), bit=bit, n_trials=cfg.trials,
+            orders=tuple(sorted(set(cfg.orders))), seed=cfg.seed,
+            powers=powers)
+    except _POINT_ERRORS as exc:
+        return str(exc)
 
 
 class _PointCache:
-    """Per-sweep-point store so laws and moments are computed once."""
+    """Per-sweep-point store so laws and moments are computed once.
 
-    def __init__(self, cfg, sp, dp, store: _SampleStore):
-        self.cfg = cfg
+    sets: {bit: {order: SampleSet}, or the message of the error its draw
+    raised}, or None for a point that draws nothing."""
+
+    def __init__(self, sp, dp, sets):
         self.sp = sp
         self.dp = dp
         self.phys = detection.noise_physics(sp, dp)
-        self._store = store
-        self._samples = {}
+        self._sets = sets
         self._laws = {}
 
     def samples(self, bit):
-        if self.cfg.analytic_only:
+        if self._sets is None:
             raise ParamError("Monte-Carlo sampling disabled by analytic_only")
-        if bit not in self._samples:
-            self._samples[bit] = self._store.get(self.sp, self.dp, bit)
-        return self._samples[bit]
+        sets = self._sets[bit]
+        if isinstance(sets, str):  # its draw failed
+            raise ParamError(sets)
+        return sets
 
     def law(self, bit, order):
         """(Lp3Params, (mu1, mu2, mu3)): closed form for order 3, else MC."""
@@ -310,16 +250,16 @@ def _variant_point(cache: _PointCache, order: int, variant: str):
                                         cache.law(1, order)[0], phys)
 
 
-def _eval_point(cfg: SweepConfig, x: float, r_l: float,
-                store: _SampleStore) -> list[dict]:
+def _eval_point(cfg: SweepConfig, x: float, r_l: float, sets) -> list[dict]:
+    """The rows of one sweep point; sets as in _PointCache."""
     rows = []
     try:
         sp = _point_system(cfg, x, r_l)
-        dp = derive(sp)
-        cache = _PointCache(cfg, sp, dp, store)
+        cache = _PointCache(sp, derive(sp), sets)
         point_err = None
     except _POINT_ERRORS as exc:
         cache, point_err = None, str(exc)
+    prd = float(x) if cfg.x_kind == "prd" else cfg.base.prd
     for order in cfg.orders:
         for variant in cfg.variants:
             th, ber, err = math.nan, math.nan, point_err
@@ -328,26 +268,67 @@ def _eval_point(cfg: SweepConfig, x: float, r_l: float,
                     th, ber = _variant_point(cache, order, variant)
                 except _POINT_ERRORS as exc:
                     th, ber, err = math.nan, math.nan, str(exc)
-            rows.append(dict(x_value=x, x_kind=cfg.x_kind,
-                             prd=sp.prd if cache else cfg.base.prd,
+            rows.append(dict(x_value=x, x_kind=cfg.x_kind, prd=prd,
                              rl_ohm=r_l, variant=variant, th_opt=th,
                              ber=ber, order=order,
                              error=(err or "").replace(",", ";")))
     return rows
 
 
+def _batch_rows(cfg: SweepConfig, sp, bit0, points) -> list[dict]:
+    """The rows of points {p_r: [(x, r_l)]} of one noise key, from one
+    bit-1 draw of their powers at sp (any point of the key) and the key's
+    bit-0 sets, which the future bit0 holds."""
+    sets0 = bit0.result()
+    sets1 = _draw(cfg, sp, 1, list(points))
+    if isinstance(sets1, str):
+        # a power that overflows fails the shared draw; drawn alone, it
+        # fails only its own rows
+        sets1 = [_draw(cfg, replace(sp, p_r=p), 1) for p in points]
+    return [row for s1, xs in zip(sets1, points.values()) for x, rl in xs
+            for row in _eval_point(cfg, x, rl, {0: sets0, 1: s1})]
+
+
+def _key_tasks(pool, cfg: SweepConfig, sp, powers) -> list:
+    """The pool tasks of the noise key of sp, whose points are powers
+    {p_r: [(x, r_l)]}: its bit-0 draw, then one _batch_rows per batch of
+    at most _BATCH_BYTES of bit-1 decision sums."""
+    bit0 = pool.submit(_draw, cfg, sp, 0)
+    per = max(1, _BATCH_BYTES // (24 * cfg.trials))  # 3 sums a trial
+    ps = list(powers)
+    return [pool.submit(_batch_rows, cfg, sp, bit0,
+                        {p: powers[p] for p in ps[i:i + per]})
+            for i in range(0, len(ps), per)]
+
+
 def run_ber_sweep(cfg: SweepConfig) -> list[dict]:
-    """All sweep rows, deterministically sorted by x, load, order, variant."""
-    points = [(x, rl) for x in cfg.x_values for rl in cfg.r_l_values]
-    store = _SampleStore(cfg, points)
-    workers = min(len(points), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda p: _eval_point(cfg, *p, store),
-                                   points))
-    else:
-        chunks = [_eval_point(cfg, *p, store) for p in points]
-    rows = [row for chunk in chunks for row in chunk]
+    """All sweep rows, deterministically sorted by x, load, order, variant.
+
+    The points of a noise key share its draws: bit 0 carries no signal, so
+    one set serves them all, and bit 1 draws the key's distinct powers in
+    sweep order, one noise field per batch. A shared set is bitwise the one
+    each point would draw alone, since streams are counter-based. A batch
+    task waits for its key's bit-0 draw, so one key's draws never overlap,
+    which would raise peak memory; different keys draw in parallel. The
+    bit-0 sets are dropped with the key's last batch task.
+    """
+    keys = {}  # noise key -> (its first sp, {p_r: [(x, r_l)]}), in order
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        tasks = []
+        for x in cfg.x_values:
+            for rl in cfg.r_l_values:
+                try:
+                    sp = _point_system(cfg, x, rl)
+                except _POINT_ERRORS:
+                    sp = None  # the point reports it in its rows
+                if sp is None or not cfg._needs_mc():
+                    tasks.append(pool.submit(_eval_point, cfg, x, rl, None))
+                else:
+                    powers = keys.setdefault(_noise_key(sp), (sp, {}))[1]
+                    powers.setdefault(sp.p_r, []).append((x, rl))
+        for key in keys.values():
+            tasks += _key_tasks(pool, cfg, *key)
+        rows = [row for task in tasks for row in task.result()]
     rows.sort(key=lambda r: (r["x_value"], r["rl_ohm"], r["order"],
                              r["variant"]))
     return rows
@@ -588,7 +569,7 @@ def _openblas_thread_calls():
 def _one_blas_thread():
     """Run OpenBLAS on one thread while a command runs.
 
-    The commands' parallelism is ber-sweep's point pool. BLAS threads on
+    The commands' parallelism is ber-sweep's task pool. BLAS threads on
     top of it oversubscribe the cores, and between two products they spin
     on the core the caller's next numpy pass needs, so a run's time follows
     whatever else holds that core. On 2 vCPUs a busy process beside

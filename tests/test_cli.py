@@ -6,7 +6,8 @@ reasonable; stdout/stderr are captured with capsys.
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,6 +104,21 @@ variants = lp3
     assert col(good, "error") == ""
     assert 0.0 < float(col(good, "ber")) < 0.5
     assert "," not in col(bad, "error")  # commas are scrubbed for CSV
+
+
+def test_failed_prd_point_prints_its_own_prd(tmp_path, capsys):
+    # on the prd axis the prd column is the point's x, also in error rows
+    cfg = write_cfg(tmp_path, """
+sweep_prd = 0.5, 10
+p_r = 33dBm
+orders = 3
+variants = lp3
+""")
+    assert main(["ber-sweep", "--config", cfg, "--analytic-only"]) == EXIT_OK
+    bad, good = sweep_lines(capsys)
+    assert bad.startswith("0.5,prd,0.5,1000,lp3,nan,nan,3,")
+    assert col(bad, "error") == "prd must be >= 1"
+    assert col(good, "prd") == "10" and col(good, "error") == ""
 
 
 def test_sweep_mc_deterministic_reruns(tmp_path):
@@ -242,23 +258,31 @@ def test_order_2_shot_thermal_rows_are_errors():
             assert r["error"] == "" and 0.0 < r["ber"] < 0.5
 
 
-def _draws(monkeypatch):
+def _draws(monkeypatch, events=None):
+    # (bit, system) of every sample draw; ("start" | "end", bit) of each
+    # into the list events, if given
     draws = []
     real = montecarlo.generate_samples
 
     def counted(sp, dp, bit, *args, **kw):
-        draws.append((bit, sp.p_r, sp.g_amp))
-        return real(sp, dp, bit, *args, **kw)
+        draws.append((bit, sp))
+        if events is not None:
+            events.append(("start", bit))
+        try:
+            return real(sp, dp, bit, *args, **kw)
+        finally:
+            if events is not None:
+                events.append(("end", bit))
 
     monkeypatch.setattr(montecarlo, "generate_samples", counted)
     return draws
 
 
 def _serial_rows(cfg):
-    # each point evaluated on its own, from a store that shares nothing
-    alone = cli._SampleStore(cfg, [])
+    # each point swept on its own, so it shares no draw
     rows = [r for x in cfg.x_values for rl in cfg.r_l_values
-            for r in cli._eval_point(cfg, x, rl, alone)]
+            for r in cli.run_ber_sweep(replace(cfg, x_values=(x,),
+                                               r_l_values=(rl,)))]
     rows.sort(key=lambda r: (r["x_value"], r["rl_ohm"], r["order"],
                              r["variant"]))
     return [cli._format_row(r) for r in rows]
@@ -274,8 +298,8 @@ def test_power_sweep_shares_bit0_samples_bitwise(monkeypatch):
     swept = cli.run_ber_sweep(cfg)
     assert [cli._format_row(r) for r in swept] == serial
     assert not any(r["error"] for r in swept)
-    assert sum(bit == 0 for bit, _, _ in draws) == 1
-    assert sum(bit == 1 for bit, _, _ in draws) == 1
+    assert sum(bit == 0 for bit, _ in draws) == 1
+    assert sum(bit == 1 for bit, _ in draws) == 1
 
 
 def test_power_sweep_batches_bit1_within_the_byte_budget(monkeypatch):
@@ -288,42 +312,61 @@ def test_power_sweep_batches_bit1_within_the_byte_budget(monkeypatch):
     draws = _draws(monkeypatch)
     swept = cli.run_ber_sweep(cfg)
     assert [cli._format_row(r) for r in swept] == serial
-    assert sum(bit == 0 for bit, _, _ in draws) == 1
-    assert sum(bit == 1 for bit, _, _ in draws) == 3
+    assert sum(bit == 0 for bit, _ in draws) == 1
+    assert sum(bit == 1 for bit, _ in draws) == 3
 
 
-def test_sample_store_under_thread_contention(monkeypatch):
-    # more threads than cores and a short switch interval: each batch is
-    # drawn once, every point gets the sets it would draw alone, and the
-    # store lets go of every batch once its last point has its sets
+def test_sweep_under_thread_contention(monkeypatch):
+    # more threads than cores and a short switch interval: each draw is
+    # made once, bit 1 only after bit 0, and the rows do not move
     cfg = _mc_sweep("p_r_dbm", (29.0, 31.0, 33.0, 35.0), (1000.0, 10000.0))
-    points = [(x, rl) for x in cfg.x_values for rl in cfg.r_l_values]
+    serial = _serial_rows(cfg)
     monkeypatch.setattr(cli, "_BATCH_BYTES", 2 * 24 * cfg.trials)
-    store = cli._SampleStore(cfg, points)
-    draws = _draws(monkeypatch)
-    got = {}
-
-    def take(point):
-        sp = cli._point_system(cfg, *point)
-        got[point] = {b: store.get(sp, derive(sp), b) for b in (0, 1)}
-
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    events = []
+    draws = _draws(monkeypatch, events)
+    swept = []
+    sweep = threading.Thread(target=lambda: swept.extend(
+        cli.run_ber_sweep(cfg)), daemon=True)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            for f in [pool.submit(take, p) for p in points]:
-                f.result(timeout=120)
+        sweep.start()
+        sweep.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(bit for bit, _, _ in draws) == [0, 1, 1]
-    assert store._batches == {}
-    alone = cli._SampleStore(cfg, [])
-    for point, sets in got.items():
-        sp = cli._point_system(cfg, *point)
-        for b in (0, 1):
-            own = alone.get(sp, derive(sp), b)
-            for o in cfg.orders:
-                assert np.array_equal(sets[b][o].values, own[o].values)
+    assert not sweep.is_alive()
+    assert [cli._format_row(r) for r in swept] == serial
+    assert sorted(bit for bit, _ in draws) == [0, 1, 1]
+    assert events[:2] == [("start", 0), ("end", 0)]
+
+
+def test_prd_sweep_draws_each_key_once(monkeypatch):
+    # a PRD repeated in the sweep is one noise key: two keys, each drawn
+    # once per bit, and the repeated points get equal rows
+    cfg = _mc_sweep("prd", (10.0, 25.0, 10.0), (1000.0, 10000.0))
+    serial = _serial_rows(cfg)
+    draws = _draws(monkeypatch)
+    swept = cli.run_ber_sweep(cfg)
+    assert [cli._format_row(r) for r in swept] == serial
+    assert not any(r["error"] for r in swept)
+    assert sorted((bit, sp.prd) for bit, sp in draws) == [
+        (0, 10.0), (0, 25.0), (1, 10.0), (1, 25.0)]
+
+
+def test_overflowing_power_fails_only_its_own_rows():
+    # 2030 dBm overflows the shared bit-1 draw; the 30 dBm rows are those
+    # of 30 dBm swept alone, and the overflow raises no RuntimeWarning
+    base = SystemParams(tau_c=100e-15, prd=10.0, wavelength=1.55e-6,
+                        g_amp=1e5)
+    cfg = cli.SweepConfig(base, "p_r_dbm", (30.0, 2030.0), orders=(3,),
+                          variants=("lp3", "mc"), trials=1000)
+    rows = [cli._format_row(r) for r in cli.run_ber_sweep(cfg)]
+    alone = [cli._format_row(r) for r in
+             cli.run_ber_sweep(replace(cfg, x_values=(30.0,)))]
+    assert rows[:2] == alone
+    assert all(r.endswith(",") for r in alone)  # no error
+    assert rows[3].endswith("decision samples must be finite and >= 0")
 
 
 def test_sigma0_sweep_draws_bit0_at_every_point(monkeypatch):
@@ -332,7 +375,7 @@ def test_sigma0_sweep_draws_bit0_at_every_point(monkeypatch):
     rows = cli.run_ber_sweep(_mc_sweep("sigma0_sq_dbm", (16.0, 18.0, 20.0)))
     assert not any(r["error"] for r in rows)
     for b in (0, 1):
-        gains = [g for bit, _, g in draws if bit == b]
+        gains = [sp.g_amp for bit, sp in draws if bit == b]
         assert len(gains) == 3 and len(set(gains)) == 3
 
 
