@@ -20,13 +20,12 @@ def decision_sums(seed, start_trial, ntrials, bit, S, w, sig, sigma0):
     """Trapezoid sums of |r|^2, |r|^4, |r|^6 on the grid, per trial.
 
     S: (ngrid, ncoef) sinc basis; w: (ngrid,) trapezoid weights in units of
-    the coefficient spacing; sig: (ngrid,) real signal amplitude samples,
-    giving an (ntrials, 3) result, or (k, ngrid) for k signals on the same
-    noise field, giving (k, ntrials, 3).
+    the coefficient spacing; sig: (k, ngrid) real signal amplitude samples
+    of k signals on the same noise field, giving a (k, ntrials, 3) result.
 
     The noise field of a block is drawn and synthesized once and each
-    signal is added to it, by the same floating-point operations as for a
-    single signal, so a row of sig gets the sums that sig alone would get.
+    signal is added to it, by the same floating-point operations for every
+    row, so a row of sig gets the sums that it would get alone.
 
     Blocks are aligned to absolute multiples of _CHUNK and always computed
     whole, so every trial goes through a matrix product of the exact same
@@ -42,11 +41,10 @@ def decision_sums(seed, start_trial, ntrials, bit, S, w, sig, sigma0):
     203-row tile changed bits), so the tile rows are a multiple of 16 and
     the sums are bitwise those of whole-block products.
     """
-    sigs = np.atleast_2d(sig)
     ngrid, ncoef = S.shape
     start = int(start_trial)
     stop = start + int(ntrials)
-    out = np.empty((len(sigs), stop - start, 3), np.float64)
+    out = np.empty((len(sig), stop - start, 3), np.float64)
     blocks = np.arange(ncoef, dtype=np.int64)
     St = np.ascontiguousarray(S.T)
     noise = np.zeros((_CHUNK, ngrid))
@@ -68,7 +66,7 @@ def decision_sums(seed, start_trial, ntrials, bit, S, w, sig, sigma0):
                 np.matmul(zq, St, out=aq2)
                 aq2 *= aq2
             a, b = max(start, base) - base, min(stop, base + _CHUNK) - base
-            for i, s in enumerate(sigs):
+            for i, s in enumerate(sig):
                 for r in range(a // rows * rows, b, rows):
                     n = min(rows, _CHUNK - r)
                     t2, t4 = m2[:n], m4[:n]
@@ -81,4 +79,4 @@ def decision_sums(seed, start_trial, ntrials, bit, S, w, sig, sigma0):
                     t4 *= t2  # |r|^6
                     np.matmul(t4, w, out=sums[2, r:r + n])
                 out[i, base + a - start:base + b - start] = sums[:, a:b].T
-    return out if np.ndim(sig) == 2 else out[0]
+    return out

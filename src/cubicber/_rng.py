@@ -15,8 +15,6 @@ import numpy as np
 
 _M0 = np.uint64(0xD2511F53)
 _M1 = np.uint64(0xCD9E8D57)
-_W0 = np.uint32(0x9E3779B9)
-_W1 = np.uint32(0xBB67AE85)
 _MASK32 = np.uint64(0xFFFFFFFF)
 
 # values per tile of the chunked array passes (256 KiB of float64), so that

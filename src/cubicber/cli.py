@@ -91,7 +91,6 @@ class SweepConfig:
     trials: int = _DEFAULTS["trials"]
     seed: int = _DEFAULTS["seed"]
     analytic_only: bool = False
-    out: str | None = None
 
     def __post_init__(self) -> None:
         if self.x_kind not in ("p_r_dbm", "sigma0_sq_dbm", "prd"):
@@ -154,7 +153,6 @@ def _sweep_config(s: _Settings) -> SweepConfig:
         trials=s["trials"],
         seed=s["seed"],
         analytic_only=analytic_only,
-        out=s["out"],
     )
 
 
@@ -344,10 +342,10 @@ def _format_row(row: dict) -> str:
             f"{row['ber']:.17g},{row['order']},{row['error']}")
 
 
-def _write_sweep(rows: list[dict], out: str | None) -> None:
-    lines = ["# schema=1", ",".join(_SWEEP_COLUMNS)]
-    lines += [_format_row(r) for r in rows]
-    text = "\n".join(lines) + "\n"
+def _write(out: str | None, lines) -> None:
+    """A `# schema=1` line, then lines, to the file out, or to stdout when
+    out is None or empty."""
+    text = "\n".join(["# schema=1", *lines]) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -356,8 +354,8 @@ def _write_sweep(rows: list[dict], out: str | None) -> None:
 
 
 def _cmd_ber_sweep(s: _Settings) -> int:
-    cfg = _sweep_config(s)
-    _write_sweep(run_ber_sweep(cfg), cfg.out)
+    rows = run_ber_sweep(_sweep_config(s))
+    _write(s["out"], [",".join(_SWEEP_COLUMNS), *map(_format_row, rows)])
     return EXIT_OK
 
 
@@ -406,9 +404,8 @@ def _cmd_fit(s: _Settings) -> int:
     print(f"fit_result alpha={law.alpha:.17g} beta={law.beta:.17g} "
           f"gamma={law.gamma:.17g}")
     if s["out"]:
-        with open(s["out"], "w") as fh:
-            fh.write("# schema=1\nalpha,beta,gamma\n")
-            fh.write(f"{law.alpha:.17g},{law.beta:.17g},{law.gamma:.17g}\n")
+        row = f"{law.alpha:.17g},{law.beta:.17g},{law.gamma:.17g}"
+        _write(s["out"], ["alpha,beta,gamma", row])
     return EXIT_OK
 
 
@@ -430,7 +427,7 @@ def _cmd_gof(s: _Settings) -> int:
               f"{r.ad:12.6g} {r.ad_rank}  {r.chi2:12.6g} {r.chi2_rank}"
               f"{note}")
     if s["out"]:
-        report.to_csv(s["out"])
+        _write(s["out"], report.csv_lines())
     return EXIT_OK
 
 
@@ -448,7 +445,6 @@ def _cmd_mc_validate(s: _Settings) -> int:
     lines = [f"mc-validate prd={base.prd:.10g} p_r={base.p_r:.10g} "
              f"sigma0_sq={dp.sigma0_sq:.10g} trials={trials} seed={seed}"]
     all_pass = True
-    gof_source = None
     for bit in (0, 1):
         try:
             sets = montecarlo.generate_samples(
@@ -477,7 +473,7 @@ def _cmd_mc_validate(s: _Settings) -> int:
                 f"{'PASS' if ok else 'FAIL'}")
 
     print("\n".join(lines))
-    if trials >= 10_000 and gof_source is not None:
+    if trials >= 10_000:
         report = gof.rank_distributions(gof_source)
         print(f"gof (order 3, bit 1): n={report.n} bins={report.bins}")
         for r in report.rows:
@@ -489,9 +485,7 @@ def _cmd_mc_validate(s: _Settings) -> int:
         print("gof skipped (needs >= 10000 trials)")
 
     if s["out"]:
-        with open(s["out"], "w") as fh:
-            fh.write("# schema=1\n")
-            fh.write("\n".join(lines) + "\n")
+        _write(s["out"], lines)
     return EXIT_OK if all_pass else EXIT_TOLERANCE
 
 

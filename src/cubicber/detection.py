@@ -50,20 +50,18 @@ class BracketError(ValueError):
 class NoisePhysics:
     """Shot/thermal noise constants of the electrical front end."""
 
-    q_e: float = Q_ELECTRON   # coulombs
-    k_b: float = K_BOLTZMANN  # joules/kelvin
     t_r: float = 300.0        # kelvin
     r_l: float = 1000.0       # ohms
     t_p: float = 5e-12        # seconds
 
     def __post_init__(self) -> None:
-        for name in ("q_e", "k_b", "t_r", "r_l", "t_p"):
+        for name in ("t_r", "r_l", "t_p"):
             if not getattr(self, name) > 0:
                 raise ParamError(f"{name} must be > 0")
 
 
 def noise_physics(sp: SystemParams, dp: DerivedParams) -> NoisePhysics:
-    """NoisePhysics with the physical constants and the system's T_r, R_L."""
+    """NoisePhysics of the system's T_r, R_L and T_p."""
     return NoisePhysics(t_r=sp.t_r, r_l=sp.r_l, t_p=dp.t_p)
 
 
@@ -110,7 +108,7 @@ def cdf_shot_thermal(law0: lp3.Lp3Params, x, phys: NoisePhysics):
     a threshold whose summed |K15 - G7| exceeds 1e-9 + 1e-6 |value| raises
     QuadratureError.
     """
-    return _shot_thermal(law0, x, phys, density=False)
+    return _shot_thermal(law0, x, phys, False, _cuts(law0))
 
 
 def _cuts(law0):
@@ -119,14 +117,12 @@ def _cuts(law0):
         [[1e-14], _EDGE_PROBS, [1.0 - 1e-12]]))
 
 
-def _shot_thermal(law0, x, phys, density, cuts=None):
+def _shot_thermal(law0, x, phys, density, cuts):
     # cdf_shot_thermal, or with density the density of Y + N at x; cuts
     # are _cuts(law0), which a caller on one law many times computes once
     xs = np.asarray(x, float)
     if not np.isfinite(xs).all():
         raise ParamError("threshold x must be finite")
-    if cuts is None:
-        cuts = _cuts(law0)
     flat = xs.ravel()
     out = np.empty(flat.shape)
     for k in range(0, flat.size, _BLOCK):
@@ -141,8 +137,8 @@ def _st_block(law0, x, cuts, phys, density):
     # edges, clipped to [lo, hi_i]; clipped edges give empty panels, so
     # every threshold has the same panel count and the sums stay
     # per-row.
-    qe_tp = phys.q_e / phys.t_p
-    th_tp = 4.0 * phys.k_b * phys.t_r / (phys.r_l * phys.t_p)
+    qe_tp = Q_ELECTRON / phys.t_p
+    th_tp = 4.0 * K_BOLTZMANN * phys.t_r / (phys.r_l * phys.t_p)
     lo, y_hi = cuts[0], cuts[-1]
     s_x = np.sqrt(2.0 * qe_tp * np.maximum(x, 0.0) + th_tp)
     hi = np.maximum(y_hi, x + 10.0 * s_x)

@@ -166,14 +166,11 @@ class GofReport:
     bins: int
     rows: list
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("# schema=1\n")
-            fh.write("distribution,ks,ks_rank,ad,ad_rank,chi2,chi2_rank\n")
-            for r in self.rows:
-                fh.write(f"{r.distribution},{r.ks:.17g},{r.ks_rank},"
-                         f"{r.ad:.17g},{r.ad_rank},"
-                         f"{r.chi2:.17g},{r.chi2_rank}\n")
+    def csv_lines(self) -> list[str]:
+        """The report's CSV header and rows, without the schema line."""
+        return ["distribution,ks,ks_rank,ad,ad_rank,chi2,chi2_rank"] + [
+            f"{r.distribution},{r.ks:.17g},{r.ks_rank},{r.ad:.17g},"
+            f"{r.ad_rank},{r.chi2:.17g},{r.chi2_rank}" for r in self.rows]
 
 
 def _assign_ranks(rows, stat_name, rank_name) -> None:

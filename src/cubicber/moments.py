@@ -157,7 +157,17 @@ def third_moment(sp: SystemParams, dp: DerivedParams, bit: int) -> float:
 
 
 def decision_moments(sp: SystemParams, dp: DerivedParams, bit: int):
-    """Raw moments (mu1, mu2, mu3) of Y for one bit."""
-    return (mean_decision(sp, dp, bit), second_moment(sp, dp, bit),
-            third_moment(sp, dp, bit))
+    """Raw moments (mu1, mu2, mu3) of Y for one bit.
+
+    A polynomial whose power of P_r or sigma0^2 overflows a float raises
+    ParamError naming its moment.
+    """
+    mus = []
+    for n, mu in enumerate((mean_decision, second_moment, third_moment), 1):
+        try:
+            mus.append(mu(sp, dp, bit))
+        except OverflowError:
+            raise ParamError(f"closed-form moment mu{n} of bit {bit} "
+                             f"overflows a float") from None
+    return tuple(mus)
 

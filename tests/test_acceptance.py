@@ -23,7 +23,8 @@ from cubicber.moments import (
     second_moment,
     third_moment,
 )
-from cubicber.params import Q_ELECTRON, SystemParams, derive, dbm_to_watts
+from cubicber.params import (K_BOLTZMANN, Q_ELECTRON, SystemParams, derive,
+                             dbm_to_watts)
 from conftest import lp3_pdf
 
 
@@ -292,8 +293,7 @@ def test_receiver_noise_cdf_degenerate_limit():
     sp = _system(10.0, 33.0)
     dp = derive(sp)
     law = lp3.fit_from_moments(decision_moments(sp, dp, 1))
-    tiny = detection.NoisePhysics(q_e=Q_ELECTRON * 1e-12, t_r=300.0 * 1e-12,
-                                  r_l=sp.r_l, t_p=dp.t_p)
+    tiny = detection.NoisePhysics(r_l=sp.r_l, t_p=dp.t_p * 1e12)
     for p in np.linspace(0.05, 0.95, 10):
         q = float(lp3.quantile(law, p))
         got = detection.cdf_shot_thermal(law, q, tiny)
@@ -310,8 +310,8 @@ def test_receiver_noise_cdf_matches_draw_oracle():
     rng = np.random.default_rng(2026)
     n = 10_000_000
     y = np.exp(law.gamma + law.beta * rng.gamma(law.alpha, size=n))
-    var = (2.0 * phys.q_e * y
-           + 4.0 * phys.k_b * phys.t_r / phys.r_l) / phys.t_p
+    var = (2.0 * Q_ELECTRON * y
+           + 4.0 * K_BOLTZMANN * phys.t_r / phys.r_l) / phys.t_p
     x = np.sort(y + np.sqrt(var) * rng.standard_normal(n))
     for p in (0.1, 0.3, 0.5, 0.7, 0.9):
         q = float(lp3.quantile(law, p))

@@ -355,18 +355,23 @@ def test_prd_sweep_draws_each_key_once(monkeypatch):
 
 
 def test_overflowing_power_fails_only_its_own_rows():
-    # 2030 dBm overflows the shared bit-1 draw; the 30 dBm rows are those
-    # of 30 dBm swept alone, and the overflow raises no RuntimeWarning
+    # 2030 dBm overflows the shared bit-1 draw and the closed-form
+    # moments; the 30 dBm rows are those of 30 dBm swept alone, and the
+    # overflow raises no RuntimeWarning
     base = SystemParams(tau_c=100e-15, prd=10.0, wavelength=1.55e-6,
                         g_amp=1e5)
     cfg = cli.SweepConfig(base, "p_r_dbm", (30.0, 2030.0), orders=(3,),
-                          variants=("lp3", "mc"), trials=1000)
+                          variants=("lp3", "gauss_approx", "mc"),
+                          trials=1000)
     rows = [cli._format_row(r) for r in cli.run_ber_sweep(cfg)]
     alone = [cli._format_row(r) for r in
              cli.run_ber_sweep(replace(cfg, x_values=(30.0,)))]
-    assert rows[:2] == alone
+    assert rows[:3] == alone
     assert all(r.endswith(",") for r in alone)  # no error
-    assert rows[3].endswith("decision samples must be finite and >= 0")
+    for row in rows[3:5]:  # gauss_approx and lp3
+        assert row.endswith(
+            ",closed-form moment mu1 of bit 1 overflows a float")
+    assert rows[5].endswith("decision samples must be finite and >= 0")
 
 
 def test_sigma0_sweep_draws_bit0_at_every_point(monkeypatch):
@@ -436,7 +441,11 @@ def test_fit_writes_out_csv(tmp_path, capsys):
     assert lp3.moment(law, 1) == pytest.approx(2.0, rel=1e-9)
     assert lp3.moment(law, 2) == pytest.approx(5.0, rel=1e-9)
     assert lp3.moment(law, 3) == pytest.approx(14.0, rel=1e-9)
-    capsys.readouterr()
+    # the file is the schema line and the fit_result values, nothing else
+    fit = capsys.readouterr().out.splitlines()[-1].split()
+    assert fit[0] == "fit_result"
+    values = ",".join(kv.split("=")[1] for kv in fit[1:])
+    assert out.read_text() == f"# schema=1\nalpha,beta,gamma\n{values}\n"
 
 
 def test_fit_from_samples_reports_ks(sample_csv, capsys):
@@ -571,7 +580,10 @@ def test_mc_validate_passes(tmp_path, capsys):
             assert f"bit{bit} mu{n}:" in text
     assert "FAIL" not in text
     assert "gof skipped" in text
-    assert out.read_text().startswith("# schema=1\nmc-validate ")
+    # the file is the schema line and the report above the gof line
+    report = text[:text.index("gof skipped")]
+    assert report.startswith("mc-validate ")
+    assert out.read_text() == "# schema=1\n" + report
 
 
 def test_mc_validate_tolerance_exit(tmp_path, capsys, monkeypatch):

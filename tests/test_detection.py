@@ -61,7 +61,6 @@ def test_noise_physics_from_system():
     assert phys.r_l == 10_000.0
     assert phys.t_r == 77.0
     assert phys.t_p == dp.t_p
-    assert phys.q_e == Q_ELECTRON and phys.k_b == K_BOLTZMANN
 
 
 # --------------------------------------------------------------------------
@@ -69,10 +68,10 @@ def test_noise_physics_from_system():
 # --------------------------------------------------------------------------
 
 def test_cdf_shot_thermal_degenerate_noise_limit():
-    # scaling q_e and T_r to nothing must reproduce the bare LP3 law
+    # scaling sigma^2(y), which goes as 1/T_p, to nothing must reproduce
+    # the bare LP3 law
     law, sp, dp = _cubic_law()
-    tiny = NoisePhysics(q_e=Q_ELECTRON * 1e-12, t_r=300.0 * 1e-12,
-                        r_l=sp.r_l, t_p=dp.t_p)
+    tiny = NoisePhysics(r_l=sp.r_l, t_p=dp.t_p * 1e12)
     for prob in np.linspace(0.05, 0.95, 10):
         x = quantile(law, prob)
         assert cdf_shot_thermal(law, x, tiny) == pytest.approx(
@@ -111,7 +110,7 @@ def test_cdf_shot_thermal_against_sampling_oracle():
     rng = np.random.default_rng(321)
     g = rng.gamma(law.alpha, size=n)
     y = np.exp(law.gamma + law.beta * g)
-    sig = np.sqrt((2 * phys.q_e * y + 4 * phys.k_b * phys.t_r / phys.r_l)
+    sig = np.sqrt((2 * Q_ELECTRON * y + 4 * K_BOLTZMANN * phys.t_r / phys.r_l)
                   / phys.t_p)
     x = y + sig * rng.standard_normal(n)
     x.sort()
@@ -136,8 +135,8 @@ def _st_quad(law, x, phys):
     # parts, the integral of (-u'(y)) F_Y(y) with u(y) = P{N <= x - y | y}
     # plus the tail above the cut, with scipy's incomplete gamma for F_Y;
     # cdf_shot_thermal integrates the conditional form instead
-    qe_tp = phys.q_e / phys.t_p
-    th_tp = 4.0 * phys.k_b * phys.t_r / (phys.r_l * phys.t_p)
+    qe_tp = Q_ELECTRON / phys.t_p
+    th_tp = 4.0 * K_BOLTZMANN * phys.t_r / (phys.r_l * phys.t_p)
 
     def sigma(y):
         return math.sqrt(2.0 * qe_tp * y + th_tp)
@@ -191,7 +190,8 @@ def test_cdf_shot_thermal_derivative_is_the_density(prd, p_r_dbm):
         h = 1e-4 * x
         slope = (cdf_shot_thermal(law, x + h, phys)
                  - cdf_shot_thermal(law, x - h, phys)) / (2.0 * h)
-        dens = detection._shot_thermal(law, x, phys, density=True)
+        dens = detection._shot_thermal(law, x, phys, True,
+                                       detection._cuts(law))
         assert np.abs(slope / dens - 1.0).max() <= 1e-6
 
 
@@ -275,8 +275,8 @@ def _st_pdf_quad(law, x, phys):
     # independent reference: adaptive quadrature of the density of Y + N,
     # the integral of f_Y(y) phi(x; y, sigma^2(y)), with the LP3 density
     # of conftest
-    qe_tp = phys.q_e / phys.t_p
-    th_tp = 4.0 * phys.k_b * phys.t_r / (phys.r_l * phys.t_p)
+    qe_tp = Q_ELECTRON / phys.t_p
+    th_tp = 4.0 * K_BOLTZMANN * phys.t_r / (phys.r_l * phys.t_p)
 
     def integrand(y):
         s2 = 2.0 * qe_tp * y + th_tp

@@ -196,16 +196,13 @@ def test_rank_explicit_bins(lp3_sample):
     assert _row(report, "log_pearson3").chi2 >= 0.0
 
 
-def test_report_row_and_csv(tmp_path, lp3_sample):
+def test_report_row_and_csv(lp3_sample):
     _, s = lp3_sample
     report = rank_distributions(s)
-    path = tmp_path / "gof.csv"
-    report.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# schema=1"
-    assert lines[1] == "distribution,ks,ks_rank,ad,ad_rank,chi2,chi2_rank"
-    assert len(lines) == 2 + len(CANDIDATES)
-    first = lines[2].split(",")
+    lines = report.csv_lines()
+    assert lines[0] == "distribution,ks,ks_rank,ad,ad_rank,chi2,chi2_rank"
+    assert len(lines) == 1 + len(CANDIDATES)
+    first = lines[1].split(",")
     assert first[0] == "log_pearson3"
     assert float(first[1]) == _row(report, "log_pearson3").ks
     assert int(first[2]) == 1

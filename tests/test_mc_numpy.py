@@ -18,10 +18,9 @@ def _whole_block_sums(seed, start, n, bit, S, w, sig, sigma0):
     """Reference: each aligned block of trials in one piece, by the
     expressions ap = noise + s, m2 = ap^2 + aq^2, m4 = m2^2 and one
     (block x ngrid) @ w reduction per power of |r|^2."""
-    sigs = np.atleast_2d(sig)
     ngrid, ncoef = S.shape
     stop = start + n
-    out = np.empty((len(sigs), n, 3))
+    out = np.empty((len(sig), n, 3))
     St = np.ascontiguousarray(S.T)
     for base in range(start // _CHUNK * _CHUNK, stop, _CHUNK):
         if sigma0 == 0.0:
@@ -33,13 +32,13 @@ def _whole_block_sums(seed, start, n, bit, S, w, sig, sigma0):
             aq = (sigma0 * zq) @ St
             aq2 = aq * aq
         a, b = max(start, base), min(stop, base + _CHUNK)
-        for i, s in enumerate(sigs):
+        for i, s in enumerate(sig):
             ap = noise + s
             m2 = ap * ap + aq2
             m4 = m2 * m2
             sums = np.stack([m2 @ w, m4 @ w, (m4 * m2) @ w], axis=1)
             out[i, a - start:b - start] = sums[a - base:b - base]
-    return out if np.ndim(sig) == 2 else out[0]
+    return out
 
 
 def _inputs(prd, g_amp=1e5):
@@ -59,7 +58,7 @@ def _inputs(prd, g_amp=1e5):
 ])
 def test_decision_sums_are_bitwise_the_whole_block_products(prd, start, n):
     S, w, sigs, sigma0 = _inputs(prd)
-    for sig in (sigs[1], sigs):  # k = 1 and k = 3 signals
+    for sig in (sigs[1:2], sigs):  # k = 1 and k = 3 signals
         got = decision_sums(11, start, n, 1, S, w, sig, sigma0)
         assert np.array_equal(
             got, _whole_block_sums(11, start, n, 1, S, w, sig, sigma0))
@@ -69,7 +68,7 @@ def test_decision_sums_are_bitwise_the_whole_block_products(prd, start, n):
 def test_decision_sums_without_noise_are_bitwise(prd):
     S, w, sigs, sigma0 = _inputs(prd, g_amp=1.0)
     assert sigma0 == 0.0
-    for sig in (sigs[0], sigs):
+    for sig in (sigs[:1], sigs):
         got = decision_sums(3, 5, 3000, 1, S, w, sig, sigma0)
         assert np.array_equal(
             got, _whole_block_sums(3, 5, 3000, 1, S, w, sig, sigma0))
@@ -82,7 +81,7 @@ def test_decision_sums_peak_memory_stays_within_three_block_arrays():
     block_array = _CHUNK * S.shape[0] * 8
     tracemalloc.start()
     try:
-        decision_sums(1, 0, 4000, 1, S, w, sigs[1], sigma0)
+        decision_sums(1, 0, 4000, 1, S, w, sigs[1:2], sigma0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
