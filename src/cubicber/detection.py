@@ -50,9 +50,9 @@ class BracketError(ValueError):
 class NoisePhysics:
     """Shot/thermal noise constants of the electrical front end."""
 
-    t_r: float = 300.0        # kelvin
-    r_l: float = 1000.0       # ohms
-    t_p: float = 5e-12        # seconds
+    t_r: float        # kelvin
+    r_l: float        # ohms
+    t_p: float        # seconds
 
     def __post_init__(self) -> None:
         for name in ("t_r", "r_l", "t_p"):

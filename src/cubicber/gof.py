@@ -58,6 +58,13 @@ def ad_statistic(f) -> float:
     return float(-n - s / n)
 
 
+def _check_bins(n: int, bins: int) -> None:
+    if bins < 1:
+        raise BinningError("bins must be >= 1")
+    if n / bins < 5.0:
+        raise BinningError(f"expected count {n / bins:.2f} per bin is below 5")
+
+
 def chi2_statistic(f, bins: int) -> float:
     """Pearson chi-squared over equal-probability bins.
 
@@ -65,12 +72,8 @@ def chi2_statistic(f, bins: int) -> float:
     samples is histogrammed against a uniform grid), so every bin carries
     the same expected count N/bins; that count must be >= 5.
     """
-    if bins < 1:
-        raise BinningError("bins must be >= 1")
+    _check_bins(f.size, bins)
     expected = f.size / bins
-    if expected < 5.0:
-        raise BinningError(
-            f"expected count {expected:.2f} per bin is below 5")
     u = np.clip(f, 0.0, np.nextafter(1.0, 0.0))
     observed = np.bincount((u * bins).astype(np.intp), minlength=bins)
     return float(((observed - expected) ** 2).sum() / expected)
@@ -189,13 +192,15 @@ def rank_distributions(s: SampleSet, bins: int | None = None) -> GofReport:
 
     Candidates that fail to fit (or whose statistic is unevaluable, e.g.
     a cdf hitting an exact 0/1 at a sample) keep NaN for the affected
-    statistics and rank behind every finite value.
+    statistics and rank behind every finite value. A bins value that
+    chi2_statistic cannot use raises BinningError.
     """
     x = np.sort(np.asarray(s.values, np.float64))
     n = x.size
     if n < 10_000:
         raise GofError(f"need at least 10000 samples, got {n}")
     nb = default_bins(n) if bins is None else int(bins)
+    _check_bins(n, nb)
 
     m = float(x.mean())
     v = float(x.var())

@@ -74,13 +74,9 @@ def _grid(span_u: float):
 
 
 def _order_prefactor(order: int, sp: SystemParams, dp: DerivedParams) -> float:
-    if order == 1:
-        return dp.responsivity
-    if order == 2:
-        return dp.responsivity  # unit quartic detector efficiency
     if order == 3:
         return dp.responsivity * sp.k * sp.gamma_nl**2
-    raise ParamError("order must be 1, 2, or 3")
+    return dp.responsivity  # order 1, or 2: unit quartic detector efficiency
 
 
 def generate_samples(sp: SystemParams, dp: DerivedParams, bit: int,

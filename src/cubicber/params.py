@@ -30,10 +30,10 @@ class SystemParams:
     l2 only matter through the ASE noise level.
     """
 
-    tau_c: float          # pulse duration, s
-    prd: float            # processing ratio T_p / tau_c
-    wavelength: float     # optical wavelength, m
-    g_amp: float          # amplifier power gain, linear
+    tau_c: float = 100e-15  # pulse duration, s
+    prd: float = 10.0     # processing ratio T_p / tau_c
+    wavelength: float = 1.55e-6  # optical wavelength, m
+    g_amp: float = 1e5    # amplifier power gain, linear
     l2: float = 1.0       # loss after amplifier, linear, <= 1
     n_sp: float = 1.1     # spontaneous-emission coefficient
     eta: float = 0.8      # quantum efficiency, (0, 1]

@@ -293,7 +293,8 @@ def test_receiver_noise_cdf_degenerate_limit():
     sp = _system(10.0, 33.0)
     dp = derive(sp)
     law = lp3.fit_from_moments(decision_moments(sp, dp, 1))
-    tiny = detection.NoisePhysics(r_l=sp.r_l, t_p=dp.t_p * 1e12)
+    tiny = detection.NoisePhysics(t_r=sp.t_r, r_l=sp.r_l,
+                                  t_p=dp.t_p * 1e12)
     for p in np.linspace(0.05, 0.95, 10):
         q = float(lp3.quantile(law, p))
         got = detection.cdf_shot_thermal(law, q, tiny)

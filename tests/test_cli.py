@@ -176,6 +176,19 @@ def test_sweep_config_errors(tmp_path, capsys, body):
     assert "config error" in capsys.readouterr().err
 
 
+def test_sweep_config_applies_the_analytic_only_rules():
+    # built directly, as by the CLI: analytic_only drops mc from the
+    # default variants, and rejects it when asked for
+    base = SystemParams(tau_c=100e-15, prd=10.0, wavelength=1.55e-6,
+                        g_amp=1e5)
+    cfg = cli.SweepConfig(base, "p_r_dbm", (33.0,), analytic_only=True)
+    assert cfg.variants == ("lp3", "lp3_shot_thermal", "gauss_approx")
+    assert all(r["error"] == "" for r in cli.run_ber_sweep(cfg))
+    with pytest.raises(cli.ConfigError, match="excludes the mc variant"):
+        cli.SweepConfig(base, "p_r_dbm", (33.0,), variants=("lp3", "mc"),
+                        analytic_only=True)
+
+
 def test_sweep_dbm_axes_agree(tmp_path, capsys):
     # p_r = 33dBm in the config and 33 on the dBm axis are the same power
     rows = []
@@ -502,6 +515,14 @@ def test_fit_missing_group_in_samples(sample_csv, capsys):
     assert "no samples for order=2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ms", [["1e400", "5", "14"], ["inf", "5", "14"],
+                                ["2", "5", "nan"]])
+def test_fit_non_finite_moments_are_config_errors(capsys, ms):
+    # as the config key moments = 1e400, 5, 14 is
+    assert main(["fit", "--moments", *ms]) == EXIT_CONFIG
+    assert "config error: --moments must be finite" in capsys.readouterr().err
+
+
 def test_fit_config_file_moments(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "moments = 2.0, 5.0, 14.0\n")
     assert main(["fit", "--config", cfg]) == EXIT_OK
@@ -532,6 +553,19 @@ def test_gof_ranks_sample_csv(sample_csv, tmp_path, capsys):
     assert lines[0] == "# schema=1"
     assert lines[1] == "distribution,ks,ks_rank,ad,ad_rank,chi2,chi2_rank"
     assert len(lines) == 7
+
+
+@pytest.mark.parametrize("bins", ["0", "-3", "5000"])
+def test_gof_unusable_bins_are_config_errors(sample_csv, tmp_path, capsys,
+                                             bins):
+    # below 1, or under 5 expected samples a bin (12000 samples), every
+    # chi^2 would be NaN; no --out file is written
+    out = tmp_path / "gof.csv"
+    rc = main(["gof", "--samples", sample_csv, "--bins", bins,
+               "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: bins: ")
+    assert not out.exists()
 
 
 def test_gof_requires_samples(capsys):
@@ -588,13 +622,24 @@ def test_mc_validate_passes(tmp_path, capsys):
 
 def test_mc_validate_tolerance_exit(tmp_path, capsys, monkeypatch):
     # doctor one closed form to verify the FAIL path and exit code
-    monkeypatch.setattr("cubicber.cli.mean_decision",
-                        lambda sp, dp, bit: 999.0)
+    real = cli.decision_moments
+    monkeypatch.setattr("cubicber.cli.decision_moments",
+                        lambda sp, dp, bit: (999.0, *real(sp, dp, bit)[1:]))
     cfg = write_cfg(tmp_path, "prd = 10\np_r = 33dBm\n")
     rc = main(["mc-validate", "--config", cfg, "--trials", "2000",
                "--seed", "3"])
     assert rc == EXIT_TOLERANCE
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_mc_validate_overflowing_closed_form_is_numeric_failure(tmp_path,
+                                                                capsys):
+    cfg = write_cfg(tmp_path, "prd = 10\np_r = 400dBm\n")
+    rc = main(["mc-validate", "--config", cfg, "--trials", "2000"])
+    assert rc == EXIT_NUMERIC
+    assert capsys.readouterr().err == ("closed form failed: closed-form "
+                                       "moment mu3 of bit 1 overflows a "
+                                       "float\n")
 
 
 def test_mc_validate_rejects_small_trials(tmp_path, capsys):

@@ -3,15 +3,19 @@
 Analytic-only sweeps over each axis (order 3, lp3 and gauss_approx), one
 analytic-only lp3_shot_thermal sweep (two powers, about a second), an
 analytic-only sweep at g_amp = 1 (no ASE noise, so every row fails with
-"moments must be positive"), a literal-moment fit, and `fit --samples` and
-`gof --samples` (with their --out files) at orders 1 and 3 on a sample CSV
-written here from closed-form values: 10k quantiles exp(a + b z + c z^2) of
-a standard normal z per group, computed in pure Python. Any change to a
-printed number fails here; when such a change is intended, regenerate the
-text with the same commands and say why in the change log. Monte-Carlo
-rows are left out: their BLAS summation order depends on the machine. The
-th_opt column is the root where the two bit densities cross, bisected to
-adjacent floats: a few-ulp change of p_r moves it by about 1e-14 relative.
+"moments must be positive"), an analytic-only sweep over orders 1-3 with
+the default variants (no mc row; orders 1 and 2 fail for want of samples,
+order 2's lp3_shot_thermal row for want of a detector scale), a PRD sweep
+whose first point fails to build its system, a literal-moment fit, and
+`fit --samples` and `gof --samples` (with their --out files) at orders 1
+and 3 on a sample CSV written here from closed-form values: 10k quantiles
+exp(a + b z + c z^2) of a standard normal z per group, computed in pure
+Python. Any change to a printed number fails here; when such a change is
+intended, regenerate the text with the same commands and say why in the
+change log. Monte-Carlo rows are left out: their BLAS summation order
+depends on the machine. The th_opt column is the root where the two bit
+densities cross, bisected to adjacent floats: a few-ulp change of p_r
+moves it by about 1e-14 relative.
 """
 
 import math
@@ -62,6 +66,33 @@ GOLDEN_GAMP1 = HEAD + "".join(
     f"{x},p_r_dbm,10,1000,{v},nan,nan,3,moments must be positive\n"
     for x in (33, 35) for v in ("gauss_approx", "lp3", "lp3_shot_thermal"))
 
+# analytic_only as a config key, default variants
+ORDERS = "prd = 10\nsweep_p_r_dbm = 33:33:1\norders = 1, 2, 3\n" \
+         "analytic_only = true\n"
+NO_SAMPLES = "Monte-Carlo sampling disabled by analytic_only"
+GOLDEN_ORDERS = HEAD + f"""\
+33,p_r_dbm,10,1000,gauss_approx,nan,nan,1,{NO_SAMPLES}
+33,p_r_dbm,10,1000,lp3,nan,nan,1,{NO_SAMPLES}
+33,p_r_dbm,10,1000,lp3_shot_thermal,nan,nan,1,{NO_SAMPLES}
+33,p_r_dbm,10,1000,gauss_approx,nan,nan,2,{NO_SAMPLES}
+33,p_r_dbm,10,1000,lp3,nan,nan,2,{NO_SAMPLES}
+33,p_r_dbm,10,1000,lp3_shot_thermal,nan,nan,2,order 2 has no physical \
+detector scale for shot/thermal noise
+33,p_r_dbm,10,1000,gauss_approx,7.7184927598166316e-06,0.099760614804087586,3,
+33,p_r_dbm,10,1000,lp3,7.231807362619238e-06,0.028907664060914974,3,
+33,p_r_dbm,10,1000,lp3_shot_thermal,1.1140659940464143e-05,0.049690568254798111,3,
+"""
+
+FAILED_PRD = "p_r = 33dBm\nsweep_prd = 0.5, 10\n"
+GOLDEN_FAILED_PRD = HEAD + """\
+0.5,prd,0.5,1000,gauss_approx,nan,nan,3,prd must be >= 1
+0.5,prd,0.5,1000,lp3,nan,nan,3,prd must be >= 1
+0.5,prd,0.5,1000,lp3_shot_thermal,nan,nan,3,prd must be >= 1
+10,prd,10,1000,gauss_approx,7.7184927598166316e-06,0.099760614804087586,3,
+10,prd,10,1000,lp3,7.231807362619238e-06,0.028907664060914974,3,
+10,prd,10,1000,lp3_shot_thermal,1.1140659940464143e-05,0.049690568254798111,3,
+"""
+
 GOLDEN_FIT = """\
 alpha = 1.4520074984208453
 beta  = -0.60624383525675773
@@ -110,6 +141,19 @@ def test_g_amp_one_sweep_bytes(tmp_path, capsys):
     got = capsys.readouterr()
     assert got.err == ""
     assert got.out == GOLDEN_GAMP1
+
+
+@pytest.mark.parametrize("body,argv,golden", [
+    (ORDERS, [], GOLDEN_ORDERS),
+    (FAILED_PRD, ["--analytic-only"], GOLDEN_FAILED_PRD),
+], ids=["orders", "failed-prd"])
+def test_default_variant_sweep_bytes(tmp_path, capsys, body, argv, golden):
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text(body, encoding="utf-8")
+    assert main(["ber-sweep", "--config", str(cfg), *argv]) == EXIT_OK
+    got = capsys.readouterr()
+    assert got.err == ""
+    assert got.out == golden
 
 
 # (a, b, c) of the order-1 and the order-3 group, all bit 1

@@ -47,11 +47,11 @@ def test_noise_physics_variance_formula():
 
 def test_noise_physics_validation():
     with pytest.raises(ParamError):
-        NoisePhysics(t_r=0.0)
+        NoisePhysics(t_r=0.0, r_l=1000.0, t_p=5e-12)
     with pytest.raises(ParamError):
-        NoisePhysics(r_l=-1.0)
+        NoisePhysics(t_r=300.0, r_l=-1.0, t_p=5e-12)
     with pytest.raises(ParamError):
-        NoisePhysics(t_p=0.0)
+        NoisePhysics(t_r=300.0, r_l=1000.0, t_p=0.0)
 
 
 def test_noise_physics_from_system():
@@ -71,7 +71,7 @@ def test_cdf_shot_thermal_degenerate_noise_limit():
     # scaling sigma^2(y), which goes as 1/T_p, to nothing must reproduce
     # the bare LP3 law
     law, sp, dp = _cubic_law()
-    tiny = NoisePhysics(r_l=sp.r_l, t_p=dp.t_p * 1e12)
+    tiny = NoisePhysics(t_r=sp.t_r, r_l=sp.r_l, t_p=dp.t_p * 1e12)
     for prob in np.linspace(0.05, 0.95, 10):
         x = quantile(law, prob)
         assert cdf_shot_thermal(law, x, tiny) == pytest.approx(
