@@ -22,6 +22,7 @@ from .montecarlo import SampleSet, generate_samples, empirical_ber
 from .detection import (
     NoisePhysics,
     noise_physics,
+    ShotThermalLaw,
     cdf_shot_thermal,
     error_probability,
     optimize_threshold,
@@ -49,6 +50,7 @@ __all__ = [
     "empirical_ber",
     "NoisePhysics",
     "noise_physics",
+    "ShotThermalLaw",
     "cdf_shot_thermal",
     "error_probability",
     "optimize_threshold",

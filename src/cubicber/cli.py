@@ -103,6 +103,10 @@ class SweepConfig:
                               f"{'/'.join(VARIANTS)}, got {bad}")
         if not self.r_l_values or any(r <= 0 for r in self.r_l_values):
             raise ConfigError("r_l values must be positive")
+        for key, vals in (("orders", self.orders), ("variants", self.variants),
+                          ("r_l", self.r_l_values)):
+            if len(set(vals)) < len(vals):
+                raise ConfigError(f"{key} repeats a value: {vals}")
         if self._needs_mc():
             _check_mc(self.trials, self.seed)
 
@@ -228,10 +232,12 @@ def _eval_point(cfg: SweepConfig, x, r_l, sp, sets) -> list[dict]:
                     raise ParamError("order 2 has no physical detector "
                                      "scale for shot/thermal noise")
                 else:
-                    phys = (detection.noise_physics(sp, dp)
-                            if variant == "lp3_shot_thermal" else None)
-                    th, ber = detection.optimize_threshold(
-                        law(0, order)[0], law(1, order)[0], phys)
+                    pair = [law(b, order)[0] for b in (0, 1)]
+                    if variant == "lp3_shot_thermal":
+                        phys = detection.noise_physics(sp, dp)
+                        pair = [detection.ShotThermalLaw(lw, phys)
+                                for lw in pair]
+                    th, ber = detection.optimize_threshold(*pair)
             except _POINT_ERRORS as exc:
                 err = str(exc)
             rows.append(dict(x_value=x, x_kind=cfg.x_kind, prd=prd,
@@ -419,7 +425,12 @@ def _cmd_mc_validate(s: dict) -> int:
     lines = [f"mc-validate prd={base.prd:.10g} p_r={base.p_r:.10g} "
              f"sigma0_sq={dp.sigma0_sq:.10g} trials={trials} seed={seed}"]
     all_pass = True
-    for bit in (0, 1):
+    try:  # before any draw, which takes far longer
+        closed_forms = [decision_moments(base, dp, bit) for bit in (0, 1)]
+    except ParamError as exc:
+        print(f"closed form failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    for bit, closed in enumerate(closed_forms):
         try:
             sets = montecarlo.generate_samples(
                 base, dp, bit=bit, n_trials=trials, orders=(3,), seed=seed)
@@ -428,11 +439,6 @@ def _cmd_mc_validate(s: dict) -> int:
             return EXIT_NUMERIC
         if bit == 1:
             gof_source = sets[3]
-        try:
-            closed = decision_moments(base, dp, bit)
-        except ParamError as exc:
-            print(f"closed form failed: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
         mus, ses = montecarlo.sample_moments(sets[3].values)
         for n, cf, mc, se in zip((1, 2, 3), closed, mus, ses):
             tol = _MOMENT_TOL[n]

@@ -1,8 +1,8 @@
 """Error probability of the on-off keyed receiver.
 
-The decision variable under each bit follows a fitted LP3 law.
-Post-detection shot and thermal noise, conditionally Gaussian given the
-decision level y with variance
+Each bit's decision variable has a law with array cdf, logpdf and mean():
+a fitted LP3 law, or a ShotThermalLaw, whose post-detection shot/thermal
+noise, conditionally Gaussian given the decision level y with variance
 
     sigma^2(y) = 2 q_e y / T_p + 4 K_B T_r / (R_L T_p),
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special as _sc
@@ -97,8 +98,31 @@ _KERNEL_W = np.linspace(-10.0, 14.0, 25)
 _BLOCK = 16
 
 
-def cdf_shot_thermal(law0: lp3.Lp3Params, x, phys: NoisePhysics):
-    """cdf of Y + N at x, N | Y=y ~ Normal(0, sigma^2(y)), Y ~ LP3(law0).
+@dataclass(frozen=True)
+class ShotThermalLaw:
+    """Y + N: Y ~ LP3(clean), N | Y=y ~ Normal(0, sigma^2(y)) from phys."""
+
+    clean: lp3.Lp3Params
+    phys: NoisePhysics
+
+    @cached_property
+    def cuts(self):
+        """The panel cuts of the clean law: its two cuts and fixed edges."""
+        return lp3.quantile(self.clean, np.concatenate(
+            [[1e-14], _EDGE_PROBS, [1.0 - 1e-12]]))
+
+    def cdf(self, x):
+        return cdf_shot_thermal(self, x)
+
+    def logpdf(self, x):
+        return np.log(_shot_thermal(self, x, True))
+
+    def mean(self) -> float:
+        return self.clean.mean()
+
+
+def cdf_shot_thermal(law: ShotThermalLaw, x):
+    """cdf of the law at x, Y + N with Y ~ LP3(law.clean).
 
     x is a scalar or an ndarray of thresholds. The integral over y of
     Phi((x - y)/sigma(y)) f_Y(y), over [quantile(1e-14), max(quantile(1 -
@@ -108,35 +132,28 @@ def cdf_shot_thermal(law0: lp3.Lp3Params, x, phys: NoisePhysics):
     a threshold whose summed |K15 - G7| exceeds 1e-9 + 1e-6 |value| raises
     QuadratureError.
     """
-    return _shot_thermal(law0, x, phys, False, _cuts(law0))
+    return _shot_thermal(law, x, False)
 
 
-def _cuts(law0):
-    # the two cuts and the fixed edges of a law
-    return lp3.quantile(law0, np.concatenate(
-        [[1e-14], _EDGE_PROBS, [1.0 - 1e-12]]))
-
-
-def _shot_thermal(law0, x, phys, density, cuts):
-    # cdf_shot_thermal, or with density the density of Y + N at x; cuts
-    # are _cuts(law0), which a caller on one law many times computes once
+def _shot_thermal(law, x, density):
+    # cdf_shot_thermal, or with density the density of the law at x
     xs = np.asarray(x, float)
     if not np.isfinite(xs).all():
         raise ParamError("threshold x must be finite")
     flat = xs.ravel()
     out = np.empty(flat.shape)
     for k in range(0, flat.size, _BLOCK):
-        out[k:k + _BLOCK] = _st_block(law0, flat[k:k + _BLOCK], cuts, phys,
-                                      density)
+        out[k:k + _BLOCK] = _st_block(law, flat[k:k + _BLOCK], density)
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
-def _st_block(law0, x, cuts, phys, density):
+def _st_block(law, x, density):
     # One pass of _shot_thermal over the thresholds x (1-d). The panel
     # edges of threshold x_i are the fixed quantile edges plus its kernel
     # edges, clipped to [lo, hi_i]; clipped edges give empty panels, so
     # every threshold has the same panel count and the sums stay
     # per-row.
+    phys, cuts = law.phys, law.cuts
     qe_tp = Q_ELECTRON / phys.t_p
     th_tp = 4.0 * K_BOLTZMANN * phys.t_r / (phys.r_l * phys.t_p)
     lo, y_hi = cuts[0], cuts[-1]
@@ -164,7 +181,7 @@ def _st_block(law0, x, cuts, phys, density):
     else:
         f = _sc.ndtr((xb - y) / np.sqrt(s2))
     live = f > 0.0
-    f[live] *= np.exp(lp3.logpdf(law0, y[live]))
+    f[live] *= np.exp(lp3.logpdf(law.clean, y[live]))
     kron = (f * _GK_WK).sum(axis=2) * half
     gauss = (f * _GK_WG).sum(axis=2) * half
     val = kron.sum(axis=1)
@@ -175,46 +192,29 @@ def _st_block(law0, x, cuts, phys, density):
     return val  # without the law's mass beyond the cuts, below 1e-12
 
 
-def error_probability(law0: lp3.Lp3Params, law1: lp3.Lp3Params, th,
-                      phys: NoisePhysics | None = None):
-    """PE at a threshold th, scalar or ndarray: (1 - F0(th))/2 + F1(th)/2.
-
-    F_b is the cdf of the fitted LP3 law of bit b; with phys, shot/thermal
-    noise is folded into it (cdf_shot_thermal).
-    """
-    if phys is None:
-        f0, f1 = lp3.cdf(law0, th), lp3.cdf(law1, th)
-    else:
-        f0 = cdf_shot_thermal(law0, th, phys)
-        f1 = cdf_shot_thermal(law1, th, phys)
-    return 0.5 * (1.0 - f0) + 0.5 * f1
+def error_probability(law0, law1, th):
+    """PE at th, scalar or ndarray: (1 - law0.cdf(th))/2 + law1.cdf(th)/2."""
+    return 0.5 * (1.0 - law0.cdf(th)) + 0.5 * law1.cdf(th)
 
 
-def optimize_threshold(law0: lp3.Lp3Params, law1: lp3.Lp3Params,
-                       phys: NoisePhysics | None = None):
+def optimize_threshold(law0, law1):
     """Minimize PE over the threshold. Returns (th_opt, pe_min).
 
-    phys as in error_probability. ln f1 - ln f0 is scanned on a 256-point
-    log grid from mean0/100 to mean1*10, each rise through 0 is bisected to
-    adjacent floats, and PE is evaluated at the crossings and the grid
-    ends. Raises BracketError when an end beats every crossing, or there is
-    none although the densities differ; coincident laws give PE 1/2.
+    ln f1 - ln f0 of the laws (as in error_probability) is scanned on a
+    256-point log grid from mean0/100 to mean1*10, each rise through 0 is
+    bisected to adjacent floats, and PE is evaluated at the crossings and
+    the grid ends. Raises BracketError when an end beats every crossing, or
+    there is none although the densities differ; coincident laws give PE 1/2.
     """
-    lo = lp3.moment(law0, 1) / 100.0
-    hi = lp3.moment(law1, 1) * 10.0
+    lo = law0.mean() / 100.0
+    hi = law1.mean() * 10.0
     if not lo > 0.0:
         lo = hi * 1e-18
     if not (0.0 < lo < hi):
         raise BracketError(f"invalid threshold bracket ({lo}, {hi})")
 
-    if phys is not None:  # the laws' panel cuts, once for every gap call
-        cuts0, cuts1 = _cuts(law0), _cuts(law1)
-
     def gap(th):
-        if phys is None:
-            return lp3.logpdf(law1, th) - lp3.logpdf(law0, th)
-        return (np.log(_shot_thermal(law1, th, phys, True, cuts1))
-                - np.log(_shot_thermal(law0, th, phys, True, cuts0)))
+        return law1.logpdf(th) - law0.logpdf(th)
 
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 densities
         grid = np.geomspace(lo, hi, 256)
@@ -230,7 +230,7 @@ def optimize_threshold(law0: lp3.Lp3Params, law1: lp3.Lp3Params,
     if rise.size == 0 and (np.abs(d) > 0.0).any():
         raise BracketError("the bit densities do not cross in the bracket")
     cands = np.concatenate([[lo], b, [hi]])
-    pe = error_probability(law0, law1, cands, phys)
+    pe = error_probability(law0, law1, cands)
     i = 1 + int(np.argmin(pe[1:-1])) if rise.size else int(np.argmin(pe))
     if min(pe[0], pe[-1]) < pe[i] * (1.0 - 1e-9):
         raise BracketError("PE decreases toward a bracket endpoint")

@@ -52,6 +52,16 @@ class Lp3Params:
         if not math.isfinite(self.gamma):
             raise Lp3Error("gamma must be finite")
 
+    # detection's law interface, through the module functions' global names
+    def cdf(self, y):
+        return cdf(self, y)
+
+    def logpdf(self, y):
+        return logpdf(self, y)
+
+    def mean(self) -> float:
+        return moment(self, 1)
+
 
 # ---------------------------------------------------------------------------
 # Regularized incomplete gamma functions: one array kernel.
@@ -67,10 +77,10 @@ def _phi(dl):
     # dl - log1p(dl), elementwise. For |dl| < 0.1 the series
     # sum_k (-dl)^k / k, k = 2..39, avoids the cancellation; one term per
     # pass, each element stops at its first term below eps relative to the
-    # partial sum.
+    # partial sum. act holds flat indices, for dl of any shape.
     out = dl - np.log1p(dl)
     act = np.flatnonzero(np.abs(dl) < 0.1)
-    nd = power = -dl[act]
+    nd = power = -dl.flat[act]
     total = np.zeros(act.size)
     for k in range(2, 40):
         if act.size == 0:
@@ -80,10 +90,10 @@ def _phi(dl):
         total = total + term
         done = np.abs(term) < np.abs(total) * _EPS
         if done.any():
-            out[act[done]] = total[done]
+            out.flat[act[done]] = total[done]
             keep = ~done
             act, nd, power, total = act[keep], nd[keep], power[keep], total[keep]
-    out[act] = total
+    out.flat[act] = total
     return out
 
 

@@ -297,7 +297,8 @@ def test_receiver_noise_cdf_degenerate_limit():
                                   t_p=dp.t_p * 1e12)
     for p in np.linspace(0.05, 0.95, 10):
         q = float(lp3.quantile(law, p))
-        got = detection.cdf_shot_thermal(law, q, tiny)
+        got = detection.cdf_shot_thermal(
+            detection.ShotThermalLaw(law, tiny), q)
         assert got == pytest.approx(float(lp3.cdf(law, q)),
                                     rel=1e-6, abs=1e-6)
 
@@ -318,7 +319,8 @@ def test_receiver_noise_cdf_matches_draw_oracle():
         q = float(lp3.quantile(law, p))
         phat = np.searchsorted(x, q, side="right") / n
         se = math.sqrt(phat * (1.0 - phat) / n)
-        got = detection.cdf_shot_thermal(law, q, phys)
+        got = detection.cdf_shot_thermal(
+            detection.ShotThermalLaw(law, phys), q)
         assert abs(got - phat) <= 3.0 * se, (
             f"p={p}: model={got:.6f} oracle={phat:.6f} se={se:.2e}")
 

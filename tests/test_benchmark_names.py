@@ -82,3 +82,43 @@ def test_cli_names_used_by_the_benchmark_self_tests():
     cfg = cli.SweepConfig(base, "p_r_dbm", (33.0,))
     assert cfg.orders and cfg.variants and cfg.r_l_values
     assert callable(cli.build_parser) and callable(cli.main)
+
+
+def test_law_methods_reach_the_traced_module_functions(monkeypatch):
+    # the tracer rebinds module globals only, so the per-layer counts see a
+    # threshold search only while the law methods call lp3's and
+    # detection's functions through those globals
+    from cubicber import detection, lp3
+    from cubicber.moments import decision_moments
+    from cubicber.params import dbm_to_watts, derive
+
+    calls = {}
+
+    def count(mod, name):
+        real = getattr(mod, name)
+        key = f"{mod.__name__.rsplit('.', 1)[1]}.{name}"
+
+        def wrapper(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(mod, name, wrapper)
+
+    for name in ("cdf", "logpdf", "moment", "quantile"):
+        count(lp3, name)
+    count(detection, "cdf_shot_thermal")
+    sp = SystemParams(tau_c=100e-15, prd=10.0, wavelength=1.55e-6,
+                      g_amp=1e5, p_r=dbm_to_watts(37.0))
+    dp = derive(sp)
+    laws = [lp3.fit_from_moments(decision_moments(sp, dp, b))
+            for b in (0, 1)]
+    detection.optimize_threshold(*laws)
+    assert set(calls) == {"lp3.cdf", "lp3.logpdf", "lp3.moment"}
+    assert calls["lp3.cdf"] == calls["lp3.moment"] == 2
+    calls.clear()
+    phys = detection.noise_physics(sp, dp)
+    detection.optimize_threshold(*(detection.ShotThermalLaw(law, phys)
+                                   for law in laws))
+    assert set(calls) == {"lp3.logpdf", "lp3.moment", "lp3.quantile",
+                          "detection.cdf_shot_thermal"}
+    assert (calls["lp3.moment"] == calls["lp3.quantile"]
+            == calls["detection.cdf_shot_thermal"] == 2)

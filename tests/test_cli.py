@@ -169,11 +169,28 @@ trials = 2000
     "sweep_p_r_dbm = 1:2:1\nvariants = mc\nseed = 18446744073709551616\n",
     "sweep_p_r_dbm = 1:2:1\nvariants = mc\nwindow = 8\n",
     "sweep_p_r_dbm = 1:2:1\norders = 1, 3\noversample = 4\n",
+    "sweep_p_r_dbm = 33:33:1\norders = 3, 3\n",         # repeated settings
+    "sweep_p_r_dbm = 33:33:1\nvariants = lp3, lp3\n",
+    "sweep_p_r_dbm = 33:33:1\nr_l = 100ohm, 0.1kohm\n",
 ])
 def test_sweep_config_errors(tmp_path, capsys, body):
     cfg = write_cfg(tmp_path, body)
     assert main(["ber-sweep", "--config", cfg]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,kw", [
+    ("orders", dict(orders=(3, 1, 3))),
+    ("variants", dict(variants=("lp3", "gauss_approx", "lp3"))),
+    ("r_l", dict(r_l_values=(100.0, 100.0)))])
+def test_sweep_config_names_a_repeated_setting(key, kw):
+    # a repeat would print its rows twice and rerun their searches; a
+    # repeated sweep-axis value is a point of its own and stays allowed
+    base = SystemParams(tau_c=100e-15, prd=10.0, wavelength=1.55e-6,
+                        g_amp=1e5)
+    with pytest.raises(cli.ConfigError, match=f"^{key} repeats a value"):
+        cli.SweepConfig(base, "p_r_dbm", (33.0,), analytic_only=True, **kw)
+    cli.SweepConfig(base, "p_r_dbm", (33.0, 33.0), analytic_only=True)
 
 
 def test_sweep_config_applies_the_analytic_only_rules():
@@ -640,6 +657,21 @@ def test_mc_validate_overflowing_closed_form_is_numeric_failure(tmp_path,
     assert capsys.readouterr().err == ("closed form failed: closed-form "
                                        "moment mu3 of bit 1 overflows a "
                                        "float\n")
+
+
+def test_mc_validate_takes_the_closed_forms_before_any_draw(tmp_path,
+                                                           capsys,
+                                                           monkeypatch):
+    # a closed form that overflows fails before the draws, which take far
+    # longer at large trial counts
+    def refuse(*_, **__):
+        raise AssertionError("generate_samples called")
+
+    monkeypatch.setattr(montecarlo, "generate_samples", refuse)
+    cfg = write_cfg(tmp_path, "prd = 10\np_r = 400dBm\n")
+    rc = main(["mc-validate", "--config", cfg, "--trials", "200000"])
+    assert rc == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("closed form failed: ")
 
 
 def test_mc_validate_rejects_small_trials(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 import scipy.special as sc
 from scipy.integrate import quad
 
-from cubicber import (Lp3Params, NoisePhysics,
+from cubicber import (Lp3Params, NoisePhysics, ShotThermalLaw,
                       cdf_shot_thermal, derive, error_probability,
                       fit_from_moments, gaussian_approx_ber, noise_physics,
                       optimize_threshold)
@@ -36,12 +36,12 @@ def test_noise_physics_variance_formula():
     # thermal noise dominates at 3 uA, shot noise at 1 mA
     for y0, t_p in ((3e-6, 1e-12), (1e-3, 5e-12)):
         law = Lp3Params(alpha=1e12, beta=1e-12, gamma=math.log(y0) - 1.0)
-        phys = NoisePhysics(t_r=300.0, r_l=1000.0, t_p=t_p)
+        st = ShotThermalLaw(law, NoisePhysics(t_r=300.0, r_l=1000.0, t_p=t_p))
         s = math.sqrt((2 * Q_ELECTRON * y0
                        + 4 * K_BOLTZMANN * 300.0 / 1000.0) / t_p)
         for k in (-2.0, -0.5, 0.0, 1.0, 3.0):
             want = 0.5 * math.erfc(-k / math.sqrt(2.0))
-            assert cdf_shot_thermal(law, y0 + k * s, phys) == pytest.approx(
+            assert cdf_shot_thermal(st, y0 + k * s) == pytest.approx(
                 want, abs=1e-8)
 
 
@@ -74,20 +74,20 @@ def test_cdf_shot_thermal_degenerate_noise_limit():
     tiny = NoisePhysics(t_r=sp.t_r, r_l=sp.r_l, t_p=dp.t_p * 1e12)
     for prob in np.linspace(0.05, 0.95, 10):
         x = quantile(law, prob)
-        assert cdf_shot_thermal(law, x, tiny) == pytest.approx(
-            float(lp3_cdf(law, x)), abs=1e-6, rel=1e-6)
+        assert cdf_shot_thermal(ShotThermalLaw(law, tiny), x) == \
+            pytest.approx(float(lp3_cdf(law, x)), abs=1e-6, rel=1e-6)
 
 
 def test_cdf_shot_thermal_monotone_and_saturates():
     law, sp, dp = _cubic_law()
-    phys = noise_physics(sp, dp)
+    st = ShotThermalLaw(law, noise_physics(sp, dp))
     xs = np.geomspace(quantile(law, 1e-3) * 0.1, quantile(law, 1 - 1e-6) * 3,
                       25)
-    vals = [cdf_shot_thermal(law, x, phys) for x in xs]
+    vals = [cdf_shot_thermal(st, x) for x in xs]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     assert all(0.0 <= v <= 1.0 for v in vals)
     far = quantile(law, 1 - 1e-9) * 10
-    assert cdf_shot_thermal(law, far, phys) == pytest.approx(1.0, abs=1e-9)
+    assert cdf_shot_thermal(st, far) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_cdf_shot_thermal_widens_the_law():
@@ -95,10 +95,11 @@ def test_cdf_shot_thermal_widens_the_law():
     # cdf exceeds the bare one
     law, sp, dp = _cubic_law(p_r_dbm=33.0)
     phys = NoisePhysics(t_r=300.0, r_l=100.0, t_p=dp.t_p)  # strong thermal
+    st = ShotThermalLaw(law, phys)
     lo = quantile(law, 0.01)
-    assert cdf_shot_thermal(law, lo, phys) > float(lp3_cdf(law, lo))
+    assert cdf_shot_thermal(st, lo) > float(lp3_cdf(law, lo))
     hi = quantile(law, 0.99)
-    assert cdf_shot_thermal(law, hi, phys) < float(lp3_cdf(law, hi))
+    assert cdf_shot_thermal(st, hi) < float(lp3_cdf(law, hi))
 
 
 def test_cdf_shot_thermal_against_sampling_oracle():
@@ -117,24 +118,25 @@ def test_cdf_shot_thermal_against_sampling_oracle():
     for prob in (0.1, 0.3, 0.5, 0.7, 0.9):
         q = x[int(prob * n)]
         se = math.sqrt(prob * (1 - prob) / n)
-        assert cdf_shot_thermal(law, q, phys) == pytest.approx(
-            prob, abs=4 * se)
+        assert cdf_shot_thermal(ShotThermalLaw(law, phys), q) == \
+            pytest.approx(prob, abs=4 * se)
 
 
 def _st_laws(p_r_dbm=37.0, r_l=1000.0):
+    # the shot/thermal laws of bits 0 and 1
     sp = make_system(prd=10.0, p_r_dbm=p_r_dbm, r_l=r_l)
     dp = derive(sp)
     phys = noise_physics(sp, dp)
-    law0, law1 = (fit_from_moments(decision_moments(sp, dp, b))
-                  for b in (0, 1))
-    return law0, law1, phys
+    return tuple(ShotThermalLaw(fit_from_moments(decision_moments(sp, dp, b)),
+                                phys) for b in (0, 1))
 
 
-def _st_quad(law, x, phys):
+def _st_quad(st, x):
     # independent reference: adaptive quadrature of the cdf rewritten by
     # parts, the integral of (-u'(y)) F_Y(y) with u(y) = P{N <= x - y | y}
     # plus the tail above the cut, with scipy's incomplete gamma for F_Y;
     # cdf_shot_thermal integrates the conditional form instead
+    law, phys = st.clean, st.phys
     qe_tp = Q_ELECTRON / phys.t_p
     th_tp = 4.0 * K_BOLTZMANN * phys.t_r / (phys.r_l * phys.t_p)
 
@@ -165,16 +167,17 @@ def _st_quad(law, x, phys):
 
 
 def test_cdf_shot_thermal_array_matches_adaptive_quadrature():
-    law0, law1, phys = _st_laws()
-    grid = np.geomspace(moment(law0, 1) / 100.0, moment(law1, 1) * 10.0, 256)
-    for law in (law0, law1):
-        got = cdf_shot_thermal(law, grid, phys)
+    st0, st1 = _st_laws()
+    grid = np.geomspace(moment(st0.clean, 1) / 100.0,
+                        moment(st1.clean, 1) * 10.0, 256)
+    for st in (st0, st1):
+        got = cdf_shot_thermal(st, grid)
         assert got.shape == grid.shape
-        want = [_st_quad(law, x, phys) for x in grid]
+        want = [_st_quad(st, x) for x in grid]
         assert np.abs(got - want).max() <= 1e-12
         # a scalar threshold runs the same panels
         for i in (0, 128, 255):
-            assert cdf_shot_thermal(law, grid[i], phys) == got[i]
+            assert cdf_shot_thermal(st, grid[i]) == got[i]
 
 
 @pytest.mark.parametrize("prd,p_r_dbm",
@@ -186,43 +189,41 @@ def test_cdf_shot_thermal_derivative_is_the_density(prd, p_r_dbm):
     law1 = fit_from_moments(decision_moments(sp, dp, 1))
     phys = noise_physics(sp, dp)
     for law in (law0, law1):
+        st = ShotThermalLaw(law, phys)
         x = quantile(law, np.array([0.05, 0.25, 0.5, 0.75, 0.95]))
         h = 1e-4 * x
-        slope = (cdf_shot_thermal(law, x + h, phys)
-                 - cdf_shot_thermal(law, x - h, phys)) / (2.0 * h)
-        dens = detection._shot_thermal(law, x, phys, True,
-                                       detection._cuts(law))
+        slope = (cdf_shot_thermal(st, x + h)
+                 - cdf_shot_thermal(st, x - h)) / (2.0 * h)
+        dens = np.exp(st.logpdf(x))
         assert np.abs(slope / dens - 1.0).max() <= 1e-6
 
 
 def test_cdf_shot_thermal_needs_no_lp3_cdf(monkeypatch):
     # the law enters through its density only: no incomplete gamma per node
-    law0, law1, phys = _st_laws()
-
     def refuse(*_):
         raise AssertionError("lp3.cdf called")
 
     monkeypatch.setattr(lp3, "cdf", refuse)
-    for law in (law0, law1):
-        got = cdf_shot_thermal(law, np.geomspace(1e-7, 1e-4, 32), phys)
+    for st in _st_laws():
+        got = cdf_shot_thermal(st, np.geomspace(1e-7, 1e-4, 32))
         assert ((got >= 0.0) & (got <= 1.0)).all()
 
 
 def test_cdf_shot_thermal_rejects_nonfinite_thresholds():
-    law0, _, phys = _st_laws()
+    st0, _ = _st_laws()
     for bad in (math.nan, math.inf):
         with pytest.raises(ParamError):
-            cdf_shot_thermal(law0, np.array([1e-6, bad]), phys)
+            cdf_shot_thermal(st0, np.array([1e-6, bad]))
 
 
 def test_cdf_shot_thermal_error_gate(monkeypatch):
     # one panel edge besides the kernel centre: far too coarse, and the
     # Kronrod-Gauss difference says so
-    _, law1, phys = _st_laws()
+    _, st1 = _st_laws()
     monkeypatch.setattr(detection, "_EDGE_PROBS", np.array([0.5]))
     monkeypatch.setattr(detection, "_KERNEL_W", np.array([0.0]))
     with pytest.raises(QuadratureError):
-        cdf_shot_thermal(law1, moment(law1, 1), phys)
+        cdf_shot_thermal(st1, moment(st1.clean, 1))
 
 
 # (P_r dBm, R_L ohm, th_opt, PE) of the PRD-10 shot/thermal search as
@@ -247,14 +248,14 @@ def test_shot_thermal_search_matches_adaptive(p_r_dbm, r_l, th_ref, pe_ref):
 def test_shot_thermal_search_call_count(monkeypatch):
     # host-independent cost guard: the search bisects on densities, so the
     # cdf quadrature runs once per bit, on the crossings and the two ends;
-    # the panel cuts are computed once per law for the ~100 density calls,
-    # and once per law by each of those two cdf calls
+    # a law computes its panel cuts once, for the ~100 density calls and
+    # its cdf call alike
     sizes = []
     real = detection.cdf_shot_thermal
 
-    def counting(law, x, phys):
+    def counting(law, x):
         sizes.append(np.size(x))
-        return real(law, x, phys)
+        return real(law, x)
 
     quantiles = []
     real_quantile = lp3.quantile
@@ -265,16 +266,17 @@ def test_shot_thermal_search_call_count(monkeypatch):
 
     monkeypatch.setattr(detection, "cdf_shot_thermal", counting)
     monkeypatch.setattr(lp3, "quantile", counting_quantile)
-    law0, law1, phys = _st_laws()
-    optimize_threshold(law0, law1, phys)
+    st0, st1 = _st_laws()
+    optimize_threshold(st0, st1)
     assert len(sizes) == 2 and sizes[0] == sizes[1] >= 3
-    assert quantiles == [law0, law1, law0, law1]
+    assert len(quantiles) == 2 and {*quantiles} == {st0.clean, st1.clean}
 
 
-def _st_pdf_quad(law, x, phys):
+def _st_pdf_quad(st, x):
     # independent reference: adaptive quadrature of the density of Y + N,
     # the integral of f_Y(y) phi(x; y, sigma^2(y)), with the LP3 density
     # of conftest
+    law, phys = st.clean, st.phys
     qe_tp = Q_ELECTRON / phys.t_p
     th_tp = 4.0 * K_BOLTZMANN * phys.t_r / (phys.r_l * phys.t_p)
 
@@ -307,9 +309,9 @@ def test_lp3_threshold_is_where_the_densities_cross(prd, p_r_dbm):
 
 @pytest.mark.parametrize("p_r_dbm,r_l", [c[:2] for c in ADAPTIVE_SEARCHES])
 def test_shot_thermal_threshold_is_where_the_densities_cross(p_r_dbm, r_l):
-    law0, law1, phys = _st_laws(p_r_dbm, r_l)
-    th, _ = optimize_threshold(law0, law1, phys)
-    f0, f1 = (_st_pdf_quad(law, th, phys) for law in (law0, law1))
+    st0, st1 = _st_laws(p_r_dbm, r_l)
+    th, _ = optimize_threshold(st0, st1)
+    f0, f1 = (_st_pdf_quad(st, th) for st in (st0, st1))
     assert abs(f1 - f0) <= 1e-9 * f1
 
 
@@ -317,21 +319,51 @@ def test_shot_thermal_threshold_is_where_the_densities_cross(p_r_dbm, r_l):
 # the law of one bit in the error probability
 # --------------------------------------------------------------------------
 
+@pytest.mark.parametrize("law", [
+    Lp3Params(alpha=2.0, beta=0.5, gamma=0.0),
+    Lp3Params(alpha=30.0, beta=-0.05, gamma=1.0),
+    _cubic_law(bit=0)[0],
+    _cubic_law(bit=1)[0]])
+def test_lp3_law_methods_are_the_module_functions(law):
+    # the law interface of Lp3Params adds nothing to lp3's functions: the
+    # same bits on scalars and arrays, inside and outside the support
+    ys = np.concatenate([[-1.0, 0.0], quantile(law, np.array(
+        [1e-12, 1e-3, 0.3, 0.5, 0.9, 0.99, 1.0 - 1e-9])), [1e300]])
+    for y in [*ys, ys, ys.reshape(2, -1)]:
+        for got, want in ((law.cdf(y), lp3.cdf(law, y)),
+                          (law.logpdf(y), lp3.logpdf(law, y))):
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
+    assert law.mean() == moment(law, 1)
+
+
+def test_shot_thermal_law_methods():
+    # cdf is cdf_shot_thermal, logpdf the log of the density that the
+    # search bisects on, mean the clean law's: noise N has mean 0
+    st0, st1 = _st_laws()
+    xs = np.geomspace(st0.mean(), st1.mean(), 7)
+    assert np.array_equal(st1.cdf(xs), cdf_shot_thermal(st1, xs))
+    assert st1.cdf(xs[3]) == cdf_shot_thermal(st1, xs[3])
+    assert np.array_equal(st1.logpdf(xs),
+                          np.log(detection._shot_thermal(st1, xs, True)))
+    assert st1.mean() == moment(st1.clean, 1)
+
 def test_bit_conditioned_law_lp3():
     # F_b is the bare LP3 cdf of the bit's law, or the shot/thermal cdf
-    # when noise physics is given
+    # of its ShotThermalLaw
     law0, sp, dp = _cubic_law(bit=0)
     law1 = fit_from_moments(decision_moments(sp, dp, 1))
-    phys = noise_physics(sp, dp)
+    st0, st1 = (ShotThermalLaw(law, noise_physics(sp, dp))
+                for law in (law0, law1))
     for th in (-1.0, 0.0):
         assert error_probability(law0, law1, th) == 0.5
     th = quantile(law1, 0.4)
     want = 0.5 * (1.0 - lp3_cdf(law0, th)) + 0.5 * 0.4
     assert error_probability(law0, law1, th) == pytest.approx(want,
                                                               rel=1e-9)
-    want = (0.5 * (1.0 - cdf_shot_thermal(law0, th, phys))
-            + 0.5 * cdf_shot_thermal(law1, th, phys))
-    assert error_probability(law0, law1, th, phys) == want
+    want = (0.5 * (1.0 - cdf_shot_thermal(st0, th))
+            + 0.5 * cdf_shot_thermal(st1, th))
+    assert error_probability(st0, st1, th) == want
 
 
 # --------------------------------------------------------------------------
