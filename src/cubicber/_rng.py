@@ -94,6 +94,11 @@ def _poly7(coeffs, r):
 
 def inverse_normal_cdf(p):
     """Vectorized standard normal quantile for p strictly inside (0, 1)."""
+    return _ndtri(p)
+
+
+def _ndtri(p):
+    # the body of inverse_normal_cdf; lp3 seeds with it, not an rng draw
     p = np.asarray(p, np.float64)
     q = p - 0.5
     out = np.empty_like(p)

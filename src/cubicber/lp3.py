@@ -4,9 +4,9 @@ If Y is LP3(alpha, beta, gamma) then (ln Y - gamma)/beta is gamma-distributed
 with shape alpha and unit scale. beta may be negative, in which case the
 support of Y is bounded above by exp(gamma).
 
-The regularized incomplete gamma functions used by the cdf are implemented
-here so that no special-function behavior is imported blindly; scipy is
-used only to invert the gamma cdf for quantiles. One array kernel,
+The regularized incomplete gamma functions, their inverse and the normal
+tail are implemented here in numpy, so that no special-function behavior
+is imported blindly and the package needs no scipy. One array kernel,
 _gamma_pq(a, x) for a scalar shape a and an array x, serves every caller
 (cdf, reg_gamma_p, the quantile polish), scalar or array alike: the
 lower series for x < a + 1, the modified-Lentz continued fraction
@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sc
+
+from ._rng import _ndtri
 
 
 class Lp3Error(ValueError):
@@ -61,6 +62,39 @@ class Lp3Params:
 
     def mean(self) -> float:
         return moment(self, 1)
+
+
+# ---------------------------------------------------------------------------
+# Normal tail, elementwise; arrays keep their shape (0-d too).
+# ---------------------------------------------------------------------------
+
+_ERFC = np.frompyfunc(math.erfc, 1, 1)  # math.erfc per element: a few ulps
+
+
+def _erfc(x):
+    return np.asarray(_ERFC(x), float)
+
+
+def _ndtr(z):
+    """Standard normal cdf Phi(z)."""
+    return 0.5 * _erfc(np.asarray(z, float) * -math.sqrt(0.5))
+
+
+def _log_ndtr(z):
+    """ln Phi(z): log1p(-Phi(-z)) above 0, and below z = -37, where Phi
+    nears the subnormals, the asymptotic series of the Mills ratio."""
+    z = np.asarray(z, float)
+    out = np.empty(z.shape)
+    hi, far = z > 0.0, z < -37.0
+    mid = ~(hi | far)  # NaN too
+    out[hi] = np.log1p(-_ndtr(-z[hi]))
+    out[mid] = np.log(_ndtr(z[mid]))
+    zf = z[far]
+    r = 1.0 / (zf * zf)
+    series = r * (-1.0 + r * (3.0 + r * (-15.0 + r * (105.0 - 945.0 * r))))
+    out[far] = (-0.5 * zf * zf - np.log(-zf) - 0.5 * math.log(2.0 * math.pi)
+                + np.log1p(series))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +219,8 @@ def _pq_asymptotic(a: float, x):
     c0[~near] = 1.0 / np.copysign(np.sqrt(eta2[~near]), df) - 1.0 / df
     z = np.copysign(np.sqrt(eta2), dl) * math.sqrt(0.5 * a)
     corr = np.exp(-z * z) / math.sqrt(2.0 * math.pi * a) * c0
-    q = 0.5 * _sc.erfc(z) - corr
-    p = 0.5 * _sc.erfc(-z) + corr
+    q = 0.5 * _erfc(z) - corr
+    p = 0.5 * _erfc(-z) + corr
     return np.clip(p, 0.0, 1.0), np.clip(q, 0.0, 1.0)
 
 
@@ -268,40 +302,58 @@ def moment(p: Lp3Params, n: int) -> float:
     return math.exp(n * p.gamma - p.alpha * math.log1p(-n * p.beta))
 
 
-def _refine_gamma_inv(a: float, target, z0, upper: bool):
-    # Newton polish of gamma-cdf inverses (arrays target, z0) against the
-    # local kernel, needed above _LARGE_SHAPE where scipy's incomplete
-    # gamma loses the far tails. Solves ln F(z) = ln(target): in the tails
-    # ln F is nearly linear in z, so the log-residual iteration converges
-    # fast from a mediocre seed. pdf(z) = exp(log_prefactor)/z. Each
-    # element leaves the iteration at its own stopping point.
+def _refine_gamma_inv(a: float, target, z0, upper):
+    # Newton polish of gamma-cdf inverses (arrays target, z0, upper) against
+    # the local kernel, at every shape: it makes the quantile as accurate
+    # as _gamma_pq, also above _LARGE_SHAPE. Solves ln F(z) = ln(target),
+    # F = Q where upper and P elsewhere, target the smaller tail: in the
+    # tails ln F is nearly linear in z, so the log-residual iteration
+    # converges fast from a mediocre seed. Each element leaves the
+    # iteration at its own stopping point.
     z0 = np.asarray(z0, float).ravel()
     out = z0.copy()
     idx = np.arange(z0.size)
-    z, t = z0, np.asarray(target, float).ravel()
-    for _ in range(12):
+    z, t, up = z0, np.asarray(target, float).ravel(), np.ravel(upper)
+    for _ in range(60):
         inside = (z > 0) & np.isfinite(z)
         out[idx[~inside]] = z0[idx[~inside]]  # left the domain: keep the seed
-        idx, z, t = idx[inside], z[inside], t[inside]
-        lp = _log_prefactor(a, z)
-        fv = _gamma_pq(a, z)[1 if upper else 0]
-        # density underflow or an empty tail: z is as good as it gets
-        stop = (lp < -700.0) | (fv <= 0.0)
-        out[idx[stop]] = z[stop]
-        run = ~stop
-        idx, z, t, lp, fv = idx[run], z[run], t[run], lp[run], fv[run]
-        f = np.exp(lp) / z
-        # d(ln P)/dz = f/P; d(ln Q)/dz = -f/Q
-        resid = np.log(fv / t)
-        step = resid * fv / f if upper else -resid * fv / f
-        znew = z + step
+        idx, z, t, up = idx[inside], z[inside], t[inside], up[inside]
+        pq = _gamma_pq(a, z)
+        fv = np.where(up, pq[1], pq[0])
+        # an empty tail means the seed overshot: step back toward the bulk
+        znew = np.where(up, 0.5, 2.0) * z
+        r = fv > 0.0
+        # d(ln P)/dz = f/P, d(ln Q)/dz = -f/Q, with F/f = z exp(ln F -
+        # log_prefactor) in logs, as the density may underflow
+        lf = np.log(fv[r])
+        step = (np.log(fv[r] / t[r]) * z[r]
+                * np.exp(lf - _log_prefactor(a, z[r])))
+        znew[r] = z[r] + np.where(up[r], step, -step)
         znew = np.where(znew > 0, znew, 0.5 * z)
         out[idx] = znew
         moving = ~(np.abs(znew - z) <= 1e-14 * z)  # NaN keeps moving
-        idx, z, t = idx[moving], znew[moving], t[moving]
+        idx, z, t, up = idx[moving], znew[moving], t[moving], up[moving]
         if idx.size == 0:
             break
     return out
+
+
+def _gamma_inv(a: float, prob, upper: bool):
+    """z with P(a, z) = prob, or Q(a, z) = prob if upper; prob in (0, 1).
+
+    A polish on the smaller tail t (prob, or 1 - prob above 1/2: exact),
+    seeded by Wilson-Hilferty, z ~ a w^3 with w = 1 - 1/(9a) + x/(3 sqrt a)
+    and x the normal quantile of P, or where w <= 0.1 (small shape, far
+    lower tail) by the leading lower-tail term (t Gamma(a+1))^(1/a).
+    """
+    prob = np.asarray(prob, float)
+    small = prob <= 0.5
+    t, up = np.where(small, prob, 1.0 - prob), small == upper
+    x = _ndtri(t)
+    w = 1.0 - 1.0 / (9.0 * a) + np.where(up, -x, x) / (3.0 * math.sqrt(a))
+    z0 = np.where(w > 0.1, a * w**3,
+                  np.exp((np.log(t) + math.lgamma(a + 1.0)) / a))
+    return _refine_gamma_inv(a, t, z0, up).reshape(prob.shape)
 
 
 def quantile(p: Lp3Params, prob):
@@ -309,13 +361,7 @@ def quantile(p: Lp3Params, prob):
     pr = np.asarray(prob, float)
     if np.any((pr <= 0.0) | (pr >= 1.0)):
         raise Lp3Error("prob must lie strictly inside (0, 1)")
-    if p.beta > 0:
-        z = _sc.gammaincinv(p.alpha, pr)
-    else:
-        z = _sc.gammainccinv(p.alpha, pr)
-    if p.alpha > _LARGE_SHAPE:
-        z = _refine_gamma_inv(p.alpha, pr, z, p.beta < 0).reshape(pr.shape)
-    out = np.exp(p.gamma + p.beta * z)
+    out = np.exp(p.gamma + p.beta * _gamma_inv(p.alpha, pr, p.beta < 0))
     return float(out) if np.ndim(prob) == 0 else out
 
 

@@ -57,7 +57,7 @@ GOLDEN_SWEEPS = {
 SHOT_THERMAL = ("prd = 10\nsweep_p_r_dbm = 35:37:2\norders = 3\n"
                 "variants = lp3_shot_thermal\n")
 GOLDEN_SHOT_THERMAL = HEAD + """\
-35,p_r_dbm,10,1000,lp3_shot_thermal,1.7296245502701063e-05,0.0049524610997932119,3,
+35,p_r_dbm,10,1000,lp3_shot_thermal,1.7296245502701053e-05,0.0049524610997932145,3,
 37,p_r_dbm,10,1000,lp3_shot_thermal,3.6976885637601802e-05,0.00012260574258182347,3,
 """
 
@@ -80,7 +80,7 @@ GOLDEN_ORDERS = HEAD + f"""\
 detector scale for shot/thermal noise
 33,p_r_dbm,10,1000,gauss_approx,7.7184927598166316e-06,0.099760614804087586,3,
 33,p_r_dbm,10,1000,lp3,7.231807362619238e-06,0.028907664060914974,3,
-33,p_r_dbm,10,1000,lp3_shot_thermal,1.1140659940464143e-05,0.049690568254798111,3,
+33,p_r_dbm,10,1000,lp3_shot_thermal,1.1140659940464143e-05,0.049690568254798083,3,
 """
 
 FAILED_PRD = "p_r = 33dBm\nsweep_prd = 0.5, 10\n"
@@ -90,7 +90,7 @@ GOLDEN_FAILED_PRD = HEAD + """\
 0.5,prd,0.5,1000,lp3_shot_thermal,nan,nan,3,prd must be >= 1
 10,prd,10,1000,gauss_approx,7.7184927598166316e-06,0.099760614804087586,3,
 10,prd,10,1000,lp3,7.231807362619238e-06,0.028907664060914974,3,
-10,prd,10,1000,lp3_shot_thermal,1.1140659940464143e-05,0.049690568254798111,3,
+10,prd,10,1000,lp3_shot_thermal,1.1140659940464143e-05,0.049690568254798083,3,
 """
 
 GOLDEN_FIT = """\
@@ -223,9 +223,9 @@ inverse_gaussian      0.0668066 3       108.701 3         973.5 3
 """, GOF_CSV_HEAD + """\
 log_pearson3,0.0084857437785616253,1,2.2317128736376617,1,38.719999999999999,1
 normal,0.11508304936995417,5,nan,5,3221.5999999999999,5
-lognormal,0.065540419075542602,2,104.08010425851717,2,961.86000000000001,2
+lognormal,0.065540419075542589,2,104.08010425851899,2,961.86000000000001,2
 gamma,0.084910805783382171,4,177.01776816700476,4,1611.3699999999999,4
-inverse_gaussian,0.066806608446466034,3,108.70131483193109,3,973.5,3
+inverse_gaussian,0.066806608446465965,3,108.70131483193109,3,973.5,3
 """),
     3: ([], "n = 10000  bins = 200\n" + GOF_HEAD + """\
 log_pearson3         0.00156207 1     0.0867915 1           2.2 1
@@ -236,7 +236,7 @@ inverse_gaussian      0.0430293 3       76.5912 4       1502.08 4
 """, GOF_CSV_HEAD + """\
 log_pearson3,0.0015620735776318839,1,0.086791482621265459,1,2.2000000000000002,1
 normal,0.07865442741573786,5,155.49908684801449,5,2016.2,5
-lognormal,0.04352652328302703,4,72.120671732373012,3,1095,3
+lognormal,0.043526523283027044,4,72.120671732371193,3,1095,3
 gamma,0.0049827779119556714,2,0.68460420092014829,2,13.800000000000001,2
 inverse_gaussian,0.043029276432082694,3,76.591216869515847,4,1502.0799999999999,4
 """),

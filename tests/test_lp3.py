@@ -1,6 +1,7 @@
 """Log-Pearson-III law: gamma kernels, cdf/quantile, three-moment fit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from scipy.integrate import quad
 
 from cubicber import Lp3Params, fit_from_moments
 from cubicber.lp3 import (DivergentMomentError, Lp3Error, NoSolutionError,
-                          _gamma_pq, cdf, logpdf, moment, quantile,
-                          reg_gamma_p)
+                          _gamma_inv, _gamma_pq, _log_ndtr, _ndtr, cdf,
+                          logpdf, moment, quantile, reg_gamma_p)
 from conftest import lp3_pdf as pdf
 
 
@@ -338,6 +339,93 @@ def test_extreme_shape_cdf_quantile_consistency():
         y = quantile(p, prob)
         assert math.isfinite(y) and y > 0
         assert cdf(p, y) == pytest.approx(prob, rel=1e-6)
+
+
+# --------------------------------------------------------------------------
+# the numpy normal tail and gamma-cdf inverse, against independent oracles
+# --------------------------------------------------------------------------
+
+def test_ndtr_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    # below z = -37 Phi nears the subnormals, where relative error means
+    # nothing
+    zs = np.linspace(-37.0, 8.0, 901)
+    with mpmath.workdps(40):
+        want = [float(mpmath.ncdf(z)) for z in zs]
+    assert _ndtr(zs) == pytest.approx(want, rel=5e-13, abs=0.0)
+
+
+def test_log_ndtr_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    zs = np.concatenate([-np.logspace(5.0, -3.0, 400),
+                         np.linspace(-40.0, 8.0, 481)])
+    with mpmath.workdps(40):
+        want = [float(mpmath.log(mpmath.ncdf(z))) for z in zs]
+    assert _log_ndtr(zs) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("fn,at_inf", [(_ndtr, (0.0, 1.0)),
+                                       (_log_ndtr, (-math.inf, 0.0))])
+def test_normal_tail_shapes_and_infinities(fn, at_inf):
+    assert np.shape(fn(0.3)) == () and fn(0.3) == fn([0.3])[0]
+    grid = np.linspace(-40.0, 8.0, 6).reshape(2, 3)
+    assert np.array_equal(fn(grid), fn(grid.ravel()).reshape(2, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tuple(fn([-math.inf, math.inf])) == at_inf
+
+
+# p from 1e-300 to 1 - 1e-16
+ROUND_TRIP_PROBS = np.concatenate([np.logspace(-300.0, -1.0, 61),
+                                   np.linspace(0.15, 0.85, 15),
+                                   1.0 - np.logspace(-1.0, -16.0, 31)])
+
+
+@pytest.mark.parametrize("a", [0.5, 7.6, 615.0, 1e6, 1e10, 1e12])
+@pytest.mark.parametrize("upper", [False, True])  # beta > 0, beta < 0
+def test_gamma_inv_round_trip(a, upper):
+    # z-space check on the smaller tail F (P or Q) through the kernel: ln F
+    # misses ln t by at most its conditioning z f(z)/F(z) times a few ulps
+    # of z, plus the kernel's own error
+    probs = ROUND_TRIP_PROBS
+    z = _gamma_inv(a, probs, upper)
+    small = probs <= 0.5
+    t = np.where(small, probs, 1.0 - probs)
+    p, q = _gamma_pq(a, z)
+    lower = small != upper
+    f = np.where(lower, p, q)
+    # a lower-tail root below the smallest normal float has no usable z:
+    # there P(a, z) ~ z^a / Gamma(a + 1) at z = tiny already exceeds t
+    tiny = np.finfo(float).tiny
+    deep = lower & (np.log(t) < a * math.log(tiny) - math.lgamma(a + 1.0))
+    assert np.all(z[deep] < tiny)
+    z, f, t = z[~deep], f[~deep], t[~deep]
+    cond = np.exp(a * np.log(z) - z - math.lgamma(a) - np.log(f))
+    assert np.all(np.abs(np.log(f / t))
+                  <= 1e-13 + 8.0 * np.finfo(float).eps * cond)
+
+
+def test_quantile_at_shape_1e6_matches_mpmath():
+    # scipy's gammaincinv misses P = 1e-6 here by 7.1e-6 relative
+    mpmath = pytest.importorskip("mpmath")
+    law = Lp3Params(alpha=1e6, beta=1e-6, gamma=0.0)
+    y = quantile(law, 1e-6)
+    with mpmath.workdps(40):
+        z = mpmath.log(mpmath.mpf(y)) / mpmath.mpf(law.beta)
+        back = mpmath.gammainc(law.alpha, 0, z, regularized=True)
+        assert abs(float(back / mpmath.mpf(1e-6) - 1)) <= 1e-10
+
+
+@pytest.mark.parametrize("a", [0.5, 0.7, 1.0, 2.5, 7.6, 50.0, 615.0, 1e4])
+def test_gamma_inv_matches_scipy(a):
+    # scipy as an oracle where it is sound: moderate shape, p not extreme
+    probs = np.concatenate([np.logspace(-14.0, -1.0, 27),
+                            np.linspace(0.1, 0.9, 17),
+                            1.0 - np.logspace(-1.0, -12.0, 23)])
+    assert _gamma_inv(a, probs, False) == pytest.approx(
+        sc.gammaincinv(a, probs), rel=1e-13, abs=0.0)
+    assert _gamma_inv(a, probs, True) == pytest.approx(
+        sc.gammainccinv(a, probs), rel=1e-13, abs=0.0)
 
 
 # --------------------------------------------------------------------------
