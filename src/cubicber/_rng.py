@@ -11,6 +11,8 @@ of the seed; callers reject larger seeds.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _M0 = np.uint64(0xD2511F53)
@@ -122,6 +124,28 @@ def _ndtri(p):
         rf = r[far] - 5.0
         res[far] = _poly7(_PE, rf) / _poly7(_PF, rf)
         out[tail] = np.where(qt < 0.0, -res, res)
+    return out
+
+
+_ERFC = np.frompyfunc(math.erfc, 1, 1)  # math.erfc per element: a few ulps
+
+
+def _ndtr(z):
+    # standard normal cdf Phi(z), elementwise; private like _ndtri
+    return 0.5 * np.asarray(_ERFC(np.multiply(z, -math.sqrt(0.5))), float)
+
+
+def _log_ndtr(z):
+    # ln Phi(z): ulps of ln Phi for z <= 0, of 1 above; Mills series below -37
+    z = np.asarray(z, float)
+    out = np.empty(z.shape)
+    far = z < -37.0
+    out[~far] = np.log(_ndtr(z[~far]))  # NaN too
+    zf = z[far]
+    r = 1.0 / (zf * zf)
+    series = r * (-1.0 + r * (3.0 + r * (-15.0 + r * (105.0 - 945.0 * r))))
+    out[far] = (-0.5 * zf * zf - np.log(-zf) - 0.5 * math.log(2.0 * math.pi)
+                + np.log1p(series))
     return out
 
 

@@ -29,6 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import lp3
+from ._rng import _ndtr
 from .params import (
     DerivedParams,
     K_BOLTZMANN,
@@ -178,7 +179,7 @@ def _st_block(law, x, density):
         f = np.exp(-(xb - y) ** 2 / (2.0 * s2))
         f /= np.sqrt(2.0 * math.pi * s2)
     else:
-        f = lp3._ndtr((xb - y) / np.sqrt(s2))
+        f = _ndtr((xb - y) / np.sqrt(s2))
     live = f > 0.0
     f[live] *= np.exp(lp3.logpdf(law.clean, y[live]))
     kron = (f * _GK_WK).sum(axis=2) * half

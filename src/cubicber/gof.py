@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp3
+from ._rng import _log_ndtr, _ndtr
 from .montecarlo import SampleSet, sample_moments
 from .params import ParamError
 
@@ -93,7 +94,7 @@ def _fit_lp3(x, m, v):
 
 def _fit_normal(x, m, v):
     s = math.sqrt(v)
-    return lambda y: lp3._ndtr((np.asarray(y, np.float64) - m) / s)
+    return lambda y: _ndtr((np.asarray(y, np.float64) - m) / s)
 
 
 def _on_positive(cdf):
@@ -114,7 +115,7 @@ def _fit_lognormal(x, m, v):
     s2 = math.log1p(v / (m * m))
     mu = math.log(m) - 0.5 * s2
     s = math.sqrt(s2)
-    return _on_positive(lambda y: lp3._ndtr((np.log(y) - mu) / s))
+    return _on_positive(lambda y: _ndtr((np.log(y) - mu) / s))
 
 
 def _fit_gamma(x, m, v):
@@ -133,8 +134,8 @@ def _fit_inverse_gaussian(x, m, v):
     def f(y):
         r = np.sqrt(lam / y)
         # second term computed in log space: exp(2 lam/m) alone overflows
-        t1 = lp3._ndtr(r * (y / m - 1.0))
-        t2 = np.exp(2.0 * lam / m + lp3._log_ndtr(-r * (y / m + 1.0)))
+        t1 = _ndtr(r * (y / m - 1.0))
+        t2 = np.exp(2.0 * lam / m + _log_ndtr(-r * (y / m + 1.0)))
         return np.clip(t1 + t2, 0.0, 1.0)
 
     return _on_positive(f)

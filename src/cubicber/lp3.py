@@ -4,9 +4,9 @@ If Y is LP3(alpha, beta, gamma) then (ln Y - gamma)/beta is gamma-distributed
 with shape alpha and unit scale. beta may be negative, in which case the
 support of Y is bounded above by exp(gamma).
 
-The regularized incomplete gamma functions, their inverse and the normal
-tail are implemented here in numpy, so that no special-function behavior
-is imported blindly and the package needs no scipy. One array kernel,
+The regularized incomplete gamma functions and their inverse are
+implemented here in numpy, so that no special-function behavior is
+imported blindly and the package needs no scipy. One array kernel,
 _gamma_pq(a, x) for a scalar shape a and an array x, serves every caller
 (cdf, reg_gamma_p, the quantile polish), scalar or array alike: the
 lower series for x < a + 1, the modified-Lentz continued fraction
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import _ndtri
+from ._rng import _ndtr, _ndtri
 
 
 class Lp3Error(ValueError):
@@ -62,39 +62,6 @@ class Lp3Params:
 
     def mean(self) -> float:
         return moment(self, 1)
-
-
-# ---------------------------------------------------------------------------
-# Normal tail, elementwise; arrays keep their shape (0-d too).
-# ---------------------------------------------------------------------------
-
-_ERFC = np.frompyfunc(math.erfc, 1, 1)  # math.erfc per element: a few ulps
-
-
-def _erfc(x):
-    return np.asarray(_ERFC(x), float)
-
-
-def _ndtr(z):
-    """Standard normal cdf Phi(z)."""
-    return 0.5 * _erfc(np.asarray(z, float) * -math.sqrt(0.5))
-
-
-def _log_ndtr(z):
-    """ln Phi(z): log1p(-Phi(-z)) above 0, and below z = -37, where Phi
-    nears the subnormals, the asymptotic series of the Mills ratio."""
-    z = np.asarray(z, float)
-    out = np.empty(z.shape)
-    hi, far = z > 0.0, z < -37.0
-    mid = ~(hi | far)  # NaN too
-    out[hi] = np.log1p(-_ndtr(-z[hi]))
-    out[mid] = np.log(_ndtr(z[mid]))
-    zf = z[far]
-    r = 1.0 / (zf * zf)
-    series = r * (-1.0 + r * (3.0 + r * (-15.0 + r * (105.0 - 945.0 * r))))
-    out[far] = (-0.5 * zf * zf - np.log(-zf) - 0.5 * math.log(2.0 * math.pi)
-                + np.log1p(series))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +171,7 @@ def _pq_contfrac(a: float, x):
 
 def _pq_asymptotic(a: float, x):
     # Uniform asymptotic for huge shape:
-    #   Q(a, x) = erfc(eta sqrt(a/2))/2 - exp(-a eta^2/2)/sqrt(2 pi a) * c0
+    #   Q(a, x) = Phi(-eta sqrt a) - exp(-a eta^2/2)/sqrt(2 pi a) * c0
     #   eta^2/2 = lam - 1 - ln lam,  sign(eta) = sign(lam - 1),
     #   c0 = 1/eta - 1/(lam - 1)  (limit 1/3 at lam -> 1).
     # The first dropped term is O(1/a) relative to c0, negligible here.
@@ -217,10 +184,10 @@ def _pq_asymptotic(a: float, x):
     c0[near] = 1.0 / 3.0 - dn / 12.0
     eta2[~near] = 2.0 * (df - np.log1p(df))
     c0[~near] = 1.0 / np.copysign(np.sqrt(eta2[~near]), df) - 1.0 / df
-    z = np.copysign(np.sqrt(eta2), dl) * math.sqrt(0.5 * a)
-    corr = np.exp(-z * z) / math.sqrt(2.0 * math.pi * a) * c0
-    q = 0.5 * _erfc(z) - corr
-    p = 0.5 * _erfc(-z) + corr
+    z = np.copysign(np.sqrt(eta2), dl) * math.sqrt(a)
+    corr = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi * a) * c0
+    q = _ndtr(-z) - corr
+    p = _ndtr(z) + corr
     return np.clip(p, 0.0, 1.0), np.clip(q, 0.0, 1.0)
 
 
@@ -302,37 +269,47 @@ def moment(p: Lp3Params, n: int) -> float:
     return math.exp(n * p.gamma - p.alpha * math.log1p(-n * p.beta))
 
 
+_GL = np.array([[0.1834346424956498, 0.5255324099163290, 0.7966664774136267,
+                 0.9602898564975362],  # 8-node Gauss-Legendre: nodes x > 0
+                [0.3626837833783620, 0.3137066458778873, 0.2223810344533745,
+                 0.1012285362903763]])  # and their weights
+_GL_X, _GL_W = np.r_[-_GL[0], _GL[0]], np.r_[_GL[1], _GL[1]]
+
+
 def _refine_gamma_inv(a: float, target, z0, upper):
-    # Newton polish of gamma-cdf inverses (arrays target, z0, upper) against
-    # the local kernel, at every shape: it makes the quantile as accurate
-    # as _gamma_pq, also above _LARGE_SHAPE. Solves ln F(z) = ln(target),
-    # F = Q where upper and P elsewhere, target the smaller tail: in the
-    # tails ln F is nearly linear in z, so the log-residual iteration
-    # converges fast from a mediocre seed. Each element leaves the
-    # iteration at its own stopping point.
+    # Halley polish of gamma-cdf inverses (arrays target, z0, upper) against
+    # the local kernel at every shape, on the smaller tail: g = ln(F/target)
+    # = 0, F = Q where upper and P elsewhere; with s = -1 for Q and 1 for P,
+    # g' = s f/F, g''/g' = (a - 1)/z - 1 - s f/F. Steps are d z (Newton's u z)
+    # and g bends on the scale L = min(F/f, z/4): an element stops at |d z| <=
+    # 1e-6 L (error ~ (d z)^3/L^2), and after |d z| <= L its next F is F (1 +
+    # s zf I), zf = z f/F, I = int_0^-d (1 + v)^(a-1) e^(-z v) dv by _GL.
     z0 = np.asarray(z0, float).ravel()
-    out = z0.copy()
-    idx = np.arange(z0.size)
-    z, t, up = z0, np.asarray(target, float).ravel(), np.ravel(upper)
+    out, idx = z0.copy(), np.flatnonzero(z0 > 0)  # a 0 seed (underflow) stays
+    z, t, up = z0[idx], np.ravel(target)[idx], np.ravel(upper)[idx]
+    fv, known = np.zeros(idx.size), np.zeros(idx.size, bool)
     for _ in range(60):
-        inside = (z > 0) & np.isfinite(z)
-        out[idx[~inside]] = z0[idx[~inside]]  # left the domain: keep the seed
-        idx, z, t, up = idx[inside], z[inside], t[inside], up[inside]
-        pq = _gamma_pq(a, z)
-        fv = np.where(up, pq[1], pq[0])
+        pq = _gamma_pq(a, z[~known])
+        fv[~known] = np.where(up[~known], pq[1], pq[0])
         # an empty tail means the seed overshot: step back toward the bulk
-        znew = np.where(up, 0.5, 2.0) * z
+        znew, dl = np.where(up, 0.5, 2.0) * z, np.full(z.size, math.inf)
         r = fv > 0.0
-        # d(ln P)/dz = f/P, d(ln Q)/dz = -f/Q, with F/f = z exp(ln F -
-        # log_prefactor) in logs, as the density may underflow
-        lf = np.log(fv[r])
-        step = (np.log(fv[r] / t[r]) * z[r]
-                * np.exp(lf - _log_prefactor(a, z[r])))
-        znew[r] = z[r] + np.where(up[r], step, -step)
+        # in units of z, as z may be subnormal; zf in logs, as f may underflow
+        zr, s = z[r], np.where(up[r], -1.0, 1.0)
+        zf = np.exp(_log_prefactor(a, zr) - np.log(fv[r]))
+        u = s * np.log(fv[r] / t[r]) / zf
+        d = u / np.maximum(1.0 - 0.5 * u * (a - 1.0 - zr - s * zf), 0.5)
+        znew[r], dl[r] = zr * (1.0 - d), np.abs(d) / np.minimum(1.0 / zf, 0.25)
         znew = np.where(znew > 0, znew, 0.5 * z)
         out[idx] = znew
-        moving = ~(np.abs(znew - z) <= 1e-14 * z)  # NaN keeps moving
-        idx, z, t, up = idx[moving], znew[moving], t[moving], up[moving]
+        moving = ~((dl <= 1e-6) | (np.abs(znew - z) <= 1e-14 * z))  # NaN too
+        known = moving & (dl <= 1.0)
+        kr, c = known[r], -0.5 * d[known[r]]
+        vs = c[:, None] * (1.0 + _GL_X)
+        ratio = np.exp((a - 1.0) * np.log1p(vs) - z[known, None] * vs) @ _GL_W
+        fv[known] *= 1.0 + s[kr] * c * zf[kr] * ratio
+        idx, z, t, up, fv, known = (v[moving]
+                                    for v in (idx, znew, t, up, fv, known))
         if idx.size == 0:
             break
     return out
@@ -341,11 +318,9 @@ def _refine_gamma_inv(a: float, target, z0, upper):
 def _gamma_inv(a: float, prob, upper: bool):
     """z with P(a, z) = prob, or Q(a, z) = prob if upper; prob in (0, 1).
 
-    A polish on the smaller tail t (prob, or 1 - prob above 1/2: exact),
-    seeded by Wilson-Hilferty, z ~ a w^3 with w = 1 - 1/(9a) + x/(3 sqrt a)
-    and x the normal quantile of P, or where w <= 0.1 (small shape, far
-    lower tail) by the leading lower-tail term (t Gamma(a+1))^(1/a).
-    """
+    Polished on the smaller tail t (prob, or 1 - prob above 1/2: exact)
+    from Wilson-Hilferty, a w^3 with w = 1 - 1/(9a) + x/(3 sqrt a), x the
+    normal quantile of P, or where w <= 0.1 from (t Gamma(a+1))^(1/a)."""
     prob = np.asarray(prob, float)
     small = prob <= 0.5
     t, up = np.where(small, prob, 1.0 - prob), small == upper

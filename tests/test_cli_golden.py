@@ -57,8 +57,8 @@ GOLDEN_SWEEPS = {
 SHOT_THERMAL = ("prd = 10\nsweep_p_r_dbm = 35:37:2\norders = 3\n"
                 "variants = lp3_shot_thermal\n")
 GOLDEN_SHOT_THERMAL = HEAD + """\
-35,p_r_dbm,10,1000,lp3_shot_thermal,1.7296245502701053e-05,0.0049524610997932145,3,
-37,p_r_dbm,10,1000,lp3_shot_thermal,3.6976885637601802e-05,0.00012260574258182347,3,
+35,p_r_dbm,10,1000,lp3_shot_thermal,1.7296245502701056e-05,0.0049524610997933247,3,
+37,p_r_dbm,10,1000,lp3_shot_thermal,3.6976885637601795e-05,0.00012260574258187899,3,
 """
 
 GAMP1 = "prd = 10\ng_amp = 1\nsweep_p_r_dbm = 33:35:2\n"
@@ -80,7 +80,7 @@ GOLDEN_ORDERS = HEAD + f"""\
 detector scale for shot/thermal noise
 33,p_r_dbm,10,1000,gauss_approx,7.7184927598166316e-06,0.099760614804087586,3,
 33,p_r_dbm,10,1000,lp3,7.231807362619238e-06,0.028907664060914974,3,
-33,p_r_dbm,10,1000,lp3_shot_thermal,1.1140659940464143e-05,0.049690568254798083,3,
+33,p_r_dbm,10,1000,lp3_shot_thermal,1.1140659940464143e-05,0.049690568254798145,3,
 """
 
 FAILED_PRD = "p_r = 33dBm\nsweep_prd = 0.5, 10\n"
@@ -90,7 +90,7 @@ GOLDEN_FAILED_PRD = HEAD + """\
 0.5,prd,0.5,1000,lp3_shot_thermal,nan,nan,3,prd must be >= 1
 10,prd,10,1000,gauss_approx,7.7184927598166316e-06,0.099760614804087586,3,
 10,prd,10,1000,lp3,7.231807362619238e-06,0.028907664060914974,3,
-10,prd,10,1000,lp3_shot_thermal,1.1140659940464143e-05,0.049690568254798083,3,
+10,prd,10,1000,lp3_shot_thermal,1.1140659940464143e-05,0.049690568254798145,3,
 """
 
 GOLDEN_FIT = """\

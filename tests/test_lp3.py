@@ -9,9 +9,10 @@ import scipy.special as sc
 from scipy.integrate import quad
 
 from cubicber import Lp3Params, fit_from_moments
+from cubicber._rng import _log_ndtr, _ndtr
 from cubicber.lp3 import (DivergentMomentError, Lp3Error, NoSolutionError,
-                          _gamma_inv, _gamma_pq, _log_ndtr, _ndtr, cdf,
-                          logpdf, moment, quantile, reg_gamma_p)
+                          _gamma_inv, _gamma_pq, cdf, logpdf, moment,
+                          quantile, reg_gamma_p)
 from conftest import lp3_pdf as pdf
 
 
@@ -333,7 +334,7 @@ def test_logpdf_matches_the_density_oracle(p):
 
 
 def test_extreme_shape_cdf_quantile_consistency():
-    # exercises the asymptotic gamma branch plus the Newton polish
+    # exercises the asymptotic gamma branch plus the quantile polish
     p = Lp3Params(alpha=1e10, beta=1e-5, gamma=-1e5)
     for prob in (1e-6, 0.01, 0.5, 0.99, 1 - 1e-6):
         y = quantile(p, prob)
@@ -356,12 +357,17 @@ def test_ndtr_matches_mpmath():
 
 
 def test_log_ndtr_matches_mpmath():
+    # relative to ln Phi for z <= 0, where gof uses it; above 0, where
+    # ln Phi nears 0, to 1e-15 absolute
     mpmath = pytest.importorskip("mpmath")
     zs = np.concatenate([-np.logspace(5.0, -3.0, 400),
-                         np.linspace(-40.0, 8.0, 481)])
+                         np.linspace(-40.0, 0.0, 401)])
+    up = np.linspace(0.1, 8.0, 80)
     with mpmath.workdps(40):
         want = [float(mpmath.log(mpmath.ncdf(z))) for z in zs]
+        want_up = [float(mpmath.log(mpmath.ncdf(z))) for z in up]
     assert _log_ndtr(zs) == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert _log_ndtr(up) == pytest.approx(want_up, rel=0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("fn,at_inf", [(_ndtr, (0.0, 1.0)),
