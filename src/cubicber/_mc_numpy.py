@@ -5,9 +5,19 @@ products into buffers allocated once per call, and the |r|^2n terms and
 their reductions run over row tiles of about _rng._TILE grid values held
 in two small reused buffers, so the temporaries stay in cache and no
 block-sized array is allocated per block.
+
+The random stream and the synthesis are pipelined: while the calling
+thread synthesizes and reduces one block, a helper thread draws the
+coefficient normals of the next. numpy releases the interpreter lock in
+both, so on two cores a block costs about the larger of the two rather
+than their sum; at PRD 100 the products and reductions are the larger.
+The draw is a pure function of its counters, so which thread makes it
+leaves the bits alone.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -40,6 +50,15 @@ def decision_sums(seed, start_trial, ntrials, bit, S, w, sig, sigma0):
     count is a multiple of 16 line up with those of the whole block (a
     203-row tile changed bits), so the tile rows are a multiple of 16 and
     the sums are bitwise those of whole-block products.
+
+    With noise (sigma0 != 0), a helper thread that lives for this call
+    draws each aligned block's normals (_rng.coefficient_normals, once per
+    block) one block ahead; a failed draw raises here through result().
+    Scaling, products and reductions stay on the calling thread: errstate
+    is thread-local, and those are the operations that can overflow. The
+    prefetched pair costs 2 * _CHUNK * ncoef * 8 bytes beside the pair in
+    use (5.4 MB at PRD 100). Without noise nothing is drawn and no thread
+    starts.
     """
     ngrid, ncoef = S.shape
     start = int(start_trial)
@@ -53,13 +72,22 @@ def decision_sums(seed, start_trial, ntrials, bit, S, w, sig, sigma0):
     rows = min(_CHUNK, max(16, _rng._TILE // ngrid // 16 * 16))
     m2 = np.empty((rows, ngrid))
     m4 = np.empty((rows, ngrid))
+    first = (start // _CHUNK) * _CHUNK
+
+    def normals(base):
+        trials = np.arange(base, base + _CHUNK, dtype=np.int64)
+        return _rng.coefficient_normals(seed, trials, bit, blocks)
+
     # an overflow makes an inf sum, which SampleSet turns into the point's
-    # error; errstate is thread-local, so it is set here, not by a caller
-    with np.errstate(over="ignore"):
-        for base in range((start // _CHUNK) * _CHUNK, stop, _CHUNK):
-            if sigma0 != 0.0:
-                trials = np.arange(base, base + _CHUNK, dtype=np.int64)
-                zp, zq = _rng.coefficient_normals(seed, trials, bit, blocks)
+    # error; errstate is thread-local, so it is set here, not by a caller,
+    # and every operation that can overflow stays on this thread
+    with ThreadPoolExecutor(1) as ahead, np.errstate(over="ignore"):
+        nxt = ahead.submit(normals, first) if sigma0 != 0.0 else None
+        for base in range(first, stop, _CHUNK):
+            if nxt is not None:
+                zp, zq = nxt.result()
+                nxt = (ahead.submit(normals, base + _CHUNK)
+                       if base + _CHUNK < stop else None)
                 zp *= sigma0
                 zq *= sigma0
                 np.matmul(zp, St, out=noise)

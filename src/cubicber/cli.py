@@ -545,12 +545,15 @@ def _openblas_thread_calls():
 def _one_blas_thread():
     """Run OpenBLAS on one thread while a command runs.
 
-    The commands' parallelism is ber-sweep's task pool. BLAS threads on
-    top of it oversubscribe the cores, and between two products they spin
-    on the core the caller's next numpy pass needs, so a run's time follows
-    whatever else holds that core. On 2 vCPUs a busy process beside
-    mc-validate at PRD 100 slowed it by 16% on one BLAS thread and by 39%
-    on two; unloaded, two threads were at most ~0.1 s of 1.5 s faster.
+    The commands' parallelism is ber-sweep's task pool and, inside each
+    Monte-Carlo draw, the helper thread that prefetches the next block's
+    normals while the caller runs its products (_mc_numpy.decision_sums).
+    BLAS threads on top of them oversubscribe the cores, and between two
+    products they spin on the core the caller's next numpy pass needs, so
+    a run's time follows whatever else holds that core. On 2 vCPUs a busy
+    process beside mc-validate at PRD 100 slowed it by 16% on one BLAS
+    thread and by 39% on two; unloaded, two threads were at most ~0.1 s of
+    1.5 s faster.
     The products split their output, not their sums, over threads: the
     outputs are the same bytes on one thread or two (test_mc_numpy.py
     checks the sampling kernel).

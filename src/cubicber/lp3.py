@@ -74,12 +74,23 @@ _LARGE_SHAPE = 1e8  # switch to the uniform asymptotic above this
 _CHUNK = 8192       # elements per kernel pass: bounds the working arrays
 
 
-def _phi(dl):
-    # dl - log1p(dl), elementwise. For |dl| < 0.1 the series
-    # sum_k (-dl)^k / k, k = 2..39, avoids the cancellation; one term per
-    # pass, each element stops at its first term below eps relative to the
-    # partial sum. act holds flat indices, for dl of any shape.
-    out = dl - np.log1p(dl)
+def _log1p_ratio(dl, lam):
+    # ln(1 + dl) for dl = lam - 1, lam = x/a, elementwise: log1p(dl), but
+    # ln(lam) below lam = 1/2, where 1 + dl keeps lam only to eps/lam (and
+    # is 0 below lam ~ eps). The clamp keeps log1p off dl = -1 there.
+    out = np.log1p(np.maximum(dl, -0.75))
+    far = lam < 0.5
+    out[far] = np.log(lam[far])
+    return out
+
+
+def _phi(dl, lam):
+    # dl - ln(1 + dl), elementwise, with lam = 1 + dl as in _log1p_ratio.
+    # For |dl| < 0.1 the series sum_k (-dl)^k / k, k = 2..39, avoids the
+    # cancellation; one term per pass, each element stops at its first
+    # term below eps relative to the partial sum. act holds flat indices,
+    # for dl of any shape.
+    out = dl - _log1p_ratio(dl, lam)
     act = np.flatnonzero(np.abs(dl) < 0.1)
     nd = power = -dl.flat[act]
     total = np.zeros(act.size)
@@ -108,7 +119,7 @@ def _log_prefactor(a: float, x):
     dl = (x - a) / a
     ia = 1.0 / a
     stirling = ia * (1.0 / 12.0 + ia * ia * (-1.0 / 360.0 + ia * ia / 1260.0))
-    return -a * _phi(dl) + 0.5 * math.log(a / (2.0 * math.pi)) - stirling
+    return -a * _phi(dl, x / a) + 0.5 * math.log(a / (2.0 * math.pi)) - stirling
 
 
 def _pq_series(a: float, x):
@@ -175,14 +186,15 @@ def _pq_asymptotic(a: float, x):
     #   eta^2/2 = lam - 1 - ln lam,  sign(eta) = sign(lam - 1),
     #   c0 = 1/eta - 1/(lam - 1)  (limit 1/3 at lam -> 1).
     # The first dropped term is O(1/a) relative to c0, negligible here.
-    dl = x / a - 1.0
+    lam = x / a
+    dl = lam - 1.0
     eta2, c0 = np.empty(x.shape), np.empty(x.shape)
     near = np.abs(dl) < 1e-4
     dn, df = dl[near], dl[~near]
     eta2[near] = dn * dn * (1.0 - 2.0 * dn / 3.0 + 0.5 * dn * dn
                             - 0.4 * dn**3)
     c0[near] = 1.0 / 3.0 - dn / 12.0
-    eta2[~near] = 2.0 * (df - np.log1p(df))
+    eta2[~near] = 2.0 * (df - _log1p_ratio(df, lam[~near]))
     c0[~near] = 1.0 / np.copysign(np.sqrt(eta2[~near]), df) - 1.0 / df
     z = np.copysign(np.sqrt(eta2), dl) * math.sqrt(a)
     corr = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi * a) * c0

@@ -390,10 +390,26 @@ ROUND_TRIP_PROBS = np.concatenate([np.logspace(-300.0, -1.0, 61),
 @pytest.mark.parametrize("a", [0.5, 7.6, 615.0, 1e6, 1e10, 1e12])
 @pytest.mark.parametrize("upper", [False, True])  # beta > 0, beta < 0
 def test_gamma_inv_round_trip(a, upper):
+    _assert_round_trip(a, ROUND_TRIP_PROBS, upper)
+
+
+def test_gamma_inv_round_trip_far_below_the_shape():
+    # z = 0.106 at a = 110.5: 1 + (z - a)/a keeps z/a to ~eps a/z only, so a
+    # kernel taking ln(z/a) as log1p((z - a)/a) missed the bound by 18x
+    _assert_round_trip(110.5, np.array([1.1e-287]), False)
+
+
+def test_cdf_at_the_support_edge_of_a_large_shape_is_zero():
+    # z = ln(y)/beta = 2.2e-14 << a: (z - a)/a rounds to -1, where
+    # log1p(-1) warned (an error under the test filter)
+    assert cdf(Lp3Params(615, 0.01, 0.0), 1.0000000000000002) == 0.0
+    assert tuple(_gamma_pq(1e10, np.array([1e-7]))[0]) == (0.0,)
+
+
+def _assert_round_trip(a, probs, upper):
     # z-space check on the smaller tail F (P or Q) through the kernel: ln F
     # misses ln t by at most its conditioning z f(z)/F(z) times a few ulps
     # of z, plus the kernel's own error
-    probs = ROUND_TRIP_PROBS
     z = _gamma_inv(a, probs, upper)
     small = probs <= 0.5
     t = np.where(small, probs, 1.0 - probs)

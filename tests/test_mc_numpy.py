@@ -1,12 +1,15 @@
 """Synthesis kernel: tiled decision sums against the whole-block products."""
 
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from cubicber import cli, derive
+from cubicber import _rng, cli, derive
 from cubicber._mc_numpy import _CHUNK, decision_sums
 from cubicber._rng import coefficient_normals
 from cubicber.montecarlo import _grid
@@ -102,3 +105,73 @@ def test_decision_sums_do_not_depend_on_the_blas_thread_count(prd):
         single = decision_sums(2, 100, 3000, 1, S, w, sigs, sigma0)
     assert get() == before
     assert np.array_equal(single, default)
+
+
+class _DrawFailed(Exception):
+    pass
+
+
+def _count_draws(monkeypatch, fail_at=None):
+    # the first trial of every coefficient_normals call, in call order
+    draw, bases = _rng.coefficient_normals, []
+
+    def counted(seed, trials, bit, blocks):
+        bases.append(int(trials[0]))
+        if trials[0] == fail_at:
+            raise _DrawFailed
+        return draw(seed, trials, bit, blocks)
+
+    monkeypatch.setattr(_rng, "coefficient_normals", counted)
+    return bases
+
+
+@pytest.mark.parametrize("start, n, want", [
+    (0, _CHUNK, [0]),                               # none at stop
+    (777, 2 * _CHUNK + 100, [0, _CHUNK, 2 * _CHUNK]),
+    (_CHUNK + 5, 10, [_CHUNK]),
+])
+def test_prefetch_draws_each_aligned_block_once(monkeypatch, start, n, want):
+    S, w, sigs, sigma0 = _inputs(10.0)
+    bases = _count_draws(monkeypatch)
+    decision_sums(4, start, n, 0, S, w, sigs[1:2], sigma0)
+    assert bases == want
+
+
+def test_prefetch_draws_nothing_without_noise(monkeypatch):
+    S, w, sigs, sigma0 = _inputs(10.0, g_amp=1.0)
+    assert sigma0 == 0.0
+    bases = _count_draws(monkeypatch)
+    threads = threading.active_count()
+    decision_sums(4, 0, 3 * _CHUNK, 0, S, w, sigs, sigma0)
+    assert bases == [] and threading.active_count() == threads
+
+
+def test_a_failed_prefetch_raises_in_the_caller(monkeypatch):
+    S, w, sigs, sigma0 = _inputs(10.0)
+    bases = _count_draws(monkeypatch, fail_at=_CHUNK)
+    threads = threading.active_count()
+    with pytest.raises(_DrawFailed):
+        decision_sums(4, 0, 3 * _CHUNK, 0, S, w, sigs[1:2], sigma0)
+    # the helper is joined, and nothing is drawn past the failed block
+    assert threading.active_count() == threads
+    assert bases == [0, _CHUNK]
+
+
+def test_concurrent_calls_keep_the_whole_block_bits():
+    # the sweep's pool runs points on several threads, each call with its
+    # own helper; more calls than cores, switching threads often
+    S, w, sigs, sigma0 = _inputs(25.0)
+    jobs = [(5, 300, 2 * _CHUNK, 0), (6, 1000, 2 * _CHUNK + 7, 1),
+            (5, 0, 3 * _CHUNK, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        with ThreadPoolExecutor(len(jobs)) as pool:
+            got = list(pool.map(
+                lambda j: decision_sums(*j, S, w, sigs, sigma0), jobs,
+                timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for (seed, start, n, bit), sums in zip(jobs, got):
+        assert np.array_equal(
+            sums, _whole_block_sums(seed, start, n, bit, S, w, sigs, sigma0))
