@@ -22,11 +22,11 @@ from .montecarlo import SampleSet, generate_samples, empirical_ber
 from .detection import (
     NoisePhysics,
     noise_physics,
+    NormalLaw,
     ShotThermalLaw,
     cdf_shot_thermal,
     error_probability,
     optimize_threshold,
-    gaussian_approx_ber,
 )
 from .gof import GofReport, rank_distributions
 
@@ -50,11 +50,11 @@ __all__ = [
     "empirical_ber",
     "NoisePhysics",
     "noise_physics",
+    "NormalLaw",
     "ShotThermalLaw",
     "cdf_shot_thermal",
     "error_probability",
     "optimize_threshold",
-    "gaussian_approx_ber",
     "GofReport",
     "rank_distributions",
     "__version__",

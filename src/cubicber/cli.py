@@ -221,19 +221,17 @@ def _eval_point(cfg: SweepConfig, x, r_l, sp, sets) -> list[dict]:
                 if variant == "mc":
                     th, ber = montecarlo.empirical_ber(samples(0)[order],
                                                        samples(1)[order])
-                elif variant == "gauss_approx":
-                    (m0, s0, _), (m1, s1, _) = (law(b, order)[1]
-                                                for b in (0, 1))
-                    th, ber = detection.gaussian_approx_ber(
-                        m0, s0 - m0 ** 2, m1, s1 - m1 ** 2)
                 elif variant == "lp3_shot_thermal" and order == 2:
                     # order 2's detector scale is a placeholder, so
                     # sigma^2(y) is too
                     raise ParamError("order 2 has no physical detector "
                                      "scale for shot/thermal noise")
                 else:
-                    pair = [law(b, order)[0] for b in (0, 1)]
-                    if variant == "lp3_shot_thermal":
+                    pair, mus = zip(*(law(b, order) for b in (0, 1)))
+                    if variant == "gauss_approx":
+                        pair = [detection.NormalLaw(m[0], m[1] - m[0] ** 2)
+                                for m in mus]
+                    elif variant == "lp3_shot_thermal":
                         phys = detection.noise_physics(sp, dp)
                         pair = [detection.ShotThermalLaw(lw, phys)
                                 for lw in pair]
@@ -281,25 +279,28 @@ def run_ber_sweep(cfg: SweepConfig) -> list[dict]:
     one set serves them all, and bit 1 draws the key's distinct powers in
     sweep order, one noise field per batch. A shared set is bitwise the one
     each point would draw alone, since streams are counter-based. A batch
-    task waits for its key's bit-0 draw, so one key's draws never overlap,
-    which would raise peak memory; different keys draw in parallel. The
-    bit-0 sets are dropped with the key's last batch task.
+    task waits for its key's bit-0 draw, so a key never draws both bits at
+    once, but its batches and other keys draw in parallel: memory is bounded
+    by workers x _BATCH_BYTES plus the bit-0 sets of the keys in flight,
+    each dropped with its key's last batch. The points that draw nothing
+    run in one task, as they hold the GIL: more threads only trade it.
     """
     keys = {}  # noise key -> (its first sp, {p_r: [(x, r_l, sp)]})
+    alone = []  # the points that draw nothing: (x, r_l, sp)
+    for x in cfg.x_values:
+        for rl in cfg.r_l_values:
+            try:
+                sp = _point_system(cfg, x, rl)
+            except _POINT_ERRORS as exc:
+                sp = str(exc)  # the point reports it in its rows
+            if isinstance(sp, str) or not cfg._needs_mc():
+                alone.append((x, rl, sp))
+            else:
+                powers = keys.setdefault(_noise_key(sp), (sp, {}))[1]
+                powers.setdefault(sp.p_r, []).append((x, rl, sp))
     with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-        tasks = []
-        for x in cfg.x_values:
-            for rl in cfg.r_l_values:
-                try:
-                    sp = _point_system(cfg, x, rl)
-                except _POINT_ERRORS as exc:
-                    sp = str(exc)  # the point reports it in its rows
-                if isinstance(sp, str) or not cfg._needs_mc():
-                    tasks.append(pool.submit(_eval_point, cfg, x, rl, sp,
-                                             None))
-                else:
-                    powers = keys.setdefault(_noise_key(sp), (sp, {}))[1]
-                    powers.setdefault(sp.p_r, []).append((x, rl, sp))
+        tasks = [pool.submit(lambda: [row for p in alone
+                                      for row in _eval_point(cfg, *p, None)])]
         for key in keys.values():
             tasks += _key_tasks(pool, cfg, *key)
         rows = [row for task in tasks for row in task.result()]

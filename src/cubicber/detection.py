@@ -1,23 +1,23 @@
 """Error probability of the on-off keyed receiver.
 
-Each bit's decision variable has a law with array cdf, logpdf and mean():
-a fitted LP3 law, or a ShotThermalLaw, whose post-detection shot/thermal
-noise, conditionally Gaussian given the decision level y with variance
+Each bit's decision variable has a law with array cdf, sf, logpdf and
+mean(): a fitted LP3 law, a NormalLaw (the Gaussian approximation), or a
+ShotThermalLaw, whose post-detection shot/thermal noise, conditionally
+Gaussian given the decision level y with variance
 
     sigma^2(y) = 2 q_e y / T_p + 4 K_B T_r / (R_L T_p),
 
-is folded in by integrating the conditional Gaussian cdf at the threshold x,
-Phi((x - y)/sigma(y)), or its density, against the clean-law density
-f_Y(y). The cdf and the density differ only in that kernel. Both run on one
-fixed Gauss-Kronrod 7/15 panel rule for a whole array of thresholds at
-once: the panel edges are about 30 LP3 quantiles (1e-13 to 1 - 1e-10, for
-the steep lower tail of the bit-0 law) and, per threshold x, the levels y
-where (y - x)/sigma(y) runs over -10..14 in unit steps. The error gate is
-the summed |K15 - G7| over the panels: above 1e-9 + 1e-6 |value| it raises
-QuadratureError.
+is folded in by integrating a kernel at the threshold x against the
+clean-law density f_Y(y): Phi((x - y)/sigma(y)) for the cdf, Phi((y -
+x)/sigma(y)) for sf, or the density of N. All three run on one fixed
+Gauss-Kronrod 7/15 panel rule for an array of thresholds at once: the panel
+edges are about 30 LP3 quantiles (1e-13 to 1 - 1e-10, for the steep lower
+tail of the bit-0 law) and, per threshold x, the levels y where (y -
+x)/sigma(y) runs over -10..14 in unit steps. A summed |K15 - G7| over the
+panels above 1e-9 + 1e-6 |value| raises QuadratureError.
 
-PE, the average of the two conditional tail probabilities, has derivative
-(f1 - f0)/2, so its minimum is a crossing of the two bit densities.
+PE = sf0/2 + cdf1/2 takes no 1 - cdf, so bit 0's tail keeps its digits
+where cdf0 rounds to 1. PE' = (f1 - f0)/2: its minimum is a density crossing.
 """
 
 from __future__ import annotations
@@ -99,6 +99,31 @@ _BLOCK = 16
 
 
 @dataclass(frozen=True)
+class NormalLaw:
+    """Normal(m, v): the two-moment Gaussian approximation of a bit's law."""
+
+    m: float  # mean
+    v: float  # variance
+
+    def __post_init__(self) -> None:
+        if not self.v > 0:
+            raise ParamError("variances must be > 0")
+
+    def cdf(self, x):
+        return _ndtr((np.asarray(x, float) - self.m) / math.sqrt(self.v))
+
+    def sf(self, x):
+        return _ndtr((self.m - np.asarray(x, float)) / math.sqrt(self.v))
+
+    def logpdf(self, x):
+        return (-0.5 * (np.asarray(x, float) - self.m) ** 2 / self.v
+                - 0.5 * math.log(2.0 * math.pi * self.v))
+
+    def mean(self) -> float:
+        return self.m
+
+
+@dataclass(frozen=True)
 class ShotThermalLaw:
     """Y + N: Y ~ LP3(clean), N | Y=y ~ Normal(0, sigma^2(y)) from phys."""
 
@@ -114,40 +139,40 @@ class ShotThermalLaw:
     def cdf(self, x):
         return cdf_shot_thermal(self, x)
 
+    def sf(self, x):
+        return _shot_thermal(self, x, "sf")
+
     def logpdf(self, x):
-        return np.log(_shot_thermal(self, x, True))
+        return np.log(_shot_thermal(self, x, "pdf"))
 
     def mean(self) -> float:
         return self.clean.mean()
 
 
 def cdf_shot_thermal(law: ShotThermalLaw, x):
-    """cdf of the law at x, Y + N with Y ~ LP3(law.clean).
+    """cdf of the law at x, a scalar or an ndarray of thresholds.
 
-    x is a scalar or an ndarray of thresholds. The integral over y of
-    Phi((x - y)/sigma(y)) f_Y(y), over [quantile(1e-14), max(quantile(1 -
-    1e-12), x + 10 sigma(x))]. Like the density, it leaves out the law's
-    mass beyond the cuts, at most 1e-14 below and 1e-12 above. The
-    integral is a sum of fixed Gauss-Kronrod 7/15 panels (see _st_block);
-    a threshold whose summed |K15 - G7| exceeds 1e-9 + 1e-6 |value| raises
-    QuadratureError.
+    The integral over y of Phi((x - y)/sigma(y)) f_Y(y) over
+    [quantile(1e-14), max(quantile(1 - 1e-12), x + 10 sigma(x))], on the
+    panels above. It leaves out the law's mass beyond the cuts, at most
+    1e-14 below and 1e-12 above; the law's sf adds the mass above.
     """
-    return _shot_thermal(law, x, False)
+    return _shot_thermal(law, x, "cdf")
 
 
-def _shot_thermal(law, x, density):
-    # cdf_shot_thermal, or with density the density of the law at x
+def _shot_thermal(law, x, kind):
+    # the law's cdf, sf or pdf (kind) at x
     xs = np.asarray(x, float)
     if not np.isfinite(xs).all():
         raise ParamError("threshold x must be finite")
     flat = xs.ravel()
     out = np.empty(flat.shape)
     for k in range(0, flat.size, _BLOCK):
-        out[k:k + _BLOCK] = _st_block(law, flat[k:k + _BLOCK], density)
+        out[k:k + _BLOCK] = _st_block(law, flat[k:k + _BLOCK], kind)
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
-def _st_block(law, x, density):
+def _st_block(law, x, kind):
     # One pass of _shot_thermal over the thresholds x (1-d). The panel
     # edges of threshold x_i are the fixed quantile edges plus its kernel
     # edges, clipped to [lo, hi_i]; clipped edges give empty panels, so
@@ -171,15 +196,15 @@ def _st_block(law, x, density):
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
     y = mid[..., None] + half[..., None] * _GK_X  # (threshold, panel, node)
     xb = np.broadcast_to(x[:, None, None], y.shape)
-    # the conditional kernel: phi(x; y, sigma^2(y)) for the density,
-    # Phi((x - y)/sigma(y)) for the cdf. Where it underflows to 0 (far
-    # from x, or far above x for the cdf) the law is not needed.
+    # the conditional kernel: phi(x; y, sigma^2(y)) for the pdf,
+    # Phi((x - y)/sigma(y)) for the cdf and Phi((y - x)/sigma(y)) for sf.
+    # Where it underflows to 0 the law is not needed.
     s2 = 2.0 * qe_tp * y + th_tp
-    if density:
+    if kind == "pdf":
         f = np.exp(-(xb - y) ** 2 / (2.0 * s2))
         f /= np.sqrt(2.0 * math.pi * s2)
     else:
-        f = _ndtr((xb - y) / np.sqrt(s2))
+        f = _ndtr((xb - y) / np.sqrt(s2) * (1.0 if kind == "cdf" else -1.0))
     live = f > 0.0
     f[live] *= np.exp(lp3.logpdf(law.clean, y[live]))
     kron = (f * _GK_WK).sum(axis=2) * half
@@ -189,12 +214,14 @@ def _st_block(law, x, density):
     if (err > 1e-9 + 1e-6 * np.abs(val)).any():
         raise QuadratureError(f"shot/thermal integral error estimate "
                               f"{err.max():g} too large")
-    return val  # without the law's mass beyond the cuts, below 1e-12
+    if kind == "sf":  # the law's mass above hi, where the kernel is 1
+        val += lp3.sf(law.clean, hi)
+    return val  # without the law's mass beyond the cuts otherwise
 
 
 def error_probability(law0, law1, th):
-    """PE at th, scalar or ndarray: (1 - law0.cdf(th))/2 + law1.cdf(th)/2."""
-    return 0.5 * (1.0 - law0.cdf(th)) + 0.5 * law1.cdf(th)
+    """PE at th, scalar or ndarray: law0.sf(th)/2 + law1.cdf(th)/2."""
+    return 0.5 * law0.sf(th) + 0.5 * law1.cdf(th)
 
 
 def optimize_threshold(law0, law1):
@@ -235,39 +262,3 @@ def optimize_threshold(law0, law1):
     if min(pe[0], pe[-1]) < pe[i] * (1.0 - 1e-9):
         raise BracketError("PE decreases toward a bracket endpoint")
     return float(cands[i]), float(pe[i])
-
-
-def gaussian_approx_ber(m0: float, v0: float, m1: float, v1: float):
-    """Optimal threshold and PE when both bit laws are taken Gaussian.
-
-    The PE stationary point solves f0(th) = f1(th); for unequal variances
-    that is a quadratic in th and the minimizing root lies between the
-    means. Returns (th_opt, pe_min).
-    """
-    if not (v0 > 0.0 and v1 > 0.0):
-        raise ParamError("variances must be > 0")
-    if m1 < m0:
-        raise ParamError("expected m0 <= m1")
-
-    def pe_at(th: float) -> float:
-        a = 0.5 * math.erfc((th - m0) / math.sqrt(2.0 * v0))
-        b = 0.5 * math.erfc((m1 - th) / math.sqrt(2.0 * v1))
-        return 0.5 * (a + b)
-
-    if m0 == m1:
-        return float(m0), 0.5
-    if v0 == v1:
-        th = 0.5 * (m0 + m1)
-        return th, pe_at(th)
-    # equate the two normal densities: quadratic coefficients
-    qa = 1.0 / v0 - 1.0 / v1
-    qb = -2.0 * (m0 / v0 - m1 / v1)
-    qc = m0 * m0 / v0 - m1 * m1 / v1 + math.log(v0 / v1)
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < 0.0:  # numerically degenerate; fall back to the midpoint
-        th = 0.5 * (m0 + m1)
-        return th, pe_at(th)
-    rt = math.sqrt(disc)
-    cands = [(-qb - rt) / (2.0 * qa), (-qb + rt) / (2.0 * qa)]
-    th, pe = min(((t, pe_at(t)) for t in cands), key=lambda tp: tp[1])
-    return float(th), float(pe)

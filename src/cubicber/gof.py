@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp3
+from .detection import NormalLaw
 from ._rng import _log_ndtr, _ndtr
 from .montecarlo import SampleSet, sample_moments
 from .params import ParamError
@@ -92,11 +93,6 @@ def _fit_lp3(x, m, v):
     return lambda y: lp3.cdf(p, y)
 
 
-def _fit_normal(x, m, v):
-    s = math.sqrt(v)
-    return lambda y: _ndtr((np.asarray(y, np.float64) - m) / s)
-
-
 def _on_positive(cdf):
     # a cdf given on y > 0, extended by 0 to the rest of the line
     def f(y):
@@ -143,7 +139,7 @@ def _fit_inverse_gaussian(x, m, v):
 
 _CANDIDATES = (
     ("log_pearson3", _fit_lp3),
-    ("normal", _fit_normal),
+    ("normal", lambda x, m, v: NormalLaw(m, v).cdf),
     ("lognormal", _fit_lognormal),
     ("gamma", _fit_gamma),
     ("inverse_gaussian", _fit_inverse_gaussian),

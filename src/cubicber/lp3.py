@@ -8,7 +8,7 @@ The regularized incomplete gamma functions and their inverse are
 implemented here in numpy, so that no special-function behavior is
 imported blindly and the package needs no scipy. One array kernel,
 _gamma_pq(a, x) for a scalar shape a and an array x, serves every caller
-(cdf, reg_gamma_p, the quantile polish), scalar or array alike: the
+(cdf, sf, reg_gamma_p, the quantile polish), scalar or array alike: the
 lower series for x < a + 1, the modified-Lentz continued fraction
 otherwise, and the uniform asymptotic expansion for a > 1e8 (DiDonato &
 Morris 1986; Gil, Segura & Temme 2012). Each element stops at its own
@@ -56,6 +56,9 @@ class Lp3Params:
     # detection's law interface, through the module functions' global names
     def cdf(self, y):
         return cdf(self, y)
+
+    def sf(self, y):
+        return sf(self, y)
 
     def logpdf(self, y):
         return logpdf(self, y)
@@ -249,14 +252,23 @@ def cdf(p: Lp3Params, y):
     Y > 0 almost surely, so cdf(y) = 0 for y <= 0: the y -> 0+ limit for
     either sign of beta. NaN raises Lp3Error.
     """
+    return _cdf_sf(p, y, False)
+
+
+def sf(p: Lp3Params, y):
+    """P{Y > y} from the kernel's other tail (not 1 - cdf); y as in cdf."""
+    return _cdf_sf(p, y, True)
+
+
+def _cdf_sf(p, y, upper):
     yy = np.asarray(y, float)
     if np.isnan(yy).any():
         raise Lp3Error("y must not be NaN")
-    out = np.zeros(yy.shape)
+    out = np.full(yy.shape, float(upper))
     pos = yy > 0.0
     # z <= 0 is outside the support: P(a, 0) = 0 and Q(a, 0) = 1 there
     z = np.maximum((np.log(yy[pos]) - p.gamma) / p.beta, 0.0)
-    out[pos] = _gamma_pq(p.alpha, z)[0 if p.beta > 0 else 1]
+    out[pos] = _gamma_pq(p.alpha, z)[int((p.beta > 0) == upper)]
     return float(out) if out.ndim == 0 else out
 
 

@@ -120,13 +120,10 @@ def power_sweep():
               for o in (1, 2, 3)}
         m1 = {b: montecarlo.sample_moments(s[b][1].values)[0]
               for b in (0, 1)}
-        gauss1 = detection.gaussian_approx_ber(
-            m1[0][0], m1[0][1] - m1[0][0] ** 2,
-            m1[1][0], m1[1][1] - m1[1][0] ** 2)[1]
         mt = {b: decision_moments(sp, dp, b) for b in (0, 1)}
-        gauss3 = detection.gaussian_approx_ber(
-            mt[0][0], mt[0][1] - mt[0][0] ** 2,
-            mt[1][0], mt[1][1] - mt[1][0] ** 2)[1]
+        gauss1, gauss3 = (detection.optimize_threshold(*(
+            detection.NormalLaw(m[b][0], m[b][1] - m[b][0] ** 2)
+            for b in (0, 1)))[1] for m in (m1, mt))
         points.append(dict(dbm=dbm, mc=mc, lp3=_pure_lp3_ber(sp, dp),
                            gauss1=gauss1, gauss3=gauss3))
     return points, time.time() - t0

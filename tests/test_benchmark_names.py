@@ -103,7 +103,7 @@ def test_law_methods_reach_the_traced_module_functions(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(mod, name, wrapper)
 
-    for name in ("cdf", "logpdf", "moment", "quantile"):
+    for name in ("cdf", "sf", "logpdf", "moment", "quantile"):
         count(lp3, name)
     count(detection, "cdf_shot_thermal")
     sp = SystemParams(tau_c=100e-15, prd=10.0, wavelength=1.55e-6,
@@ -112,13 +112,15 @@ def test_law_methods_reach_the_traced_module_functions(monkeypatch):
     laws = [lp3.fit_from_moments(decision_moments(sp, dp, b))
             for b in (0, 1)]
     detection.optimize_threshold(*laws)
-    assert set(calls) == {"lp3.cdf", "lp3.logpdf", "lp3.moment"}
-    assert calls["lp3.cdf"] == calls["lp3.moment"] == 2
+    assert set(calls) == {"lp3.cdf", "lp3.sf", "lp3.logpdf", "lp3.moment"}
+    assert calls["lp3.cdf"] == calls["lp3.sf"] == 1
+    assert calls["lp3.moment"] == 2
     calls.clear()
     phys = detection.noise_physics(sp, dp)
     detection.optimize_threshold(*(detection.ShotThermalLaw(law, phys)
                                    for law in laws))
-    assert set(calls) == {"lp3.logpdf", "lp3.moment", "lp3.quantile",
-                          "detection.cdf_shot_thermal"}
-    assert (calls["lp3.moment"] == calls["lp3.quantile"]
-            == calls["detection.cdf_shot_thermal"] == 2)
+    # bit 0's sf adds the clean law's mass above the upper cut by lp3.sf
+    assert set(calls) == {"lp3.sf", "lp3.logpdf", "lp3.moment",
+                          "lp3.quantile", "detection.cdf_shot_thermal"}
+    assert calls["lp3.moment"] == calls["lp3.quantile"] == 2
+    assert calls["lp3.sf"] == calls["detection.cdf_shot_thermal"] == 1

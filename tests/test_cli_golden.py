@@ -32,33 +32,33 @@ HEAD = ("# schema=1\n"
 GOLDEN_SWEEPS = {
     "prd = 10\nsweep_p_r_dbm = 31:35:2\n": HEAD + """\
 31,p_r_dbm,10,1000,gauss_approx,6.9050882983263481e-06,0.13867467719823717,3,
-31,p_r_dbm,10,1000,lp3,4.2035957610406339e-06,0.10061530286581979,3,
-33,p_r_dbm,10,1000,gauss_approx,7.7184927598166316e-06,0.099760614804087586,3,
-33,p_r_dbm,10,1000,lp3,7.231807362619238e-06,0.028907664060914974,3,
-35,p_r_dbm,10,1000,gauss_approx,8.5347106878251974e-06,0.067367398873448864,3,
-35,p_r_dbm,10,1000,lp3,1.4826253536699885e-05,0.0034167528080101366,3,
+31,p_r_dbm,10,1000,lp3,4.2035957610406339e-06,0.10061530286581981,3,
+33,p_r_dbm,10,1000,gauss_approx,7.7184927598166333e-06,0.099760614804087544,3,
+33,p_r_dbm,10,1000,lp3,7.231807362619238e-06,0.028907664060914957,3,
+35,p_r_dbm,10,1000,gauss_approx,8.5347106878251991e-06,0.067367398873448836,3,
+35,p_r_dbm,10,1000,lp3,1.4826253536699885e-05,0.0034167528080101383,3,
 """,
     "p_r = 33dBm\nsweep_sigma0_sq_dbm = 16:20:2\n": HEAD + """\
 16,sigma0_sq_dbm,10,1000,gauss_approx,1.5734699058099706e-06,0.060319754569153866,3,
-16,sigma0_sq_dbm,10,1000,lp3,3.2574850840126338e-06,0.0017020689529024594,3,
-18,sigma0_sq_dbm,10,1000,gauss_approx,5.6766468186740055e-06,0.091483367612527136,3,
-18,sigma0_sq_dbm,10,1000,lp3,6.067056843525596e-06,0.019055148287627662,3,
-20,sigma0_sq_dbm,10,1000,gauss_approx,2.02769057075252e-05,0.12852690068665087,3,
-20,sigma0_sq_dbm,10,1000,lp3,1.3462931703600831e-05,0.079207827211859066,3,
+16,sigma0_sq_dbm,10,1000,lp3,3.2574850840126338e-06,0.0017020689529024498,3,
+18,sigma0_sq_dbm,10,1000,gauss_approx,5.6766468186740063e-06,0.091483367612527136,3,
+18,sigma0_sq_dbm,10,1000,lp3,6.067056843525596e-06,0.019055148287627652,3,
+20,sigma0_sq_dbm,10,1000,gauss_approx,2.0276905707525204e-05,0.1285269006866509,3,
+20,sigma0_sq_dbm,10,1000,lp3,1.3462931703600831e-05,0.079207827211859053,3,
 """,
     "p_r = 33dBm\nsweep_prd = 10, 25\n": HEAD + """\
-10,prd,10,1000,gauss_approx,7.7184927598166316e-06,0.099760614804087586,3,
-10,prd,10,1000,lp3,7.231807362619238e-06,0.028907664060914974,3,
-25,prd,25,1000,gauss_approx,5.2694443174433324e-06,0.1049888723892401,3,
-25,prd,25,1000,lp3,4.6823070204755257e-06,0.047384219311965792,3,
+10,prd,10,1000,gauss_approx,7.7184927598166333e-06,0.099760614804087544,3,
+10,prd,10,1000,lp3,7.231807362619238e-06,0.028907664060914957,3,
+25,prd,25,1000,gauss_approx,5.2694443174433316e-06,0.10498887238924011,3,
+25,prd,25,1000,lp3,4.6823070204755257e-06,0.047384219311965819,3,
 """,
 }
 
 SHOT_THERMAL = ("prd = 10\nsweep_p_r_dbm = 35:37:2\norders = 3\n"
                 "variants = lp3_shot_thermal\n")
 GOLDEN_SHOT_THERMAL = HEAD + """\
-35,p_r_dbm,10,1000,lp3_shot_thermal,1.7296245502701056e-05,0.0049524610997933247,3,
-37,p_r_dbm,10,1000,lp3_shot_thermal,3.6976885637601795e-05,0.00012260574258187899,3,
+35,p_r_dbm,10,1000,lp3_shot_thermal,1.7296245502701056e-05,0.0049524610997882627,3,
+37,p_r_dbm,10,1000,lp3_shot_thermal,3.6976885637601795e-05,0.00012260574257677863,3,
 """
 
 GAMP1 = "prd = 10\ng_amp = 1\nsweep_p_r_dbm = 33:35:2\n"
@@ -78,9 +78,9 @@ GOLDEN_ORDERS = HEAD + f"""\
 33,p_r_dbm,10,1000,lp3,nan,nan,2,{NO_SAMPLES}
 33,p_r_dbm,10,1000,lp3_shot_thermal,nan,nan,2,order 2 has no physical \
 detector scale for shot/thermal noise
-33,p_r_dbm,10,1000,gauss_approx,7.7184927598166316e-06,0.099760614804087586,3,
-33,p_r_dbm,10,1000,lp3,7.231807362619238e-06,0.028907664060914974,3,
-33,p_r_dbm,10,1000,lp3_shot_thermal,1.1140659940464143e-05,0.049690568254798145,3,
+33,p_r_dbm,10,1000,gauss_approx,7.7184927598166333e-06,0.099760614804087544,3,
+33,p_r_dbm,10,1000,lp3,7.231807362619238e-06,0.028907664060914957,3,
+33,p_r_dbm,10,1000,lp3_shot_thermal,1.1140659940464143e-05,0.049690568254793101,3,
 """
 
 FAILED_PRD = "p_r = 33dBm\nsweep_prd = 0.5, 10\n"
@@ -88,9 +88,9 @@ GOLDEN_FAILED_PRD = HEAD + """\
 0.5,prd,0.5,1000,gauss_approx,nan,nan,3,prd must be >= 1
 0.5,prd,0.5,1000,lp3,nan,nan,3,prd must be >= 1
 0.5,prd,0.5,1000,lp3_shot_thermal,nan,nan,3,prd must be >= 1
-10,prd,10,1000,gauss_approx,7.7184927598166316e-06,0.099760614804087586,3,
-10,prd,10,1000,lp3,7.231807362619238e-06,0.028907664060914974,3,
-10,prd,10,1000,lp3_shot_thermal,1.1140659940464143e-05,0.049690568254798145,3,
+10,prd,10,1000,gauss_approx,7.7184927598166333e-06,0.099760614804087544,3,
+10,prd,10,1000,lp3,7.231807362619238e-06,0.028907664060914957,3,
+10,prd,10,1000,lp3_shot_thermal,1.1140659940464143e-05,0.049690568254793101,3,
 """
 
 GOLDEN_FIT = """\

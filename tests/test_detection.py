@@ -2,15 +2,15 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sc
 from scipy.integrate import quad
 
-from cubicber import (Lp3Params, NoisePhysics, ShotThermalLaw,
+from cubicber import (Lp3Params, NoisePhysics, NormalLaw, ShotThermalLaw,
                       cdf_shot_thermal, derive, error_probability,
-                      fit_from_moments, gaussian_approx_ber, noise_physics,
-                      optimize_threshold)
+                      fit_from_moments, noise_physics, optimize_threshold)
 from cubicber import detection, lp3
 from cubicber.detection import BracketError, QuadratureError
 from cubicber.lp3 import cdf as lp3_cdf
@@ -246,16 +246,17 @@ def test_shot_thermal_search_matches_adaptive(p_r_dbm, r_l, th_ref, pe_ref):
 
 
 def test_shot_thermal_search_call_count(monkeypatch):
-    # host-independent cost guard: the search bisects on densities, so the
-    # cdf quadrature runs once per bit, on the crossings and the two ends;
-    # a law computes its panel cuts once, for the ~100 density calls and
-    # its cdf call alike
-    sizes = []
-    real = detection.cdf_shot_thermal
+    # host-independent cost guard: the search bisects on densities, so a
+    # tail quadrature runs once per bit, sf for bit 0 and cdf for bit 1, on
+    # the crossings and the two ends; a law computes its panel cuts once,
+    # for the ~100 density calls and its tail call alike
+    tails = []
+    real = detection._shot_thermal
 
-    def counting(law, x):
-        sizes.append(np.size(x))
-        return real(law, x)
+    def counting(law, x, kind):
+        if kind != "pdf":
+            tails.append((law, kind, np.size(x)))
+        return real(law, x, kind)
 
     quantiles = []
     real_quantile = lp3.quantile
@@ -264,11 +265,12 @@ def test_shot_thermal_search_call_count(monkeypatch):
         quantiles.append(law)
         return real_quantile(law, p)
 
-    monkeypatch.setattr(detection, "cdf_shot_thermal", counting)
+    monkeypatch.setattr(detection, "_shot_thermal", counting)
     monkeypatch.setattr(lp3, "quantile", counting_quantile)
     st0, st1 = _st_laws()
     optimize_threshold(st0, st1)
-    assert len(sizes) == 2 and sizes[0] == sizes[1] >= 3
+    assert [t[:2] for t in tails] == [(st0, "sf"), (st1, "cdf")]
+    assert tails[0][2] == tails[1][2] >= 3
     assert len(quantiles) == 2 and {*quantiles} == {st0.clean, st1.clean}
 
 
@@ -331,6 +333,7 @@ def test_lp3_law_methods_are_the_module_functions(law):
         [1e-12, 1e-3, 0.3, 0.5, 0.9, 0.99, 1.0 - 1e-9])), [1e300]])
     for y in [*ys, ys, ys.reshape(2, -1)]:
         for got, want in ((law.cdf(y), lp3.cdf(law, y)),
+                          (law.sf(y), lp3.sf(law, y)),
                           (law.logpdf(y), lp3.logpdf(law, y))):
             assert type(got) is type(want)
             assert np.array_equal(got, want)
@@ -339,18 +342,24 @@ def test_lp3_law_methods_are_the_module_functions(law):
 
 def test_shot_thermal_law_methods():
     # cdf is cdf_shot_thermal, logpdf the log of the density that the
-    # search bisects on, mean the clean law's: noise N has mean 0
+    # search bisects on, sf the complement of cdf, mean the clean law's:
+    # noise N has mean 0
     st0, st1 = _st_laws()
     xs = np.geomspace(st0.mean(), st1.mean(), 7)
     assert np.array_equal(st1.cdf(xs), cdf_shot_thermal(st1, xs))
     assert st1.cdf(xs[3]) == cdf_shot_thermal(st1, xs[3])
     assert np.array_equal(st1.logpdf(xs),
-                          np.log(detection._shot_thermal(st1, xs, True)))
+                          np.log(detection._shot_thermal(st1, xs, "pdf")))
+    assert st1.sf(xs[3]) == st1.sf(xs)[3]
+    # both leave out the clean law's mass below its lower cut, 1e-14
+    assert np.abs(st1.sf(xs) + st1.cdf(xs) - 1.0).max() <= 2e-14
     assert st1.mean() == moment(st1.clean, 1)
 
+
 def test_bit_conditioned_law_lp3():
-    # F_b is the bare LP3 cdf of the bit's law, or the shot/thermal cdf
-    # of its ShotThermalLaw
+    # PE takes bit 0's tail from its law's sf, never as 1 - cdf: the LP3
+    # kernel's other output, or the shot/thermal integral of the
+    # complementary conditional cdf
     law0, sp, dp = _cubic_law(bit=0)
     law1 = fit_from_moments(decision_moments(sp, dp, 1))
     st0, st1 = (ShotThermalLaw(law, noise_physics(sp, dp))
@@ -358,12 +367,75 @@ def test_bit_conditioned_law_lp3():
     for th in (-1.0, 0.0):
         assert error_probability(law0, law1, th) == 0.5
     th = quantile(law1, 0.4)
-    want = 0.5 * (1.0 - lp3_cdf(law0, th)) + 0.5 * 0.4
+    want = 0.5 * lp3.sf(law0, th) + 0.5 * 0.4
     assert error_probability(law0, law1, th) == pytest.approx(want,
                                                               rel=1e-9)
-    want = (0.5 * (1.0 - cdf_shot_thermal(st0, th))
-            + 0.5 * cdf_shot_thermal(st1, th))
+    assert error_probability(law0, law1, th) == \
+        0.5 * lp3.sf(law0, th) + 0.5 * lp3_cdf(law1, th)
+    want = 0.5 * st0.sf(th) + 0.5 * cdf_shot_thermal(st1, th)
     assert error_probability(st0, st1, th) == want
+
+
+def _mp_lp3_tail(law, th, upper):
+    # P{Y <= th}, or P{Y > th} if upper, at 40 digits: the regularized
+    # incomplete gamma of z = (ln th - gamma)/beta, on the side that the
+    # sign of beta sets
+    with mpmath.workdps(40):
+        z = (mpmath.log(th) - law.gamma) / law.beta
+        if (law.beta > 0) != upper:
+            return mpmath.gammainc(law.alpha, 0, z, regularized=True)
+        return mpmath.gammainc(law.alpha, z, mpmath.inf, regularized=True)
+
+
+@pytest.mark.parametrize("prd", [10.0, 25.0])
+@pytest.mark.parametrize("p_r_dbm", [37.0, 39.0, 41.0, 43.0, 45.0])
+def test_lp3_pe_keeps_its_digits_at_low_ber(prd, p_r_dbm):
+    # PE down to ~1e-24 at the search's own threshold: 1 - cdf of bit 0
+    # was 2.4e-7 off at 41 dBm and 62% off at 45 dBm (PRD 10)
+    law0, sp, dp = _cubic_law(prd=prd, p_r_dbm=p_r_dbm, bit=0)
+    law1 = fit_from_moments(decision_moments(sp, dp, 1))
+    th, pe = optimize_threshold(law0, law1)
+    want = 0.5 * _mp_lp3_tail(law0, th, True) + 0.5 * _mp_lp3_tail(
+        law1, th, False)
+    assert abs(pe / float(want) - 1.0) <= 1e-10
+
+
+def _mp_st_sf(st, x):
+    # P{Y + N > x} at 40 digits, integrated in the gamma variable g of the
+    # clean law, Y = exp(gamma + beta g): the integral of Phi((y - x)/sigma(y))
+    # times the gamma density of g, split at the kernel's steps around x and
+    # at the gamma law's bulk
+    law, phys = st.clean, st.phys
+    with mpmath.workdps(40):
+        a, b, g0 = (mpmath.mpf(v) for v in (law.alpha, law.beta, law.gamma))
+        qe_tp = mpmath.mpf(Q_ELECTRON) / phys.t_p
+        th_tp = 4 * mpmath.mpf(K_BOLTZMANN) * phys.t_r / (phys.r_l * phys.t_p)
+        lg = mpmath.loggamma(a)
+
+        def integrand(g):
+            y = mpmath.exp(g0 + b * g)
+            s = mpmath.sqrt(2 * qe_tp * y + th_tp)
+            return mpmath.ncdf((y - x) / s) * mpmath.exp(
+                (a - 1) * mpmath.log(g) - g - lg)
+
+        gx = (mpmath.log(x) - g0) / b
+        w = mpmath.sqrt(2 * qe_tp * x + th_tp) / (x * abs(b))
+        pts = [gx + k * w for k in range(-40, 41, 4)]
+        pts += [a + k * mpmath.sqrt(a) for k in range(-8, 60, 2)]
+        return mpmath.quad(integrand, sorted({mpmath.mpf(0), *(
+            p for p in pts if p > 0)}) + [mpmath.inf])
+
+
+@pytest.mark.parametrize("prd", [10.0, 25.0])
+@pytest.mark.parametrize("p_r_dbm", [37.0, 41.0, 43.0])
+def test_shot_thermal_bit0_tail_keeps_its_digits(prd, p_r_dbm):
+    # 1 - cdf was 1.2e-4 off at 41 dBm and 430x off at 43 dBm (PRD 10)
+    law0, sp, dp = _cubic_law(prd=prd, p_r_dbm=p_r_dbm, bit=0)
+    law1 = fit_from_moments(decision_moments(sp, dp, 1))
+    st0, st1 = (ShotThermalLaw(law, noise_physics(sp, dp))
+                for law in (law0, law1))
+    th, _ = optimize_threshold(st0, st1)
+    assert abs(st0.sf(th) / float(_mp_st_sf(st0, th)) - 1.0) <= 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -411,23 +483,56 @@ def test_optimize_threshold_rejects_inverted_laws():
 
 
 # --------------------------------------------------------------------------
-# Gaussian baseline
+# Gaussian baseline: NormalLaw
 # --------------------------------------------------------------------------
 
-def test_gaussian_equal_variance_closed_form():
-    th, pe = gaussian_approx_ber(0.0, 1.0, 2.0, 1.0)
-    assert th == 1.0
-    assert pe == pytest.approx(0.5 * math.erfc(1.0 / math.sqrt(2.0)),
-                               rel=1e-15)
-    assert pe == pytest.approx(0.15865525393145707, rel=1e-12)
+def _two_gaussian_root(m0, v0, m1, v1):
+    # oracle: PE is stationary where the two normal densities are equal, a
+    # quadratic in th for unequal variances and the midpoint for equal
+    # ones; of the two roots the one with the smaller PE
+    if v0 == v1:
+        return 0.5 * (m0 + m1)
+    qa = 1.0 / v0 - 1.0 / v1
+    qb = -2.0 * (m0 / v0 - m1 / v1)
+    qc = m0 * m0 / v0 - m1 * m1 / v1 + math.log(v0 / v1)
+    rt = math.sqrt(qb * qb - 4.0 * qa * qc)
+    return min(((-qb - rt) / (2.0 * qa), (-qb + rt) / (2.0 * qa)),
+               key=lambda t: _two_gaussian_pe(m0, v0, m1, v1, t))
 
 
-def test_gaussian_unequal_variance_vs_brute_force():
+def _two_gaussian_pe(m0, v0, m1, v1, th):
+    return 0.25 * (sc.erfc((th - m0) / math.sqrt(2 * v0))
+                   + sc.erfc((m1 - th) / math.sqrt(2 * v1)))
+
+
+GAUSS_CASES = [(0.0, 1.0, 2.0, 1.0), (0.0, 1.0, 10.0, 4.0),
+               (0.0, 1.0, 5.0, 9.0), (1.0, 0.01, 2.0, 0.5),
+               (0.0, 4.0, 1.0, 0.09),
+               (0.0, 1.0, 20.0, 1.0)]  # PE 7.6e-24: no 1 - cdf holds it
+
+
+@pytest.mark.parametrize("m0,v0,m1,v1", GAUSS_CASES)
+def test_normal_law_search_matches_the_two_gaussian_root(m0, v0, m1, v1):
+    th, pe = optimize_threshold(NormalLaw(m0, v0), NormalLaw(m1, v1))
+    want = _two_gaussian_root(m0, v0, m1, v1)
+    assert m0 < th < m1
+    assert th == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert pe == pytest.approx(_two_gaussian_pe(m0, v0, m1, v1, want),
+                               rel=1e-13, abs=0.0)
+    assert 0.0 < pe < 0.5
+
+
+def test_normal_law_equal_variance_value():
+    th, pe = optimize_threshold(NormalLaw(0.0, 1.0), NormalLaw(2.0, 1.0))
+    assert th == pytest.approx(1.0, rel=1e-15, abs=0.0)
+    assert pe == pytest.approx(0.15865525393145707, rel=1e-12, abs=0.0)
+
+
+def test_normal_law_unequal_variance_vs_brute_force():
     m0, v0, m1, v1 = 0.0, 1.0, 10.0, 4.0
-    th, pe = gaussian_approx_ber(m0, v0, m1, v1)
+    th, pe = optimize_threshold(NormalLaw(m0, v0), NormalLaw(m1, v1))
     grid = np.linspace(m0, m1, 200_001)
-    pes = (0.25 * sc.erfc((grid - m0) / math.sqrt(2 * v0))
-           + 0.25 * sc.erfc((m1 - grid) / math.sqrt(2 * v1)))
+    pes = _two_gaussian_pe(m0, v0, m1, v1, grid)
     i = int(np.argmin(pes))
     assert th == pytest.approx(grid[i], rel=5e-5)
     assert pe <= pes[i] + 1e-15
@@ -437,18 +542,23 @@ def test_gaussian_unequal_variance_vs_brute_force():
     assert d0 == pytest.approx(d1, rel=1e-9)
 
 
-def test_gaussian_degenerate_and_domain():
-    th, pe = gaussian_approx_ber(3.0, 1.0, 3.0, 2.0)
-    assert (th, pe) == (3.0, 0.5)
-    with pytest.raises(ParamError):
-        gaussian_approx_ber(1.0, 1.0, 0.0, 1.0)
-    with pytest.raises(ParamError):
-        gaussian_approx_ber(0.0, 0.0, 1.0, 1.0)
+def test_normal_law_methods():
+    law = NormalLaw(3.0, 4.0)
+    xs = np.array([-200.0, -5.0, 0.0, 3.0, 4.5, 11.0, 40.0, 90.0])
+    z = (xs - 3.0) / 2.0
+    assert np.allclose(law.cdf(xs), sc.ndtr(z), rtol=1e-14, atol=0.0)
+    # the upper tail is its own function: 1 - cdf would round it to 0
+    assert np.allclose(law.sf(xs), sc.ndtr(-z), rtol=1e-14, atol=0.0)
+    assert law.sf(40.0) > 0.0 and law.cdf(40.0) == 1.0
+    assert np.allclose(law.logpdf(xs),
+                       -0.5 * z * z - math.log(2.0 * math.sqrt(2.0 * math.pi)),
+                       rtol=1e-14, atol=0.0)
+    assert law.mean() == 3.0
+    for v in (0.0, -1.0, math.nan):
+        with pytest.raises(ParamError, match="variances must be > 0"):
+            NormalLaw(0.0, v)
 
 
-def test_gaussian_threshold_between_means():
-    for m0, v0, m1, v1 in [(0.0, 1.0, 5.0, 9.0), (1.0, 0.01, 2.0, 0.5),
-                           (0.0, 4.0, 1.0, 0.09)]:
-        th, pe = gaussian_approx_ber(m0, v0, m1, v1)
-        assert m0 < th < m1
-        assert 0.0 < pe < 0.5
+def test_normal_law_inverted_means_raise():
+    with pytest.raises(BracketError):
+        optimize_threshold(NormalLaw(1.0, 1.0), NormalLaw(0.0, 1.0))

@@ -12,7 +12,7 @@ from cubicber import Lp3Params, fit_from_moments
 from cubicber._rng import _log_ndtr, _ndtr
 from cubicber.lp3 import (DivergentMomentError, Lp3Error, NoSolutionError,
                           _gamma_inv, _gamma_pq, cdf, logpdf, moment,
-                          quantile, reg_gamma_p)
+                          quantile, reg_gamma_p, sf)
 from conftest import lp3_pdf as pdf
 
 
@@ -269,6 +269,30 @@ def test_cdf_monotone_and_limits(p):
         cdf(p, math.nan)
     with pytest.raises(Lp3Error):
         cdf(p, [1.0, math.nan])
+
+
+@pytest.mark.parametrize("p", CASES)
+def test_sf_is_the_other_tail(p):
+    # sf is 1 - cdf in the bulk, 1 off the support's lower side, and in the
+    # upper tail, where cdf rounds to 1, a 40-digit incomplete gamma at the
+    # same z: Q for beta > 0, P for beta < 0
+    mpmath = pytest.importorskip("mpmath")
+    ys = quantile(p, np.linspace(0.001, 0.999, 40))
+    assert sf(p, ys) == pytest.approx(1.0 - cdf(p, ys), abs=2e-16)
+    assert sf(p, 0.0) == sf(p, -1.0) == 1.0
+    assert np.array_equal(sf(p, [-1.0, 0.0, ys[7]]), [1.0, 1.0, sf(p, ys[7])])
+    with pytest.raises(Lp3Error):
+        sf(p, [1.0, math.nan])
+    for tail in (1e-20, 1e-60):
+        zq = _gamma_inv(p.alpha, tail, p.beta > 0)
+        y = math.exp(p.gamma + p.beta * zq)
+        z = (math.log(y) - p.gamma) / p.beta  # as sf maps y
+        with mpmath.workdps(40):
+            want = (mpmath.gammainc(p.alpha, z, mpmath.inf, regularized=True)
+                    if p.beta > 0 else
+                    mpmath.gammainc(p.alpha, 0, z, regularized=True))
+        assert cdf(p, y) == 1.0
+        assert sf(p, y) == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("p", CASES)
