@@ -10,7 +10,10 @@ The random stream and the synthesis are pipelined: while the calling
 thread synthesizes and reduces one block, a helper thread draws the
 coefficient normals of the next. numpy releases the interpreter lock in
 both, so on two cores a block costs about the larger of the two rather
-than their sum; at PRD 100 the products and reductions are the larger.
+than their sum. On 2 vCPUs a block's normals take ~13 ms at PRD 10 and
+~30 ms at PRD 100, so the stream sets a block's cost at PRD 10, where the
+synthesis takes 5-10 ms, and the products and reductions set it at
+PRD 100, where they take 50-65 ms for one signal.
 The draw is a pure function of its counters, so which thread makes it
 leaves the bits alone.
 """

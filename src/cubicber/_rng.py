@@ -7,6 +7,16 @@ pair of standard normals. Because the stream is a pure function of the
 counter, any slice of trials can be generated independently, in any order,
 chunked any way, with bit-identical results. The key holds the low 64 bits
 of the seed; callers reject larger seeds.
+
+A draw runs in row tiles of about _TILE counters. Philox widens a tile's
+four counter words once to uint64 lanes, and each of its ten rounds is ten
+in-place passes over the lanes and two product buffers (two multiplies,
+two shifts, two masks, four XORs), with no allocation; the words are then
+packed into the uniforms' 64-bit words in place. The inverse normal
+evaluates its central rational over the whole tile, where it is finite,
+and gathers only the tail (|p - 0.5| > 0.425, about 15% of a draw). Each
+value goes through the same floating-point operations on the same operands
+as it would alone, so neither the tiles nor the whole-tile pass move a bit.
 """
 
 from __future__ import annotations
@@ -27,36 +37,37 @@ _TILE = 1 << 15
 def philox4(c0, c1, c2, c3, k0, k1):
     """One Philox4x32-10 block per element of the uint32 counter arrays.
 
-    c0..c3: uint32 ndarrays (broadcastable); k0, k1: uint32 scalars.
-    Returns four uint32 ndarrays.
+    c0..c3: uint32 ndarrays (broadcastable); k0, k1: 32-bit key words.
+    Returns the four output words as uint64 ndarrays of the broadcast
+    shape, each holding a 32-bit value.
     """
-    c0 = np.asarray(c0, np.uint32)
-    c1 = np.asarray(c1, np.uint32)
-    c2 = np.asarray(c2, np.uint32)
-    c3 = np.asarray(c3, np.uint32)
-    k0 = np.uint32(k0)
-    k1 = np.uint32(k1)
+    # widened through uint32, so that a negative counter wraps modulo 2^32
+    ctr = np.broadcast_arrays(*(np.asarray(c, np.uint32)
+                                for c in (c0, c1, c2, c3)))
+    w0, w1, w2, w3 = (c.astype(np.uint64, order="C") for c in ctr)
+    p0, p1 = np.empty_like(w0), np.empty_like(w0)
+    k0, k1 = int(k0), int(k1)
     for _ in range(10):
-        p0 = _M0 * c0.astype(np.uint64)
-        p1 = _M1 * c2.astype(np.uint64)
-        hi0 = (p0 >> np.uint64(32)).astype(np.uint32)
-        lo0 = (p0 & _MASK32).astype(np.uint32)
-        hi1 = (p1 >> np.uint64(32)).astype(np.uint32)
-        lo1 = (p1 & _MASK32).astype(np.uint32)
-        c0 = hi1 ^ c1 ^ k0
-        c1 = lo1
-        c2 = hi0 ^ c3 ^ k1
-        c3 = lo0
-        k0 = np.uint32((int(k0) + 0x9E3779B9) & 0xFFFFFFFF)
-        k1 = np.uint32((int(k1) + 0xBB67AE85) & 0xFFFFFFFF)
-    return c0, c1, c2, c3
+        np.multiply(w0, _M0, out=p0)
+        np.multiply(w2, _M1, out=p1)
+        np.right_shift(p1, 32, out=w0)
+        w0 ^= w1
+        w0 ^= k0
+        np.bitwise_and(p1, _MASK32, out=w1)
+        np.right_shift(p0, 32, out=w2)
+        w2 ^= w3
+        w2 ^= k1
+        np.bitwise_and(p0, _MASK32, out=w3)
+        k0 = (k0 + 0x9E3779B9) & 0xFFFFFFFF
+        k1 = (k1 + 0xBB67AE85) & 0xFFFFFFFF
+    return w0, w1, w2, w3
 
 
-def _u64_to_unit(u):
+def _u64_to_unit(u, out=None):
     # 52 bits, offset half a step: values lie strictly inside (0, 1). With
     # 53 bits the top value (2^53 - 1) + 0.5 would round up and map to
     # exactly 1.0, which the inverse normal cannot accept.
-    return ((u >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+    return np.multiply(np.add(u >> 12, 0.5, out=out), 2.0**-52, out=out)
 
 
 # Rational minimax inverse normal cdf (absolute error ~ 1e-16).
@@ -87,8 +98,9 @@ _PF = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
 
 
 def _poly7(coeffs, r):
-    acc = np.full_like(r, coeffs[7])
-    for c in coeffs[6::-1]:
+    acc = r * coeffs[7]
+    acc += coeffs[6]
+    for c in coeffs[5::-1]:
         acc *= r
         acc += c
     return acc
@@ -100,21 +112,21 @@ def inverse_normal_cdf(p):
 
 
 def _ndtri(p):
-    # the body of inverse_normal_cdf; lp3 seeds with it, not an rng draw
+    # the body of inverse_normal_cdf; lp3 seeds with it, not an rng draw.
+    # The central rational runs over every element: on |q| <= 0.5 its
+    # denominator stays above 0.002, so the pass is finite and warns of
+    # nothing, and only the tail (about 15% of a uniform draw, NaN too) is
+    # gathered, evaluated and scattered back over it.
     p = np.asarray(p, np.float64)
     q = p - 0.5
-    out = np.empty_like(p)
+    r = 0.180625 - q * q
+    out = np.multiply(q, _poly7(_PA, r), out=np.empty_like(p))
+    out /= _poly7(_PB, r)
 
-    central = np.abs(q) <= 0.425
-    if np.any(central):
-        qc = q[central]
-        r = 0.180625 - qc * qc
-        out[central] = qc * _poly7(_PA, r) / _poly7(_PB, r)
-
-    tail = ~central
-    if np.any(tail):
-        qt = q[tail]
-        pt = p[tail]
+    tail = np.flatnonzero(~(np.abs(q) <= 0.425))
+    if tail.size:
+        qt = np.take(q, tail)
+        pt = np.take(p, tail)
         r = np.sqrt(-np.log(np.where(qt < 0.0, pt, 1.0 - pt)))
         res = np.empty_like(r)
         mid = r <= 5.0
@@ -123,7 +135,7 @@ def _ndtri(p):
         far = ~mid
         rf = r[far] - 5.0
         res[far] = _poly7(_PE, rf) / _poly7(_PF, rf)
-        out[tail] = np.where(qt < 0.0, -res, res)
+        np.put(out, tail, np.where(qt < 0.0, -res, res))
     return out
 
 
@@ -162,20 +174,22 @@ def coefficient_normals(seed, trials, bit, blocks):
     blocks = np.asarray(blocks, np.int64)
     zp = np.empty((trials.size, blocks.size))
     zq = np.empty((trials.size, blocks.size))
-    c0 = blocks.astype(np.uint32)
-    c1 = np.uint32(bit)
-    k0 = np.uint32(seed & 0xFFFFFFFF)
-    k1 = np.uint32((seed >> 32) & 0xFFFFFFFF)
+    k0, k1 = seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF
     # row tiles of about _TILE counters; every value is elementwise in its
     # counter, so the tiling leaves the bits alone
     rows = max(1, _TILE // max(1, blocks.size))
+    unit = np.empty((min(rows, trials.size), blocks.size))
     for i in range(0, trials.size, rows):
         t = trials[i:i + rows, None]
-        c2 = (t & 0xFFFFFFFF).astype(np.uint32)
-        c3 = (t >> 32).astype(np.uint32)
-        r0, r1, r2, r3 = philox4(c0, c1, c2, c3, k0, k1)
-        ua = (r0.astype(np.uint64) << np.uint64(32)) | r1.astype(np.uint64)
-        ub = (r2.astype(np.uint64) << np.uint64(32)) | r3.astype(np.uint64)
-        zp[i:i + rows] = inverse_normal_cdf(_u64_to_unit(ua))
-        zq[i:i + rows] = inverse_normal_cdf(_u64_to_unit(ub))
+        w0, w1, w2, w3 = philox4(blocks, bit, t & 0xFFFFFFFF, t >> 32, k0, k1)
+        # the uniforms' words ua = w0 << 32 | w1 and ub = w2 << 32 | w3, in
+        # place, and two fewer lanes held through the inverse normal
+        w0 <<= 32
+        w0 |= w1
+        w2 <<= 32
+        w2 |= w3
+        del w1, w3
+        u = unit[:len(t)]
+        zp[i:i + rows] = inverse_normal_cdf(_u64_to_unit(w0, out=u))
+        zq[i:i + rows] = inverse_normal_cdf(_u64_to_unit(w2, out=u))
     return zp, zq

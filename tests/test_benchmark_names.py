@@ -13,9 +13,10 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cubicber import cli
+from cubicber import _rng, cli
 from cubicber.params import SystemParams
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -124,3 +125,30 @@ def test_law_methods_reach_the_traced_module_functions(monkeypatch):
                           "lp3.quantile", "detection.cdf_shot_thermal"}
     assert calls["lp3.moment"] == calls["lp3.quantile"] == 2
     assert calls["lp3.sf"] == calls["detection.cdf_shot_thermal"] == 1
+
+
+def test_stream_reaches_the_traced_rng_functions(monkeypatch):
+    # rng.philox_blocks, rng.philox_busy_s and rng.invnorm_busy_s see a
+    # draw only while coefficient_normals calls philox4 and
+    # inverse_normal_cdf through _rng's globals, once and twice a tile
+    real_philox, real_ndtri = _rng.philox4, _rng.inverse_normal_cdf
+    counters, uniforms = [], []
+
+    def philox4(*args):
+        words = real_philox(*args)
+        counters.append(words[0].size)
+        return words
+
+    def inverse_normal_cdf(p):
+        uniforms.append(p.size)
+        return real_ndtri(p)
+
+    monkeypatch.setattr(_rng, "philox4", philox4)
+    monkeypatch.setattr(_rng, "inverse_normal_cdf", inverse_normal_cdf)
+    nblocks, ntrials = 165, 2048
+    _rng.coefficient_normals(1, np.arange(ntrials), 1, np.arange(nblocks))
+    rows = _rng._TILE // nblocks
+    tiles = [min(rows, ntrials - i) * nblocks
+             for i in range(0, ntrials, rows)]
+    assert counters == tiles
+    assert uniforms == [n for n in tiles for _ in range(2)]

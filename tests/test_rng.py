@@ -1,5 +1,8 @@
 """Counter-based generator: block function, uniforms, inverse normal."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.special as sc
@@ -160,3 +163,171 @@ def test_coefficient_normals_large_trial_index():
     small, _ = coefficient_normals(1, np.array([5, 6], dtype=np.int64), 0,
                                    np.arange(4, dtype=np.int64))
     assert not np.array_equal(zp, small)
+
+
+# SHA-256 of zp.tobytes() + zq.tobytes(), recorded from the stream before
+# its Philox lanes went in place: trials 2^32 - 250 .. 2^32 + 249 cross into
+# the high counter word, the blocks take one to three row tiles, and "wide"
+# is three rows each wider than a tile, with negative blocks
+_CROSS = np.arange(2**32 - 250, 2**32 + 250, dtype=np.int64)
+_GRIDS = {"75": (_CROSS, np.arange(75)),
+          "165": (_CROSS, np.arange(165)),
+          "-8..8": (_CROSS, np.arange(-8, 9)),
+          "wide": (np.arange(3, dtype=np.int64), np.arange(-5, 2**15 + 5))}
+
+STREAM_DIGESTS = {
+    (0, 0, "75"):
+        "fc81c3b554c4983f755fa492892912eba0ca2027a7767da83da0653eb8495219",
+    (0, 0, "165"):
+        "d5dc20a0569b30d46e69e63410e7304cc2aa7ab1ab53ece3b352eeabb451c901",
+    (0, 0, "-8..8"):
+        "9095f76cc92254292b61f5cf6a04dcada375ef636ea8688d808e5ee5268f6120",
+    (0, 1, "75"):
+        "425d6a8fb945df454b90a0e93015c39f424295e5d7fb609ffd98afb16f57c34f",
+    (0, 1, "165"):
+        "cdc805131edbc12c7f3a18827b5d8ebc22be99d08b111540ca2879714b6c5646",
+    (0, 1, "-8..8"):
+        "e47b94770eadd4d5dce7035b1ff9841921f346de3f7464ed4721040faec310f4",
+    (1, 0, "75"):
+        "46477eea5029191471ebd492904b362d15fe512ab480ce6087e63e34732878fc",
+    (1, 0, "165"):
+        "8188269c0ed0ef9c3e57f00cad3edfbe18117f7d3431a62902ab3f6333e55223",
+    (1, 0, "-8..8"):
+        "4e895c7b58b61041cdd1f11ee5d38b75869ce35efacd4ba35bab56e2d84e920c",
+    (1, 1, "75"):
+        "cde25c09309c643c6f6be99abe6c1fd6ca3506e5930d026ef64412a911b36105",
+    (1, 1, "165"):
+        "582b103468610d452d5ef7111a2cb1799868fbb58f4c1a25177b4675c64a8961",
+    (1, 1, "-8..8"):
+        "97f5fa5aaca86c5b710928f34aa6b498e9386610bf010cc0cc5140b9d12c5d1d",
+    (2**32 + 5, 0, "75"):
+        "c7406c988f16e13be689943acfe28857b00dfcd4a077fc443873196351f96395",
+    (2**32 + 5, 0, "165"):
+        "247fae1c11266df0eb535abaabfaef06c4fcc588f25b42a88af9e8d6052e38be",
+    (2**32 + 5, 0, "-8..8"):
+        "f09ce8f35572a66e166f4062f10a4cdd6343414053f9cd1d55c76a591b0c4520",
+    (2**32 + 5, 1, "75"):
+        "510745b16fb45368ac6f4e1292ed2d6b595f953cc1adb55373d698eac1969cef",
+    (2**32 + 5, 1, "165"):
+        "bbcdbf545a7d296cd84d452612b03355d75a04dfc5d212a5896a10f500547242",
+    (2**32 + 5, 1, "-8..8"):
+        "f1e00def725c03067e86f118ad4a6cf849265df9375a47331312276e483ae33b",
+    (2**64 - 1, 0, "75"):
+        "853737c956257abaa0aee04831e214ba0954bd3d4a9ab425bf2befff094921f1",
+    (2**64 - 1, 0, "165"):
+        "7b0eda732ecfa4aa4efe36ccb6cd2c7ca9ed0203a6f100e8550bbe45e3ddb7be",
+    (2**64 - 1, 0, "-8..8"):
+        "9fcd62e644d71afd16076fe54e5a38443d8494d0bc66eb6852cebbf013a03b6d",
+    (2**64 - 1, 1, "75"):
+        "814c70cf1f9f4f3ed3988e2fee32ddd63168389258cc954f2dfff256f0974809",
+    (2**64 - 1, 1, "165"):
+        "62b00e85b87bb2d14555691721b789d851781ac2b69318bf860d9bed5038035b",
+    (2**64 - 1, 1, "-8..8"):
+        "badf0908839ac8059ba15884bb7aad143e99c1ac0ebbb5eb4340c0bd0b153330",
+    (2**32 + 5, 0, "wide"):
+        "eeaa7ba0aadaa57a49ccd97b303b6ccc2c4bcf56e3d2a93031c23342585747b9",
+    (2**32 + 5, 1, "wide"):
+        "5588a87118d4d5225f8e4a4bbcf858fba0a7e81c80af724e324584cf17a3db9f",
+}
+
+INVNORM_EDGES = [
+    ("0x1.0000000000000p-53", "-0x1.06b48528cea51p+3"),
+    ("0x1.e8a37a45fc2fep-37", "-0x1.aa1b1c13ee528p+2"),
+    ("0x1.e8a37a45fc2ffp-37", "-0x1.aa1b1c13ee528p+2"),
+    ("0x1.e8a37a45fc300p-37", "-0x1.aa1b1c13ee528p+2"),
+    ("0x1.e8a37a45fc301p-37", "-0x1.aa1b1c13ee525p+2"),
+    ("0x1.e8a37a45fc302p-37", "-0x1.aa1b1c13ee525p+2"),
+    ("0x1.e8a37a45fc303p-37", "-0x1.aa1b1c13ee525p+2"),
+    ("0x1.e8a37a45fc32bp-37", "-0x1.aa1b1c13ee525p+2"),
+    ("0x1.e8a37a45fc32cp-37", "-0x1.aa1b1c13ee525p+2"),
+    ("0x1.e8a37a45fc32dp-37", "-0x1.aa1b1c13ee525p+2"),
+    ("0x1.e8a37a45fc32ep-37", "-0x1.aa1b1c13ee525p+2"),
+    ("0x1.e8a37a45fc32fp-37", "-0x1.aa1b1c13ee525p+2"),
+    ("0x1.e8a37a45fc330p-37", "-0x1.aa1b1c13ee525p+2"),
+    ("0x1.e8a37a45fc331p-37", "-0x1.aa1b1c13ee525p+2"),
+    ("0x1.3333333333331p-4", "-0x1.7085226d3e524p+0"),
+    ("0x1.3333333333332p-4", "-0x1.7085226d3e522p+0"),
+    ("0x1.3333333333333p-4", "-0x1.7085226d3e523p+0"),
+    ("0x1.3333333333334p-4", "-0x1.7085226d3e523p+0"),
+    ("0x1.3333333333335p-4", "-0x1.7085226d3e523p+0"),
+    ("0x1.3333333333336p-4", "-0x1.7085226d3e521p+0"),
+    ("0x1.3333333333337p-4", "-0x1.7085226d3e521p+0"),
+    ("0x1.d999999999997p-1", "0x1.7085226d3e51ap+0"),
+    ("0x1.d999999999998p-1", "0x1.7085226d3e51dp+0"),
+    ("0x1.d999999999999p-1", "0x1.7085226d3e521p+0"),
+    ("0x1.d99999999999ap-1", "0x1.7085226d3e524p+0"),
+    ("0x1.d99999999999bp-1", "0x1.7085226d3e528p+0"),
+    ("0x1.d99999999999cp-1", "0x1.7085226d3e52bp+0"),
+    ("0x1.d99999999999dp-1", "0x1.7085226d3e52fp+0"),
+    ("0x1.ffffffffe175ap-1", "0x1.aa1b0fa4e62f0p+2"),
+    ("0x1.ffffffffe175bp-1", "0x1.aa1b1492d018dp+2"),
+    ("0x1.ffffffffe175cp-1", "0x1.aa1b1980bc89cp+2"),
+    ("0x1.ffffffffe175dp-1", "0x1.aa1b1e6eab81fp+2"),
+    ("0x1.ffffffffe175ep-1", "0x1.aa1b235c9d013p+2"),
+    ("0x1.ffffffffe175fp-1", "0x1.aa1b284a91079p+2"),
+    ("0x1.ffffffffe1760p-1", "0x1.aa1b2d3887952p+2"),
+    ("0x1.fffffffffffffp-1", "0x1.06b48528cea51p+3"),
+]
+
+
+@pytest.mark.parametrize("seed, bit, grid", sorted(STREAM_DIGESTS))
+def test_stream_digest_is_frozen(seed, bit, grid):
+    trials, blocks = _GRIDS[grid]
+    zp, zq = coefficient_normals(seed, trials, bit, blocks)
+    digest = hashlib.sha256(zp.tobytes() + zq.tobytes()).hexdigest()
+    assert digest == STREAM_DIGESTS[seed, bit, grid]
+
+
+def _edges():
+    p = np.array([float.fromhex(a) for a, _ in INVNORM_EDGES])
+    want = np.array([float.fromhex(b) for _, b in INVNORM_EDGES])
+    return p, want
+
+
+def test_inverse_normal_branch_edges_keep_their_bits():
+    # (p, value) pairs recorded before the central branch ran over whole
+    # arrays: |p - 0.5| = 0.425 and three floats either side, e^-25 and
+    # 1 - e^-25 (the tail's switch at r = 5) with neighbours, and the
+    # extreme uniforms 2^-53 and 1 - 2^-53
+    p, want = _edges()
+    central = np.abs(p - 0.5) <= 0.425
+    r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+    for side in (p < 0.5, p > 0.5):
+        # both sides of both switches are among the points
+        assert central[side].any() and not central[side].all()
+        assert (r[side] <= 5.0).any() and (r[side] > 5.0).any()
+    got = inverse_normal_cdf(p)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+
+def test_inverse_normal_keeps_its_bits_on_0d_and_strided_input():
+    p, want = _edges()
+    for i in (0, 10, 17, 35):  # tail, central, far tail, extreme
+        got = inverse_normal_cdf(np.float64(p[i]))
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert float(got).hex() == want[i].hex()
+    spaced = np.full(2 * p.size, 0.5)
+    spaced[::2] = p
+    assert np.array_equal(inverse_normal_cdf(spaced[::2]), want)
+    grid = p.reshape(6, 6).T  # Fortran-ordered
+    assert np.array_equal(inverse_normal_cdf(grid), want.reshape(6, 6).T)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning:cubicber")
+def test_inverse_normal_passes_nan_through_without_a_warning():
+    got = inverse_normal_cdf(np.array([np.nan, 0.3, 1e-30, np.nan]))
+    assert np.isnan(got[[0, 3]]).all() and np.isfinite(got[[1, 2]]).all()
+    assert np.isnan(inverse_normal_cdf(np.float64(np.nan)))
+
+
+def test_one_block_draw_holds_only_tile_sized_temporaries():
+    # a PRD-100 block: the two outputs plus a dozen tiles of float64 at
+    # most, so no temporary spans the whole block
+    trials = np.arange(2048, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        zp, zq = coefficient_normals(1, trials, 1, np.arange(165))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= zp.nbytes + zq.nbytes + 12 * _TILE * 8
