@@ -191,13 +191,10 @@ def _pq_asymptotic(a: float, x):
     # The first dropped term is O(1/a) relative to c0, negligible here.
     lam = x / a
     dl = lam - 1.0
-    eta2, c0 = np.empty(x.shape), np.empty(x.shape)
+    eta2, c0 = 2.0 * _phi(dl, lam), np.empty(x.shape)
     near = np.abs(dl) < 1e-4
-    dn, df = dl[near], dl[~near]
-    eta2[near] = dn * dn * (1.0 - 2.0 * dn / 3.0 + 0.5 * dn * dn
-                            - 0.4 * dn**3)
-    c0[near] = 1.0 / 3.0 - dn / 12.0
-    eta2[~near] = 2.0 * (df - _log1p_ratio(df, lam[~near]))
+    df = dl[~near]
+    c0[near] = 1.0 / 3.0 - dl[near] / 12.0
     c0[~near] = 1.0 / np.copysign(np.sqrt(eta2[~near]), df) - 1.0 / df
     z = np.copysign(np.sqrt(eta2), dl) * math.sqrt(a)
     corr = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi * a) * c0
@@ -371,66 +368,59 @@ def quantile(p: Lp3Params, prob):
 _NEAR_LOGNORMAL = 1e-9
 
 
-def _g_denominator(beta: float) -> float:
-    # 2 ln(1-b) - ln(1-2b) = b^2 + O(b^3), positive for all valid beta != 0.
-    return 2.0 * math.log1p(-beta) - math.log1p(-2.0 * beta)
-
-
 def _g(beta: float) -> float:
-    # Left side of the moment-ratio equation; monotone increasing on
-    # (-inf, 1/3), limit 3 at 0 (removable), 2 at -inf, +inf at 1/3.
-    num = 3.0 * math.log1p(-beta) - math.log1p(-3.0 * beta)
-    return num / _g_denominator(beta)
+    # Left side of the moment-ratio equation: 3 ln(1-b) - ln(1-3b) over
+    # alpha's divisor 2 ln(1-b) - ln(1-2b) = b^2 + O(b^3) > 0. Monotone
+    # increasing on (-inf, 1/3), limit 3 at 0 (removable), 2 at -inf, +inf
+    # at 1/3.
+    l1 = math.log1p(-beta)
+    return ((3.0 * l1 - math.log1p(-3.0 * beta))
+            / (2.0 * l1 - math.log1p(-2.0 * beta)))
 
 
-def _solve_beta_positive(rho: float) -> float:
-    lo = 1e-10
-    hi = None
-    third = 1.0 / 3.0
-    for gap in (1.0 / 30.0, 1e-4, 1e-8, 1e-12, 2.3e-16):
-        cand = third - gap
-        if _g(cand) >= rho:
-            hi = cand
-            break
-        lo = cand
-    if hi is None:
-        raise NoSolutionError(
-            f"moment ratio rho={rho} is beyond the double-precision solvable "
-            "range near beta = 1/3"
-        )
+def _solve_beta(rho: float) -> float:
+    # Root of g(beta) = rho off rho = 3: bracket it, then bisect t to
+    # adjacent floats on f(t) = target, f increasing. Above 3 the root lies
+    # in (0, 1/3): steps toward 1/3 bracket it, t = beta and f = g. Below 3
+    # it can sit at astronomically negative beta: powers of 256 bracket it,
+    # t = ln(-beta) and f = -g(-exp(t)), as g(-exp(t)) decreases in t.
+    if rho > 3.0:
+        f, target, lo, hi = _g, rho, 1e-10, None
+        for gap in (1.0 / 30.0, 1e-4, 1e-8, 1e-12, 2.3e-16):
+            cand = 1.0 / 3.0 - gap
+            if _g(cand) >= rho:
+                hi = cand
+                break
+            lo = cand
+        if hi is None:
+            raise NoSolutionError(
+                f"moment ratio rho={rho} is beyond the double-precision "
+                "solvable range near beta = 1/3"
+            )
+    else:
+        def f(t):
+            return -_g(-math.exp(t))
+
+        target, far = -rho, -0.5
+        while _g(far) > rho:
+            far *= 256.0
+            if far < -1e300:
+                raise NoSolutionError(
+                    f"moment ratio rho={rho} has no representable "
+                    "negative-branch solution (practical lower limit of g "
+                    "is ~2)"
+                )
+        lo, hi = math.log(1e-10), math.log(-far)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if _g(mid) < rho:
+        if f(mid) < target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _solve_beta_negative(rho: float) -> float:
-    # Root can sit at astronomically negative beta for rho slightly above 2,
-    # so bracket and bisect on w = ln(-beta); g(-exp(w)) decreases in w.
-    hi = -1e-10
-    lo = -0.5
-    while _g(lo) > rho:
-        lo *= 256.0
-        if lo < -1e300:
-            raise NoSolutionError(
-                f"moment ratio rho={rho} has no representable negative-branch "
-                "solution (practical lower limit of g is ~2)"
-            )
-    w_left, w_right = math.log(-hi), math.log(-lo)
-    for _ in range(200):
-        w_mid = 0.5 * (w_left + w_right)
-        if w_mid <= w_left or w_mid >= w_right:
-            break
-        if _g(-math.exp(w_mid)) > rho:
-            w_left = w_mid
-        else:
-            w_right = w_mid
-    return -math.exp(0.5 * (w_left + w_right))
+    t = 0.5 * (lo + hi)
+    return t if rho > 3.0 else -math.exp(t)
 
 
 def fit_from_moments(m) -> Lp3Params:
@@ -455,10 +445,8 @@ def fit_from_moments(m) -> Lp3Params:
         raise NoSolutionError(f"moment ratio rho={rho} <= 1 has no LP3 solution")
     if abs(rho - 3.0) < _NEAR_LOGNORMAL:
         beta = math.copysign(_NEAR_LOGNORMAL, rho - 3.0)
-    elif rho > 3.0:
-        beta = _solve_beta_positive(rho)
     else:
-        beta = _solve_beta_negative(rho)
-    alpha = den / _g_denominator(beta)
+        beta = _solve_beta(rho)
+    alpha = den / (2.0 * math.log1p(-beta) - math.log1p(-2.0 * beta))
     gamma = l1 + alpha * math.log1p(-beta)
     return Lp3Params(alpha=alpha, beta=beta, gamma=gamma)

@@ -561,6 +561,40 @@ def test_fit_near_lognormal_fallback():
     assert moment(q, 2) == pytest.approx(m2, rel=1e-5)
 
 
+# Moment ratios rho of the triples (1, e^l, e^(rho l)) in FIT_DIGESTS, one
+# or more per bracket of the beta solver: below 2 and above g(1/3 - 2.3e-16)
+# = 117.2 (errors); 2.0005-2.9, the x256 growth toward -1e300; 3 +- 1e-10,
+# the near-lognormal fallback; 3 +- 1e-8 and 3.5, the first step at 1e-10;
+# and the steps toward 1/3, whose ends give g = 6.07, 24.0, 56.0, 88.0, 117.2.
+FIT_RHOS = [1.5, 1.99, 2.0, 2.0005, 2.001, 2.01, 2.07, 2.2, 2.55, 2.9,
+            3.0 - 1e-8, 3.0 - 1e-10, 3.0 + 1e-10, 3.0 + 1e-8, 3.5, 4.0, 6.0,
+            10.0, 24.0, 30.0, 56.0, 70.0, 88.0, 100.0, 117.0, 118.0, 150.0,
+            200.0]
+# SHA-256 of the fitted (alpha, beta, gamma) as little-endian doubles, and
+# of the NoSolutionError messages, one per line, in grid order
+FIT_DIGESTS = (880, 240,
+               "d5fb325dbd8c404220f3edf2ca489b9e43e8744b61e46602e9c462a2c76621e9",
+               "da103f88481c8ea42fc28cc836e459070cf9b7a45bc81398e7aff1fafa6bc39d")
+
+
+def test_fit_keeps_its_bits():
+    import hashlib
+    import struct
+    params, errors = hashlib.sha256(), hashlib.sha256()
+    nfit = nerr = 0
+    for rho in FIT_RHOS:
+        for l in np.geomspace(1e-3, 3.0, 40):
+            try:
+                p = fit_from_moments((1.0, math.exp(l), math.exp(rho * l)))
+            except NoSolutionError as exc:
+                errors.update(str(exc).encode() + b"\n")
+                nerr += 1
+            else:
+                params.update(struct.pack("<3d", p.alpha, p.beta, p.gamma))
+                nfit += 1
+    assert (nfit, nerr, params.hexdigest(), errors.hexdigest()) == FIT_DIGESTS
+
+
 def test_fit_speed():
     import time
     p = Lp3Params(alpha=10.0, beta=0.1, gamma=0.0)
