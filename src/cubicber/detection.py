@@ -13,8 +13,11 @@ x)/sigma(y)) for sf, or the density of N. All three run on one fixed
 Gauss-Kronrod 7/15 panel rule for an array of thresholds at once: the panel
 edges are about 30 LP3 quantiles (1e-13 to 1 - 1e-10, for the steep lower
 tail of the bit-0 law) and, per threshold x, the levels y where (y -
-x)/sigma(y) runs over -10..14 in unit steps. A summed |K15 - G7| over the
-panels above 1e-9 + 1e-6 |value| raises QuadratureError.
+x)/sigma(y) runs over -10..14 in unit steps, all clipped to [lo, hi] with
+lo = clip(x - 10 sigma(x), 0, quantile(1e-14)) and hi = max(quantile(1 -
+1e-12), x + 10 sigma(x)). The cdf adds the law's mass below lo and sf its
+mass above hi, where the kernel is 1. A summed |K15 - G7| over the panels
+above 1e-9 + 1e-6 |value| raises QuadratureError.
 
 PE = sf0/2 + cdf1/2 takes no 1 - cdf, so bit 0's tail keeps its digits
 where cdf0 rounds to 1. PE' = (f1 - f0)/2: its minimum is a density crossing.
@@ -152,10 +155,10 @@ class ShotThermalLaw:
 def cdf_shot_thermal(law: ShotThermalLaw, x):
     """cdf of the law at x, a scalar or an ndarray of thresholds.
 
-    The integral over y of Phi((x - y)/sigma(y)) f_Y(y) over
-    [quantile(1e-14), max(quantile(1 - 1e-12), x + 10 sigma(x))], on the
-    panels above. It leaves out the law's mass beyond the cuts, at most
-    1e-14 below and 1e-12 above; the law's sf adds the mass above.
+    The integral over y of Phi((x - y)/sigma(y)) f_Y(y) over [lo, hi], on
+    the panels above, plus the law's mass below lo. It leaves out the
+    law's mass above hi, where the kernel is below Phi(-10) or the mass
+    below 1e-12; the law's sf adds it.
     """
     return _shot_thermal(law, x, "cdf")
 
@@ -175,23 +178,23 @@ def _shot_thermal(law, x, kind):
 def _st_block(law, x, kind):
     # One pass of _shot_thermal over the thresholds x (1-d). The panel
     # edges of threshold x_i are the fixed quantile edges plus its kernel
-    # edges, clipped to [lo, hi_i]; clipped edges give empty panels, so
+    # edges, clipped to [lo_i, hi_i]; clipped edges give empty panels, so
     # every threshold has the same panel count and the sums stay
     # per-row.
     phys, cuts = law.phys, law.cuts
     qe_tp = Q_ELECTRON / phys.t_p
     th_tp = 4.0 * K_BOLTZMANN * phys.t_r / (phys.r_l * phys.t_p)
-    lo, y_hi = cuts[0], cuts[-1]
     s_x = np.sqrt(2.0 * qe_tp * np.maximum(x, 0.0) + th_tp)
-    hi = np.maximum(y_hi, x + 10.0 * s_x)
+    lo = np.clip(x - 10.0 * s_x, 0.0, cuts[0])
+    hi = np.maximum(cuts[-1], x + 10.0 * s_x)
     # (y - x)^2 = w^2 sigma^2(y) solved for y on the side sign(w)
     w = _KERNEL_W
     kern = (x[:, None] + qe_tp * w * w
             + w * np.sqrt(s_x[:, None] ** 2 + (qe_tp * w) ** 2))
     edges = np.concatenate(
-        [np.broadcast_to(cuts, (x.size, cuts.size)), kern, hi[:, None]],
-        axis=1)
-    edges = np.sort(np.clip(edges, lo, hi[:, None]), axis=1)
+        [np.broadcast_to(cuts, (x.size, cuts.size)), kern, lo[:, None],
+         hi[:, None]], axis=1)
+    edges = np.sort(np.clip(edges, lo[:, None], hi[:, None]), axis=1)
     half = 0.5 * np.diff(edges, axis=1)
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
     y = mid[..., None] + half[..., None] * _GK_X  # (threshold, panel, node)
@@ -214,9 +217,13 @@ def _st_block(law, x, kind):
     if (err > 1e-9 + 1e-6 * np.abs(val)).any():
         raise QuadratureError(f"shot/thermal integral error estimate "
                               f"{err.max():g} too large")
-    if kind == "sf":  # the law's mass above hi, where the kernel is 1
+    # the law's mass where the kernel is 1: above hi for sf, below lo for
+    # the cdf
+    if kind == "sf":
         val += lp3.sf(law.clean, hi)
-    return val  # without the law's mass beyond the cuts otherwise
+    elif kind == "cdf":
+        val += lp3.cdf(law.clean, lo)
+    return val
 
 
 def error_probability(law0, law1, th):

@@ -120,11 +120,13 @@ def test_law_methods_reach_the_traced_module_functions(monkeypatch):
     phys = detection.noise_physics(sp, dp)
     detection.optimize_threshold(*(detection.ShotThermalLaw(law, phys)
                                    for law in laws))
-    # bit 0's sf adds the clean law's mass above the upper cut by lp3.sf
-    assert set(calls) == {"lp3.sf", "lp3.logpdf", "lp3.moment",
+    # bit 0's sf adds the clean law's mass above its panels by lp3.sf, and
+    # bit 1's cdf the mass below them by lp3.cdf, once per threshold block
+    assert set(calls) == {"lp3.cdf", "lp3.sf", "lp3.logpdf", "lp3.moment",
                           "lp3.quantile", "detection.cdf_shot_thermal"}
     assert calls["lp3.moment"] == calls["lp3.quantile"] == 2
-    assert calls["lp3.sf"] == calls["detection.cdf_shot_thermal"] == 1
+    assert calls["lp3.cdf"] == calls["lp3.sf"] == 1
+    assert calls["detection.cdf_shot_thermal"] == 1
 
 
 def test_stream_reaches_the_traced_rng_functions(monkeypatch):

@@ -60,14 +60,13 @@ orders = 3
 def test_sweep_vanishing_power_is_half(tmp_path, capsys):
     # at -270 dBm the conditional laws coincide at float precision, so
     # every analytic variant lands on BER 1/2, at the bracket's low end.
-    # The shot/thermal cdf and sf each leave out the clean law's mass below
-    # its lower cut (quantile 1e-14), so that PE is 1/2 less half of 1e-14
+    # The shot/thermal panels reach down to y = 0 there, below the clean
+    # law's lower cut (quantile 1e-14), so they hold all of its mass
     cfg = write_cfg(tmp_path, "sweep_p_r_dbm = -270:-270:1\norders = 3\n")
     assert main(["ber-sweep", "--config", cfg, "--analytic-only"]) == EXIT_OK
     rows = sweep_lines(capsys)
     assert {col(r, "variant"): float(col(r, "ber")) for r in rows} == {
-        "gauss_approx": 0.5, "lp3": 0.5,
-        "lp3_shot_thermal": 0.499999999999995}
+        "gauss_approx": 0.5, "lp3": 0.5, "lp3_shot_thermal": 0.5}
     for r in rows:
         assert col(r, "error") == ""
 

@@ -198,15 +198,23 @@ def test_cdf_shot_thermal_derivative_is_the_density(prd, p_r_dbm):
         assert np.abs(slope / dens - 1.0).max() <= 1e-6
 
 
-def test_cdf_shot_thermal_needs_no_lp3_cdf(monkeypatch):
-    # the law enters through its density only: no incomplete gamma per node
-    def refuse(*_):
-        raise AssertionError("lp3.cdf called")
+def test_cdf_shot_thermal_takes_one_lp3_cdf_per_block(monkeypatch):
+    # the law enters the panels through its density only: no incomplete
+    # gamma per node, and one lp3.cdf call per 16-threshold block for the
+    # mass below each threshold's panels
+    calls = []
+    real = lp3.cdf
 
-    monkeypatch.setattr(lp3, "cdf", refuse)
+    def counting(law, y):
+        calls.append(np.size(y))
+        return real(law, y)
+
+    monkeypatch.setattr(lp3, "cdf", counting)
     for st in _st_laws():
+        calls.clear()
         got = cdf_shot_thermal(st, np.geomspace(1e-7, 1e-4, 32))
         assert ((got >= 0.0) & (got <= 1.0)).all()
+        assert calls == [16, 16]
 
 
 def test_cdf_shot_thermal_rejects_nonfinite_thresholds():
@@ -400,11 +408,12 @@ def test_lp3_pe_keeps_its_digits_at_low_ber(prd, p_r_dbm):
     assert abs(pe / float(want) - 1.0) <= 1e-10
 
 
-def _mp_st_sf(st, x):
-    # P{Y + N > x} at 40 digits, integrated in the gamma variable g of the
-    # clean law, Y = exp(gamma + beta g): the integral of Phi((y - x)/sigma(y))
-    # times the gamma density of g, split at the kernel's steps around x and
-    # at the gamma law's bulk
+def _mp_st(st, x, kind):
+    # P{Y + N > x} (kind "sf"), P{Y + N <= x} ("cdf") or the density of Y +
+    # N at x ("pdf"), at 40 digits, integrated in the gamma variable g of
+    # the clean law, Y = exp(gamma + beta g): the conditional kernel at
+    # y(g) times the gamma density of g, split at the kernel's steps around
+    # x and at the gamma law's bulk
     law, phys = st.clean, st.phys
     with mpmath.workdps(40):
         a, b, g0 = (mpmath.mpf(v) for v in (law.alpha, law.beta, law.gamma))
@@ -412,10 +421,14 @@ def _mp_st_sf(st, x):
         th_tp = 4 * mpmath.mpf(K_BOLTZMANN) * phys.t_r / (phys.r_l * phys.t_p)
         lg = mpmath.loggamma(a)
 
-        def integrand(g):
-            y = mpmath.exp(g0 + b * g)
+        def kernel(y):
             s = mpmath.sqrt(2 * qe_tp * y + th_tp)
-            return mpmath.ncdf((y - x) / s) * mpmath.exp(
+            if kind == "pdf":
+                return mpmath.npdf(x, y, s)
+            return mpmath.ncdf((y - x) / s if kind == "sf" else (x - y) / s)
+
+        def integrand(g):
+            return kernel(mpmath.exp(g0 + b * g)) * mpmath.exp(
                 (a - 1) * mpmath.log(g) - g - lg)
 
         gx = (mpmath.log(x) - g0) / b
@@ -435,7 +448,24 @@ def test_shot_thermal_bit0_tail_keeps_its_digits(prd, p_r_dbm):
     st0, st1 = (ShotThermalLaw(law, noise_physics(sp, dp))
                 for law in (law0, law1))
     th, _ = optimize_threshold(st0, st1)
-    assert abs(st0.sf(th) / float(_mp_st_sf(st0, th)) - 1.0) <= 1e-10
+    assert abs(st0.sf(th) / float(_mp_st(st0, th, "sf")) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("prd", [10.0, 25.0])
+@pytest.mark.parametrize("p_r_dbm", [41.0, 43.0, 45.0])
+def test_shot_thermal_bit1_cdf_and_density_keep_their_digits(prd, p_r_dbm):
+    # at the search's threshold, which lies below the clean bit-1 law's
+    # 1e-14 quantile from 43 dBm on: panels that started at that quantile
+    # put the cdf 1.4e-4 off at 41 dBm and 100% off at 43 and 45 dBm (PRD
+    # 10). Both agree to 2e-14; 1e-10 is the bit-0 tail's bound.
+    law0, sp, dp = _cubic_law(prd=prd, p_r_dbm=p_r_dbm, bit=0)
+    law1 = fit_from_moments(decision_moments(sp, dp, 1))
+    st0, st1 = (ShotThermalLaw(law, noise_physics(sp, dp))
+                for law in (law0, law1))
+    th, _ = optimize_threshold(st0, st1)
+    assert abs(st1.cdf(th) / float(_mp_st(st1, th, "cdf")) - 1.0) <= 1e-10
+    dens = math.exp(st1.logpdf(th))
+    assert abs(dens / float(_mp_st(st1, th, "pdf")) - 1.0) <= 1e-10
 
 
 # --------------------------------------------------------------------------
