@@ -158,7 +158,7 @@ def cdf_shot_thermal(law: ShotThermalLaw, x):
     The integral over y of Phi((x - y)/sigma(y)) f_Y(y) over [lo, hi], on
     the panels above, plus the law's mass below lo. It leaves out the
     law's mass above hi, where the kernel is below Phi(-10) or the mass
-    below 1e-12; the law's sf adds it.
+    below 1e-12.
     """
     return _shot_thermal(law, x, "cdf")
 

@@ -1,6 +1,8 @@
 """Log-Pearson-III law: gamma kernels, cdf/quantile, three-moment fit."""
 
+import hashlib
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -578,8 +580,6 @@ FIT_DIGESTS = (880, 240,
 
 
 def test_fit_keeps_its_bits():
-    import hashlib
-    import struct
     params, errors = hashlib.sha256(), hashlib.sha256()
     nfit = nerr = 0
     for rho in FIT_RHOS:
