@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from cubicber import Lp3Params, fit_from_moments
 from cubicber._rng import _log_ndtr, _ndtr
 from cubicber.lp3 import (DivergentMomentError, Lp3Error, NoSolutionError,
-                          _gamma_inv, _gamma_pq, cdf, logpdf, moment,
+                          _gamma_inv, _gamma_pq, _phi, cdf, logpdf, moment,
                           quantile, reg_gamma_p, sf)
 from conftest import lp3_pdf as pdf
 
@@ -201,6 +201,41 @@ def test_element_bits_do_not_depend_on_the_array(a, size):
         for law, y, c, lg in zip(laws, ys, cdfs, logs):
             assert cdf(law, float(y[i])) == c[i]
             assert logpdf(law, float(y[i])) == lg[i]
+
+
+def _phi_grid():
+    # dl = x/a - 1 for _phi: 0, subnormal and tiny |dl|, log-spaced |dl|
+    # up to the series' cut at 0.1, the 8 floats below 0.1 and 0.1 itself,
+    # random dl inside the cut and on the log branch beyond it
+    rng = np.random.default_rng(20261020)
+    mag = [5e-324, 2.5e-320, 1e-310, 2.2250738585072014e-308,
+           *np.geomspace(1e-300, 0.1, 4000)]
+    edge = 0.1
+    for _ in range(8):
+        edge = np.nextafter(edge, 0.0)
+        mag.append(edge)
+    mag = np.array(mag)
+    return np.concatenate([[0.0], mag, -mag,
+                           rng.uniform(-0.1, 0.1, 20_000),
+                           rng.uniform(-0.99, 3.0, 5000)])
+
+
+PHI_DIGEST = ("4e678026b19f77422888abf01eae88ee"
+              "ce3bfe12e73aeb28b60da0e686c7c11b")
+
+
+def test_phi_keeps_its_bits():
+    # SHA-256 of dl - ln(1 + dl) over _phi_grid; an element's bits do not
+    # depend on the others in its array, or on the array's shape
+    dl = _phi_grid()
+    out = _phi(dl, 1.0 + dl)
+    assert hashlib.sha256(out.astype("<f8").tobytes()).hexdigest() == \
+        PHI_DIGEST
+    d2 = dl[:dl.size // 2 * 2].reshape(2, -1)
+    assert np.array_equal(_phi(d2, 1.0 + d2).ravel(), out[:d2.size])
+    for i in np.random.default_rng(5).choice(dl.size, 200, replace=False):
+        one = dl[i:i + 1]
+        assert _phi(one, 1.0 + one)[0] == out[i]
 
 
 def test_reg_gamma_array_errors(monkeypatch):
