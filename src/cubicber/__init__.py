@@ -20,8 +20,6 @@ from .lp3 import (
 )
 from .montecarlo import SampleSet, generate_samples, empirical_ber
 from .detection import (
-    NoisePhysics,
-    noise_physics,
     NormalLaw,
     ShotThermalLaw,
     cdf_shot_thermal,
@@ -48,8 +46,6 @@ __all__ = [
     "SampleSet",
     "generate_samples",
     "empirical_ber",
-    "NoisePhysics",
-    "noise_physics",
     "NormalLaw",
     "ShotThermalLaw",
     "cdf_shot_thermal",

@@ -32,10 +32,9 @@ from ._config import ConfigError, load_config
 # the benchmark's tracer rewraps this `from` import of it
 from .moments import decision_moments, mean_decision
 from .params import (
-    C_LIGHT,
-    H_PLANCK,
     ParamError,
     SystemParams,
+    _g_amp_for_sigma0_sq,
     dbm_to_watts,
     derive,
 )
@@ -144,13 +143,6 @@ def _sweep_config(s: dict) -> SweepConfig:
     )
 
 
-def _g_amp_for_sigma0_sq(base: SystemParams, sigma0_sq: float) -> float:
-    # invert sigma0^2 = n_sp (G-1) h nu L2 / (2 tau_c) for G at fixed tau_c
-    nu = C_LIGHT / base.wavelength
-    return 1.0 + 2.0 * base.tau_c * sigma0_sq / (
-        base.l2 * base.n_sp * H_PLANCK * nu)
-
-
 def _point_system(cfg: SweepConfig, x: float, r_l: float) -> SystemParams:
     if cfg.x_kind == "p_r_dbm":
         return replace(cfg.base, p_r=dbm_to_watts(x), r_l=r_l)
@@ -190,7 +182,6 @@ def _eval_point(cfg: SweepConfig, x, r_l, sp, sets) -> list[dict]:
     the error that building its system raised. sets: {bit: {order:
     SampleSet}, or the message of the error its draw raised}, or None for a
     point that draws nothing."""
-    dp = None if isinstance(sp, str) else derive(sp)
     laws = {}
 
     def samples(bit):
@@ -204,7 +195,7 @@ def _eval_point(cfg: SweepConfig, x, r_l, sp, sets) -> list[dict]:
         """(Lp3Params, (mu1, mu2, mu3)): closed form for order 3, else MC."""
         if (bit, order) not in laws:
             if order == 3:
-                mus = decision_moments(sp, dp, bit)
+                mus = decision_moments(sp, derive(sp), bit)
             else:
                 mus = montecarlo.sample_moments(samples(bit)[order].values)[0]
             laws[bit, order] = lp3.fit_from_moments(mus), mus
@@ -232,8 +223,7 @@ def _eval_point(cfg: SweepConfig, x, r_l, sp, sets) -> list[dict]:
                         pair = [detection.NormalLaw(m[0], m[1] - m[0] ** 2)
                                 for m in mus]
                     elif variant == "lp3_shot_thermal":
-                        phys = detection.noise_physics(sp, dp)
-                        pair = [detection.ShotThermalLaw(lw, phys)
+                        pair = [detection.ShotThermalLaw(lw, derive(sp))
                                 for lw in pair]
                     th, ber = detection.optimize_threshold(*pair)
             except _POINT_ERRORS as exc:
@@ -422,15 +412,15 @@ def _cmd_mc_validate(s: dict) -> int:
     trials, seed = s["trials"], s["seed"]
     _check_mc(trials, seed)
 
-    dp = derive(base)
+    try:  # before any draw, which takes far longer
+        dp = derive(base)
+        closed_forms = [decision_moments(base, dp, bit) for bit in (0, 1)]
+    except (ParamError, ArithmeticError) as exc:
+        print(f"closed form failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     lines = [f"mc-validate prd={base.prd:.10g} p_r={base.p_r:.10g} "
              f"sigma0_sq={dp.sigma0_sq:.10g} trials={trials} seed={seed}"]
     all_pass = True
-    try:  # before any draw, which takes far longer
-        closed_forms = [decision_moments(base, dp, bit) for bit in (0, 1)]
-    except ParamError as exc:
-        print(f"closed form failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     for bit, closed in enumerate(closed_forms):
         try:
             sets = montecarlo.generate_samples(

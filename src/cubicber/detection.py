@@ -9,15 +9,17 @@ Gaussian given the decision level y with variance
 
 is folded in by integrating a kernel at the threshold x against the
 clean-law density f_Y(y): Phi((x - y)/sigma(y)) for the cdf, Phi((y -
-x)/sigma(y)) for sf, or the density of N. All three run on one fixed
-Gauss-Kronrod 7/15 panel rule for an array of thresholds at once: the panel
-edges are about 30 LP3 quantiles (1e-13 to 1 - 1e-10, for the steep lower
-tail of the bit-0 law) and, per threshold x, the levels y where (y -
-x)/sigma(y) runs over -10..14 in unit steps, all clipped to [lo, hi] with
-lo = clip(x - 10 sigma(x), 0, quantile(1e-14)) and hi = max(quantile(1 -
-1e-12), x + 10 sigma(x)). The cdf adds the law's mass below lo and sf its
-mass above hi, where the kernel is 1. A summed |K15 - G7| over the panels
-above 1e-9 + 1e-6 |value| raises QuadratureError.
+x)/sigma(y)) for sf, or the density of N. The two terms of sigma^2, q_e/T_p
+and the thermal variance, come from the receiver's DerivedParams
+(params.derive). All three run on one fixed Gauss-Kronrod 7/15 panel rule
+for an array of thresholds at once: the panel edges are about 30 LP3
+quantiles (1e-13 to 1 - 1e-10, for the steep lower tail of the bit-0 law)
+and, per threshold x, the levels y where (y - x)/sigma(y) runs over -10..14
+in unit steps, all clipped to [lo, hi] with lo = clip(x - 10 sigma(x), 0,
+quantile(1e-14)) and hi = max(quantile(1 - 1e-12), x + 10 sigma(x)). The
+cdf adds the law's mass below lo and sf its mass above hi, where the kernel
+is 1. A summed |K15 - G7| over the panels above 1e-9 + 1e-6 |value| raises
+QuadratureError.
 
 PE = sf0/2 + cdf1/2 takes no 1 - cdf, so bit 0's tail keeps its digits
 where cdf0 rounds to 1. PE' = (f1 - f0)/2: its minimum is a density crossing.
@@ -33,13 +35,7 @@ import numpy as np
 
 from . import lp3
 from ._rng import _ndtr
-from .params import (
-    DerivedParams,
-    K_BOLTZMANN,
-    ParamError,
-    Q_ELECTRON,
-    SystemParams,
-)
+from .params import DerivedParams, ParamError
 
 
 class QuadratureError(RuntimeError):
@@ -48,25 +44,6 @@ class QuadratureError(RuntimeError):
 
 class BracketError(ValueError):
     """Threshold search bracket does not contain the optimum."""
-
-
-@dataclass(frozen=True)
-class NoisePhysics:
-    """Shot/thermal noise constants of the electrical front end."""
-
-    t_r: float        # kelvin
-    r_l: float        # ohms
-    t_p: float        # seconds
-
-    def __post_init__(self) -> None:
-        for name in ("t_r", "r_l", "t_p"):
-            if not getattr(self, name) > 0:
-                raise ParamError(f"{name} must be > 0")
-
-
-def noise_physics(sp: SystemParams, dp: DerivedParams) -> NoisePhysics:
-    """NoisePhysics of the system's T_r, R_L and T_p."""
-    return NoisePhysics(t_r=sp.t_r, r_l=sp.r_l, t_p=dp.t_p)
 
 
 # Gauss-Kronrod 7/15 rule on [-1, 1] (QUADPACK qk15): nodes, Kronrod
@@ -128,10 +105,15 @@ class NormalLaw:
 
 @dataclass(frozen=True)
 class ShotThermalLaw:
-    """Y + N: Y ~ LP3(clean), N | Y=y ~ Normal(0, sigma^2(y)) from phys."""
+    """Y + N: Y ~ LP3(clean), N | Y=y ~ Normal(0, sigma^2(y)) with
+    sigma^2(y) = 2 dp.qe_tp y + dp.thermal_var."""
 
     clean: lp3.Lp3Params
-    phys: NoisePhysics
+    dp: DerivedParams
+
+    def __post_init__(self) -> None:
+        if not (self.dp.qe_tp > 0 and self.dp.thermal_var > 0):
+            raise ParamError("shot and thermal noise terms must be > 0")
 
     @cached_property
     def cuts(self):
@@ -181,9 +163,7 @@ def _st_block(law, x, kind):
     # edges, clipped to [lo_i, hi_i]; clipped edges give empty panels, so
     # every threshold has the same panel count and the sums stay
     # per-row.
-    phys, cuts = law.phys, law.cuts
-    qe_tp = Q_ELECTRON / phys.t_p
-    th_tp = 4.0 * K_BOLTZMANN * phys.t_r / (phys.r_l * phys.t_p)
+    cuts, qe_tp, th_tp = law.cuts, law.dp.qe_tp, law.dp.thermal_var
     s_x = np.sqrt(2.0 * qe_tp * np.maximum(x, 0.0) + th_tp)
     lo = np.clip(x - 10.0 * s_x, 0.0, cuts[0])
     hi = np.maximum(cuts[-1], x + 10.0 * s_x)

@@ -118,7 +118,7 @@ def mean_decision(sp: SystemParams, dp: DerivedParams, bit: int) -> float:
     """First raw moment of Y. Reduces to 48 R k Gamma^2 sigma0^6 at bit 0."""
     bp = _check_bit(bit) * sp.p_r
     s2 = dp.sigma0_sq
-    pref = dp.responsivity * sp.k * sp.gamma_nl**2 / sp.prd
+    pref = dp.cubic_scale / sp.prd
     c1, c2, c3 = _MU1_SIGNAL
     return pref * (
         _MU1_NOISE * s2**3 * sp.prd + c1 * s2**2 * bp + c2 * s2 * bp**2 + c3 * bp**3
@@ -129,7 +129,7 @@ def variance_decision(sp: SystemParams, dp: DerivedParams, bit: int) -> float:
     """Variance of Y from the tabulated polynomial (not via mu2 - mu1^2)."""
     bp = _check_bit(bit) * sp.p_r
     s2 = dp.sigma0_sq
-    pref = (dp.responsivity * sp.k * sp.gamma_nl**2) ** 2 / sp.prd**2
+    pref = dp.cubic_scale ** 2 / sp.prd**2
     total = VAR_NOISE_PRD_COEFF * s2**6 * sp.prd
     for pr_pow, coeff in VAR_SIGNAL_COEFFS.items():
         # sigma0 power pairs with P_r power: 12 - 2*n halves to 6 - n.
@@ -146,7 +146,7 @@ def third_moment(sp: SystemParams, dp: DerivedParams, bit: int) -> float:
     """Third raw moment of Y; polynomial in 1/PRD of order 3."""
     bp = _check_bit(bit) * sp.p_r
     s2 = dp.sigma0_sq
-    pref = (dp.responsivity * sp.k * sp.gamma_nl**2) ** 3
+    pref = dp.cubic_scale ** 3
     total = 0.0
     for prd_pow, terms in _MU3_TERMS.items():
         group = 0.0

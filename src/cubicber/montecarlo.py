@@ -8,8 +8,8 @@ noise autocorrelation would be exactly sinc; the sum keeps m only up to
 WINDOW = 32 past each end of the window, which leaves the bit-0 moments
 mu1, mu2 and mu3 low by about 0.8%, 1.5% and 2.1% at PRD 10. Decision
 variables are trapezoid integrals of |r|^2n over the window at step
-1/OVERSAMPLE = 1/16 (exactly, when PRD * 16 is whole), scaled by the
-receiver prefactor.
+1/OVERSAMPLE = 1/16 (exactly, when PRD * 16 is whole), divided by PRD
+and scaled by the order's detector scale.
 
 Randomness is counter-based: a sample is a pure function of (seed, bit,
 trial index, config), so trials can be generated in any order and in
@@ -73,12 +73,6 @@ def _grid(span_u: float):
     return u, basis, weights
 
 
-def _order_prefactor(order: int, sp: SystemParams, dp: DerivedParams) -> float:
-    if order == 3:
-        return dp.responsivity * sp.k * sp.gamma_nl**2
-    return dp.responsivity  # order 1, or 2: unit quartic detector efficiency
-
-
 def generate_samples(sp: SystemParams, dp: DerivedParams, bit: int,
                      n_trials: int, orders=(1, 2, 3), seed: int = 0,
                      start_trial: int = 0, powers=None):
@@ -113,7 +107,10 @@ def generate_samples(sp: SystemParams, dp: DerivedParams, bit: int,
     sigma0 = math.sqrt(dp.sigma0_sq)
     sums = _mc_numpy.decision_sums(seed, start_trial, n_trials, bit, basis,
                                    weights, sigs, sigma0)
-    scale = {o: _order_prefactor(o, sp, dp) / sp.prd for o in orders}
+    # the detector scale of order 3 is R k Gamma^2; order 1's is R, and
+    # order 2 takes R as a placeholder: a unit quartic detector efficiency
+    scale = {o: (dp.cubic_scale if o == 3 else dp.responsivity) / sp.prd
+             for o in orders}
     out = [{o: SampleSet(order=o, bit=bit, values=scale[o] * s[:, o - 1],
                          start_trial=start_trial) for o in orders}
            for s in sums]

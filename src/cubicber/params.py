@@ -1,8 +1,9 @@
 """Physical and system parameters of the cubic-preprocessor receiver.
 
 Everything downstream (moments, Monte-Carlo, detection) consumes the two
-frozen dataclasses defined here. Units are SI throughout: seconds, watts,
-meters, kelvin, ohms.
+frozen dataclasses defined here: the system, and the receiver constants
+that derive computes from it once, so each is written in one place. Units
+are SI throughout: seconds, watts, meters, kelvin, ohms, amperes.
 """
 
 from __future__ import annotations
@@ -71,21 +72,37 @@ class DerivedParams:
     sigma0_sq: float      # per-quadrature ASE noise variance, W
     responsivity: float   # photodetector responsivity, A/W
     t_p: float            # detector response time, s
+    cubic_scale: float    # cubic detector scale R k Gamma^2, A/W^3
+    qe_tp: float          # shot term q_e / T_p, A
+    thermal_var: float    # thermal variance 4 K_B T_r / (R_L T_p), A^2
 
 
 def derive(sp: SystemParams) -> DerivedParams:
-    """Derived quantities: sigma0^2, responsivity, T_p.
+    """The receiver's derived constants. Pure and deterministic.
 
     nu = c/lambda; delta = n_sp (G-1) h nu; sigma0^2 = delta L2 / (2 tau_c);
-    R = eta q_e / (h nu); T_p = PRD tau_c. Pure and deterministic.
+    R = eta q_e / (h nu); T_p = PRD tau_c; the cubic receiver's decision
+    variable Y = (R k Gamma^2 / T_p) * integral of |r|^6 has shot/thermal
+    noise of variance sigma^2(y) = 2 (q_e/T_p) y + 4 K_B T_r / (R_L T_p).
     """
     nu = C_LIGHT / sp.wavelength
     delta = sp.n_sp * (sp.g_amp - 1.0) * H_PLANCK * nu
     sigma0_sq = delta * sp.l2 / (2.0 * sp.tau_c)
     responsivity = sp.eta * Q_ELECTRON / (H_PLANCK * nu)
     t_p = sp.prd * sp.tau_c
-    return DerivedParams(sigma0_sq=sigma0_sq, responsivity=responsivity,
-                         t_p=t_p)
+    return DerivedParams(
+        sigma0_sq=sigma0_sq, responsivity=responsivity, t_p=t_p,
+        cubic_scale=responsivity * sp.k * sp.gamma_nl**2,
+        qe_tp=Q_ELECTRON / t_p,
+        thermal_var=4.0 * K_BOLTZMANN * sp.t_r / (sp.r_l * t_p))
+
+
+def _g_amp_for_sigma0_sq(sp: SystemParams, sigma0_sq: float) -> float:
+    # derive's sigma0^2 = n_sp (G-1) h nu L2 / (2 tau_c) solved for G at
+    # sp's other parameters
+    nu = C_LIGHT / sp.wavelength
+    return 1.0 + 2.0 * sp.tau_c * sigma0_sq / (
+        sp.l2 * sp.n_sp * H_PLANCK * nu)
 
 
 def dbm_to_watts(x_dbm: float) -> float:

@@ -11,6 +11,7 @@ comparison.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -290,8 +291,7 @@ def test_receiver_noise_cdf_degenerate_limit():
     sp = _system(10.0, 33.0)
     dp = derive(sp)
     law = lp3.fit_from_moments(decision_moments(sp, dp, 1))
-    tiny = detection.NoisePhysics(t_r=sp.t_r, r_l=sp.r_l,
-                                  t_p=dp.t_p * 1e12)
+    tiny = derive(replace(sp, tau_c=sp.tau_c * 1e12))
     for p in np.linspace(0.05, 0.95, 10):
         q = float(lp3.quantile(law, p))
         got = detection.cdf_shot_thermal(
@@ -304,20 +304,19 @@ def test_receiver_noise_cdf_matches_draw_oracle():
     sp = _system(10.0, 33.0)
     dp = derive(sp)
     law = lp3.fit_from_moments(decision_moments(sp, dp, 1))
-    phys = detection.noise_physics(sp, dp)
     # independent oracle: exact draws from the additive-noise model
     rng = np.random.default_rng(2026)
     n = 10_000_000
     y = np.exp(law.gamma + law.beta * rng.gamma(law.alpha, size=n))
     var = (2.0 * Q_ELECTRON * y
-           + 4.0 * K_BOLTZMANN * phys.t_r / phys.r_l) / phys.t_p
+           + 4.0 * K_BOLTZMANN * sp.t_r / sp.r_l) / dp.t_p
     x = np.sort(y + np.sqrt(var) * rng.standard_normal(n))
     for p in (0.1, 0.3, 0.5, 0.7, 0.9):
         q = float(lp3.quantile(law, p))
         phat = np.searchsorted(x, q, side="right") / n
         se = math.sqrt(phat * (1.0 - phat) / n)
         got = detection.cdf_shot_thermal(
-            detection.ShotThermalLaw(law, phys), q)
+            detection.ShotThermalLaw(law, dp), q)
         assert abs(got - phat) <= 3.0 * se, (
             f"p={p}: model={got:.6f} oracle={phat:.6f} se={se:.2e}")
 

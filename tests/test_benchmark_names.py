@@ -117,8 +117,7 @@ def test_law_methods_reach_the_traced_module_functions(monkeypatch):
     assert calls["lp3.cdf"] == calls["lp3.sf"] == 1
     assert calls["lp3.moment"] == 2
     calls.clear()
-    phys = detection.noise_physics(sp, dp)
-    detection.optimize_threshold(*(detection.ShotThermalLaw(law, phys)
+    detection.optimize_threshold(*(detection.ShotThermalLaw(law, dp)
                                    for law in laws))
     # bit 0's sf adds the clean law's mass above its panels by lp3.sf, and
     # bit 1's cdf the mass below them by lp3.cdf, once per threshold block

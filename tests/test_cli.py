@@ -406,6 +406,16 @@ def test_overflowing_power_fails_only_its_own_rows():
     assert rows[5].endswith("decision samples must be finite and >= 0")
 
 
+def test_system_whose_constants_fail_fails_only_its_rows():
+    # at a wavelength of 1e300 m the photon energy h c / lambda underflows
+    # to 0, so derive divides by zero: a point error, not a crash
+    base = SystemParams(tau_c=100e-15, prd=10.0, wavelength=1e300, g_amp=1e5)
+    cfg = cli.SweepConfig(base, "p_r_dbm", (30.0,), orders=(3,),
+                          analytic_only=True)
+    rows = cli.run_ber_sweep(cfg)
+    assert [r["error"] for r in rows] == ["float division by zero"] * 3
+
+
 def test_sigma0_sweep_draws_bit0_at_every_point(monkeypatch):
     # the ASE level changes the noise field, so nothing can be shared
     draws = _draws(monkeypatch)
@@ -659,6 +669,15 @@ def test_mc_validate_overflowing_closed_form_is_numeric_failure(tmp_path,
     assert capsys.readouterr().err == ("closed form failed: closed-form "
                                        "moment mu3 of bit 1 overflows a "
                                        "float\n")
+
+
+def test_mc_validate_failing_constants_are_numeric_failure(tmp_path,
+                                                         capsys):
+    cfg = write_cfg(tmp_path, "prd = 10\np_r = 33dBm\nwavelength = 1e300\n")
+    rc = main(["mc-validate", "--config", cfg, "--trials", "2000"])
+    assert rc == EXIT_NUMERIC
+    assert capsys.readouterr().err == \
+        "closed form failed: float division by zero\n"
 
 
 def test_mc_validate_takes_the_closed_forms_before_any_draw(tmp_path,

@@ -8,9 +8,11 @@ import pytest
 import scipy.special as sc
 from scipy.integrate import quad
 
-from cubicber import (Lp3Params, NoisePhysics, NormalLaw, ShotThermalLaw,
+from dataclasses import replace
+
+from cubicber import (Lp3Params, NormalLaw, ShotThermalLaw,
                       cdf_shot_thermal, derive, error_probability,
-                      fit_from_moments, noise_physics, optimize_threshold)
+                      fit_from_moments, optimize_threshold)
 from cubicber import detection, lp3
 from cubicber.detection import BracketError, QuadratureError
 from cubicber.lp3 import cdf as lp3_cdf
@@ -27,18 +29,19 @@ def _cubic_law(prd=10.0, p_r_dbm=35.0, bit=1):
 
 
 # --------------------------------------------------------------------------
-# NoisePhysics
+# shot/thermal noise terms
 # --------------------------------------------------------------------------
 
 def test_noise_physics_variance_formula():
     # Y within ~5e-6 relative of y0, so Y + N is close to Normal(y0,
     # sigma^2(y0)) with sigma^2(y) = (2 q_e y + 4 k_B T_r / R_L) / T_p;
     # thermal noise dominates at 3 uA, shot noise at 1 mA
-    for y0, t_p in ((3e-6, 1e-12), (1e-3, 5e-12)):
+    for y0, prd in ((3e-6, 10.0), (1e-3, 50.0)):
         law = Lp3Params(alpha=1e12, beta=1e-12, gamma=math.log(y0) - 1.0)
-        st = ShotThermalLaw(law, NoisePhysics(t_r=300.0, r_l=1000.0, t_p=t_p))
+        dp = derive(make_system(prd=prd, t_r=300.0, r_l=1000.0))
+        st = ShotThermalLaw(law, dp)
         s = math.sqrt((2 * Q_ELECTRON * y0
-                       + 4 * K_BOLTZMANN * 300.0 / 1000.0) / t_p)
+                       + 4 * K_BOLTZMANN * 300.0 / 1000.0) / dp.t_p)
         for k in (-2.0, -0.5, 0.0, 1.0, 3.0):
             want = 0.5 * math.erfc(-k / math.sqrt(2.0))
             assert cdf_shot_thermal(st, y0 + k * s) == pytest.approx(
@@ -46,21 +49,24 @@ def test_noise_physics_variance_formula():
 
 
 def test_noise_physics_validation():
-    with pytest.raises(ParamError):
-        NoisePhysics(t_r=0.0, r_l=1000.0, t_p=5e-12)
-    with pytest.raises(ParamError):
-        NoisePhysics(t_r=300.0, r_l=-1.0, t_p=5e-12)
-    with pytest.raises(ParamError):
-        NoisePhysics(t_r=300.0, r_l=1000.0, t_p=0.0)
+    # a hand-built DerivedParams is not validated: the law checks the two
+    # terms of sigma^2(y) that it reads
+    law, sp, dp = _cubic_law()
+    for bad in (0.0, -1e-9, math.nan):
+        for term in ("qe_tp", "thermal_var"):
+            with pytest.raises(ParamError, match="must be > 0"):
+                ShotThermalLaw(law, replace(dp, **{term: bad}))
 
 
 def test_noise_physics_from_system():
+    # derive's detector scale, shot term and thermal variance: their
+    # formulas, in their operation order
     sp = make_system(prd=25.0, r_l=10_000.0, t_r=77.0)
     dp = derive(sp)
-    phys = noise_physics(sp, dp)
-    assert phys.r_l == 10_000.0
-    assert phys.t_r == 77.0
-    assert phys.t_p == dp.t_p
+    assert dp.t_p == 25.0 * sp.tau_c
+    assert dp.cubic_scale == dp.responsivity * sp.k * sp.gamma_nl**2
+    assert dp.qe_tp == Q_ELECTRON / dp.t_p
+    assert dp.thermal_var == 4.0 * K_BOLTZMANN * 77.0 / (10_000.0 * dp.t_p)
 
 
 # --------------------------------------------------------------------------
@@ -68,10 +74,10 @@ def test_noise_physics_from_system():
 # --------------------------------------------------------------------------
 
 def test_cdf_shot_thermal_degenerate_noise_limit():
-    # scaling sigma^2(y), which goes as 1/T_p, to nothing must reproduce
-    # the bare LP3 law
+    # scaling sigma^2(y), which goes as 1/T_p = 1/(PRD tau_c), to nothing
+    # must reproduce the bare LP3 law
     law, sp, dp = _cubic_law()
-    tiny = NoisePhysics(t_r=sp.t_r, r_l=sp.r_l, t_p=dp.t_p * 1e12)
+    tiny = derive(replace(sp, tau_c=sp.tau_c * 1e12))
     for prob in np.linspace(0.05, 0.95, 10):
         x = quantile(law, prob)
         assert cdf_shot_thermal(ShotThermalLaw(law, tiny), x) == \
@@ -80,7 +86,7 @@ def test_cdf_shot_thermal_degenerate_noise_limit():
 
 def test_cdf_shot_thermal_monotone_and_saturates():
     law, sp, dp = _cubic_law()
-    st = ShotThermalLaw(law, noise_physics(sp, dp))
+    st = ShotThermalLaw(law, dp)
     xs = np.geomspace(quantile(law, 1e-3) * 0.1, quantile(law, 1 - 1e-6) * 3,
                       25)
     vals = [cdf_shot_thermal(st, x) for x in xs]
@@ -94,8 +100,7 @@ def test_cdf_shot_thermal_widens_the_law():
     # extra electrical noise moves mass outward: below the mean the folded
     # cdf exceeds the bare one
     law, sp, dp = _cubic_law(p_r_dbm=33.0)
-    phys = NoisePhysics(t_r=300.0, r_l=100.0, t_p=dp.t_p)  # strong thermal
-    st = ShotThermalLaw(law, phys)
+    st = ShotThermalLaw(law, derive(replace(sp, r_l=100.0)))  # strong thermal
     lo = quantile(law, 0.01)
     assert cdf_shot_thermal(st, lo) > float(lp3_cdf(law, lo))
     hi = quantile(law, 0.99)
@@ -105,20 +110,20 @@ def test_cdf_shot_thermal_widens_the_law():
 def test_cdf_shot_thermal_against_sampling_oracle():
     # direct simulation of Y + N(0, sigma^2(Y)): empirical cdf within
     # Monte Carlo error of the quadrature result
-    law, sp, dp = _cubic_law(prd=10.0, p_r_dbm=35.0)
-    phys = NoisePhysics(t_r=300.0, r_l=100.0, t_p=dp.t_p)
+    law, sp, _ = _cubic_law(prd=10.0, p_r_dbm=35.0)
+    dp = derive(replace(sp, r_l=100.0))
     n = 400_000
     rng = np.random.default_rng(321)
     g = rng.gamma(law.alpha, size=n)
     y = np.exp(law.gamma + law.beta * g)
-    sig = np.sqrt((2 * Q_ELECTRON * y + 4 * K_BOLTZMANN * phys.t_r / phys.r_l)
-                  / phys.t_p)
+    sig = np.sqrt((2 * Q_ELECTRON * y + 4 * K_BOLTZMANN * sp.t_r / 100.0)
+                  / dp.t_p)
     x = y + sig * rng.standard_normal(n)
     x.sort()
     for prob in (0.1, 0.3, 0.5, 0.7, 0.9):
         q = x[int(prob * n)]
         se = math.sqrt(prob * (1 - prob) / n)
-        assert cdf_shot_thermal(ShotThermalLaw(law, phys), q) == \
+        assert cdf_shot_thermal(ShotThermalLaw(law, dp), q) == \
             pytest.approx(prob, abs=4 * se)
 
 
@@ -126,9 +131,8 @@ def _st_laws(p_r_dbm=37.0, r_l=1000.0):
     # the shot/thermal laws of bits 0 and 1
     sp = make_system(prd=10.0, p_r_dbm=p_r_dbm, r_l=r_l)
     dp = derive(sp)
-    phys = noise_physics(sp, dp)
     return tuple(ShotThermalLaw(fit_from_moments(decision_moments(sp, dp, b)),
-                                phys) for b in (0, 1))
+                                dp) for b in (0, 1))
 
 
 def _st_quad(st, x):
@@ -136,9 +140,8 @@ def _st_quad(st, x):
     # parts, the integral of (-u'(y)) F_Y(y) with u(y) = P{N <= x - y | y}
     # plus the tail above the cut, with scipy's incomplete gamma for F_Y;
     # cdf_shot_thermal integrates the conditional form instead
-    law, phys = st.clean, st.phys
-    qe_tp = Q_ELECTRON / phys.t_p
-    th_tp = 4.0 * K_BOLTZMANN * phys.t_r / (phys.r_l * phys.t_p)
+    law, dp = st.clean, st.dp
+    qe_tp, th_tp = dp.qe_tp, dp.thermal_var
 
     def sigma(y):
         return math.sqrt(2.0 * qe_tp * y + th_tp)
@@ -187,9 +190,8 @@ def test_cdf_shot_thermal_derivative_is_the_density(prd, p_r_dbm):
     # conditional Gaussian cdf and density, so one is the other's derivative
     law0, sp, dp = _cubic_law(prd=prd, p_r_dbm=p_r_dbm, bit=0)
     law1 = fit_from_moments(decision_moments(sp, dp, 1))
-    phys = noise_physics(sp, dp)
     for law in (law0, law1):
-        st = ShotThermalLaw(law, phys)
+        st = ShotThermalLaw(law, dp)
         x = quantile(law, np.array([0.05, 0.25, 0.5, 0.75, 0.95]))
         h = 1e-4 * x
         slope = (cdf_shot_thermal(st, x + h)
@@ -286,9 +288,8 @@ def _st_pdf_quad(st, x):
     # independent reference: adaptive quadrature of the density of Y + N,
     # the integral of f_Y(y) phi(x; y, sigma^2(y)), with the LP3 density
     # of conftest
-    law, phys = st.clean, st.phys
-    qe_tp = Q_ELECTRON / phys.t_p
-    th_tp = 4.0 * K_BOLTZMANN * phys.t_r / (phys.r_l * phys.t_p)
+    law, dp = st.clean, st.dp
+    qe_tp, th_tp = dp.qe_tp, dp.thermal_var
 
     def integrand(y):
         s2 = 2.0 * qe_tp * y + th_tp
@@ -370,7 +371,7 @@ def test_bit_conditioned_law_lp3():
     # complementary conditional cdf
     law0, sp, dp = _cubic_law(bit=0)
     law1 = fit_from_moments(decision_moments(sp, dp, 1))
-    st0, st1 = (ShotThermalLaw(law, noise_physics(sp, dp))
+    st0, st1 = (ShotThermalLaw(law, dp)
                 for law in (law0, law1))
     for th in (-1.0, 0.0):
         assert error_probability(law0, law1, th) == 0.5
@@ -414,11 +415,10 @@ def _mp_st(st, x, kind):
     # the clean law, Y = exp(gamma + beta g): the conditional kernel at
     # y(g) times the gamma density of g, split at the kernel's steps around
     # x and at the gamma law's bulk
-    law, phys = st.clean, st.phys
+    law = st.clean
     with mpmath.workdps(40):
         a, b, g0 = (mpmath.mpf(v) for v in (law.alpha, law.beta, law.gamma))
-        qe_tp = mpmath.mpf(Q_ELECTRON) / phys.t_p
-        th_tp = 4 * mpmath.mpf(K_BOLTZMANN) * phys.t_r / (phys.r_l * phys.t_p)
+        qe_tp, th_tp = mpmath.mpf(st.dp.qe_tp), mpmath.mpf(st.dp.thermal_var)
         lg = mpmath.loggamma(a)
 
         def kernel(y):
@@ -445,7 +445,7 @@ def test_shot_thermal_bit0_tail_keeps_its_digits(prd, p_r_dbm):
     # 1 - cdf was 1.2e-4 off at 41 dBm and 430x off at 43 dBm (PRD 10)
     law0, sp, dp = _cubic_law(prd=prd, p_r_dbm=p_r_dbm, bit=0)
     law1 = fit_from_moments(decision_moments(sp, dp, 1))
-    st0, st1 = (ShotThermalLaw(law, noise_physics(sp, dp))
+    st0, st1 = (ShotThermalLaw(law, dp)
                 for law in (law0, law1))
     th, _ = optimize_threshold(st0, st1)
     assert abs(st0.sf(th) / float(_mp_st(st0, th, "sf")) - 1.0) <= 1e-10
@@ -460,7 +460,7 @@ def test_shot_thermal_bit1_cdf_and_density_keep_their_digits(prd, p_r_dbm):
     # 10). Both agree to 2e-14; 1e-10 is the bit-0 tail's bound.
     law0, sp, dp = _cubic_law(prd=prd, p_r_dbm=p_r_dbm, bit=0)
     law1 = fit_from_moments(decision_moments(sp, dp, 1))
-    st0, st1 = (ShotThermalLaw(law, noise_physics(sp, dp))
+    st0, st1 = (ShotThermalLaw(law, dp)
                 for law in (law0, law1))
     th, _ = optimize_threshold(st0, st1)
     assert abs(st1.cdf(th) / float(_mp_st(st1, th, "cdf")) - 1.0) <= 1e-10

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cubicber import (NormalLaw, ShotThermalLaw, derive, fit_from_moments,
-                      generate_samples, noise_physics, optimize_threshold)
+                      generate_samples, optimize_threshold)
 from cubicber.detection import BracketError, QuadratureError
 from cubicber.moments import decision_moments
 from cubicber.params import ParamError
@@ -38,7 +38,7 @@ def _clean_laws(sp, dp):
 
 
 def _shot_thermal(law, sp, dp):
-    return ShotThermalLaw(law, noise_physics(sp, dp))
+    return ShotThermalLaw(law, dp)
 
 
 def _doubles(*values):

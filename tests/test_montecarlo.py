@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubicber import derive, empirical_ber, generate_samples
-from cubicber.montecarlo import (SampleSet, _grid, _order_prefactor,
-                                 load_csv, sample_moments, save_csv)
+from cubicber.montecarlo import (SampleSet, _grid, load_csv,
+                                 sample_moments, save_csv)
 from cubicber.moments import mean_decision
 from cubicber.params import ParamError, dbm_to_watts
 from conftest import make_system
@@ -217,7 +217,7 @@ def test_bit0_moments_match_the_discrete_model(mc_small):
     g = np.sqrt(np.diag(G))
     rho = G / np.outer(g, g)
     for n in (1, 2, 3):
-        c = _order_prefactor(n, sp, dp) / sp.prd
+        c = (dp.cubic_scale if n == 3 else dp.responsivity) / sp.prd
         one = math.factorial(n) * (2.0 * dp.sigma0_sq * g * g) ** n
         mu1 = c * (w @ one)
         mu2 = c * c * (w * one) @ _pair_moment(n, rho) @ (w * one)
