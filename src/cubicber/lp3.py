@@ -90,25 +90,21 @@ def _log1p_ratio(dl, lam):
 def _phi(dl, lam):
     # dl - ln(1 + dl), elementwise, with lam = 1 + dl as in _log1p_ratio.
     # For |dl| < 0.1 the series sum_k (-dl)^k / k, k = 2..39, avoids the
-    # cancellation; one term per pass, each element stops at its first
-    # term below eps relative to the partial sum. act holds flat indices,
-    # for dl of any shape.
+    # cancellation: one term per pass over every such element, until each
+    # last term is <= eps of its sum (<=, so that a zero sum stops). Each
+    # later term is below 0.1 eps of the sum, under half an ulp, so each
+    # element's sum stops changing at its own first such term.
     out = dl - _log1p_ratio(dl, lam)
-    act = np.flatnonzero(np.abs(dl) < 0.1)
-    nd = power = -dl.flat[act]
-    total = np.zeros(act.size)
+    small = np.abs(dl) < 0.1
+    nd = power = -dl[small]
+    total = np.zeros(nd.size)
     for k in range(2, 40):
-        if act.size == 0:
-            break
         power = power * nd
         term = power / k
         total = total + term
-        done = np.abs(term) < np.abs(total) * _EPS
-        if done.any():
-            out.flat[act[done]] = total[done]
-            keep = ~done
-            act, nd, power, total = act[keep], nd[keep], power[keep], total[keep]
-    out.flat[act] = total
+        if (np.abs(term) <= np.abs(total) * _EPS).all():
+            break
+    out[small] = total
     return out
 
 
