@@ -80,6 +80,11 @@ def _bare(raw: str) -> float:
 
 
 def _integer(raw: str) -> int:
+    # digits alone parse exactly, also past 2^53, within the float range of
+    # every other value; an exponent form such as 1e5 must be integral
+    text = raw.strip()
+    if re.fullmatch(r"[-+]?[0-9]+", text) and math.isfinite(float(text)):
+        return int(text)
     v = _bare(raw)
     if v != int(v):
         raise ConfigError(f"expected an integer, got {raw!r}")

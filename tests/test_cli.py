@@ -8,6 +8,7 @@ import math
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +235,30 @@ seed = 2
     main(["ber-sweep", "--config", cfg, "--seed", "1", "--out", str(outs[2])])
     a, b, c = (o.read_bytes() for o in outs)
     assert a == b != c
+
+
+def test_config_seed_parses_exactly(tmp_path):
+    # 2^53 + 1 as a config key draws the rows of the same flag, not those of
+    # 2^53 that a float rounds it to; 2^64 - 1, which a float rounds to
+    # 2^64, is a valid seed
+    cfg = write_cfg(tmp_path, """
+sweep_p_r_dbm = 33:33:1
+orders = 3
+variants = mc
+trials = 1000
+""")
+
+    def rows(seed, flag):
+        out = tmp_path / "out.csv"
+        path = cfg if flag else write_cfg(
+            tmp_path, Path(cfg).read_text() + f"seed = {seed}\n", "seed.cfg")
+        argv = ["ber-sweep", "--config", path, "--out", str(out)]
+        assert main(argv + (["--seed", str(seed)] if flag else [])) == EXIT_OK
+        return out.read_bytes()
+
+    key = rows(2**53 + 1, flag=False)
+    assert key == rows(2**53 + 1, flag=True) != rows(2**53, flag=True)
+    assert rows(2**64 - 1, flag=False) == rows(2**64 - 1, flag=True)
 
 
 @pytest.mark.parametrize("argv", [

@@ -92,6 +92,9 @@ def test_integer_keys():
     assert one("trials", "1000000") == 1000000
     assert isinstance(one("seed", "42"), int)
     assert one("trials", "1e6") == 1000000
+    assert one("seed", "9007199254740993") == 2**53 + 1
+    assert one("seed", "18446744073709551615") == 2**64 - 1
+    assert one("seed", "+7") == 7
     with pytest.raises(ConfigError, match="integer"):
         one("trials", "2.5")
 
