@@ -253,13 +253,16 @@ def _batch_rows(cfg: SweepConfig, sp, bit0, points) -> list[dict]:
 def _key_tasks(pool, cfg: SweepConfig, sp, powers) -> list:
     """The pool tasks of the noise key of sp, whose points are powers
     {p_r: [(x, r_l, system)]}: its bit-0 draw, then one _batch_rows per
-    batch of at most _BATCH_BYTES of bit-1 decision sums."""
+    batch of bit-1 powers, the fewest batches of at most _BATCH_BYTES of
+    decision sums, their sizes at most one power apart."""
     bit0 = pool.submit(_draw, cfg, sp, 0)
     per = max(1, _BATCH_BYTES // (24 * cfg.trials))  # 3 sums a trial
     ps = list(powers)
+    n = -(-len(ps) // per)
+    cuts = [-(-i * len(ps) // n) for i in range(n + 1)]
     return [pool.submit(_batch_rows, cfg, sp, bit0,
-                        {p: powers[p] for p in ps[i:i + per]})
-            for i in range(0, len(ps), per)]
+                        {p: powers[p] for p in ps[a:b]})
+            for a, b in zip(cuts, cuts[1:])]
 
 
 def run_ber_sweep(cfg: SweepConfig) -> list[dict]:

@@ -373,6 +373,29 @@ def test_power_sweep_batches_bit1_within_the_byte_budget(monkeypatch):
     assert sum(bit == 1 for bit, _ in draws) == 3
 
 
+@pytest.mark.parametrize("npowers,per,sizes", [
+    (5, 4, [2, 3]), (7, 3, [2, 2, 3]), (5, 2, [1, 2, 2])])
+def test_bit1_batches_are_even_within_the_byte_budget(monkeypatch, npowers,
+                                                      per, sizes):
+    # the fewest batches that the budget of per powers' decision sums
+    # allows, their sizes at most one power apart: five powers at a budget
+    # of four go as 3 and 2, not 4 and 1; the rows do not move
+    cfg = _mc_sweep("p_r_dbm", tuple(29.0 + i for i in range(npowers)))
+    serial = _serial_rows(cfg)
+    monkeypatch.setattr(cli, "_BATCH_BYTES", per * 24 * cfg.trials)
+    drawn = []
+    real = montecarlo.generate_samples
+
+    def counted(sp, dp, bit, *args, powers=None, **kw):
+        if bit == 1:
+            drawn.append(len(powers))
+        return real(sp, dp, bit, *args, powers=powers, **kw)
+
+    monkeypatch.setattr(montecarlo, "generate_samples", counted)
+    assert [cli._format_row(r) for r in cli.run_ber_sweep(cfg)] == serial
+    assert sorted(drawn) == sizes
+
+
 def test_sweep_under_thread_contention(monkeypatch):
     # more threads than cores and a short switch interval: each draw is
     # made once, bit 1 only after bit 0, and the rows do not move
