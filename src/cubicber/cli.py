@@ -449,7 +449,7 @@ def _cmd_mc_validate(s: dict) -> int:
                 f"{'PASS' if ok else 'FAIL'}")
 
     print("\n".join(lines))
-    if trials >= 10_000:
+    if trials >= gof.MIN_SAMPLES:
         report = gof.rank_distributions(gof_source)
         print(f"gof (order 3, bit 1): n={report.n} bins={report.bins}")
         for r in report.rows:
@@ -458,7 +458,7 @@ def _cmd_mc_validate(s: dict) -> int:
                   f"ad={r.ad:.6g} r{r.ad_rank} "
                   f"chi2={r.chi2:.6g} r{r.chi2_rank}{note}")
     else:
-        print("gof skipped (needs >= 10000 trials)")
+        print(f"gof skipped (needs >= {gof.MIN_SAMPLES} trials)")
 
     if s.get("out"):
         _write(s["out"], lines)

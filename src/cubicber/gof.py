@@ -19,6 +19,9 @@ from ._rng import _log_ndtr, _ndtr
 from .montecarlo import SampleSet, sample_moments
 from .params import ParamError
 
+# the fewest samples rank_distributions ranks
+MIN_SAMPLES = 10_000
+
 
 class GofError(ValueError):
     """Invalid input to a goodness-of-fit computation."""
@@ -193,8 +196,8 @@ def rank_distributions(s: SampleSet, bins: int | None = None) -> GofReport:
     """
     x = np.sort(np.asarray(s.values, np.float64))
     n = x.size
-    if n < 10_000:
-        raise GofError(f"need at least 10000 samples, got {n}")
+    if n < MIN_SAMPLES:
+        raise GofError(f"need at least {MIN_SAMPLES} samples, got {n}")
     nb = default_bins(n) if bins is None else int(bins)
     _check_bins(n, nb)
 

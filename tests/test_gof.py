@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats as ss
 
-from cubicber import GofReport, Lp3Params, rank_distributions
+from cubicber import GofReport, Lp3Params, gof, rank_distributions
 from cubicber.gof import (BinningError, BoundaryError, GofError,
                           ad_statistic, chi2_statistic, default_bins,
                           ks_statistic)
@@ -171,8 +171,11 @@ def test_rank_normal_data_prefers_normal():
 
 
 def test_rank_requires_10000():
+    # the one minimum that mc-validate also reads
+    assert gof.MIN_SAMPLES == 10_000
     s = SampleSet(order=3, bit=1, values=np.ones(9999))
-    with pytest.raises(GofError):
+    with pytest.raises(GofError, match="^need at least 10000 samples, got "
+                       "9999$"):
         rank_distributions(s)
 
 
