@@ -158,7 +158,6 @@ _SCHEMA = {
     "moments": lambda raw: _comma_list(raw, _bare),
     "order": _integer,
     "bit": _integer,
-    "bins": _integer,
 }
 
 KNOWN_KEYS = frozenset(_SCHEMA)

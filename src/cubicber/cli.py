@@ -386,9 +386,7 @@ def _cmd_gof(s: dict) -> int:
         raise ConfigError("gof needs --samples")
     sample_set = _load_sample_group(s["samples"], s["order"], s["bit"])
     try:
-        report = gof.rank_distributions(sample_set, bins=s.get("bins"))
-    except gof.BinningError as exc:
-        raise ConfigError(f"bins: {exc}") from None
+        report = gof.rank_distributions(sample_set)
     except gof.GofError as exc:
         print(f"gof failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -499,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", help="sample CSV (trial,order,bit,value)")
     p.add_argument("--order", type=int)
     p.add_argument("--bit", type=int)
-    p.add_argument("--bins", type=int)
     p.set_defaults(run=_cmd_gof)
 
     p = subs.add_parser("mc-validate",

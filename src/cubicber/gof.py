@@ -17,7 +17,6 @@ from . import lp3
 from .detection import NormalLaw
 from ._rng import _log_ndtr, _ndtr
 from .montecarlo import SampleSet, sample_moments
-from .params import ParamError
 
 # the fewest samples rank_distributions ranks
 MIN_SAMPLES = 10_000
@@ -62,13 +61,6 @@ def ad_statistic(f) -> float:
     return float(-n - s / n)
 
 
-def _check_bins(n: int, bins: int) -> None:
-    if bins < 1:
-        raise BinningError("bins must be >= 1")
-    if n / bins < 5.0:
-        raise BinningError(f"expected count {n / bins:.2f} per bin is below 5")
-
-
 def chi2_statistic(f, bins: int) -> float:
     """Pearson chi-squared over equal-probability bins.
 
@@ -76,8 +68,11 @@ def chi2_statistic(f, bins: int) -> float:
     samples is histogrammed against a uniform grid), so every bin carries
     the same expected count N/bins; that count must be >= 5.
     """
-    _check_bins(f.size, bins)
+    if bins < 1:
+        raise BinningError("bins must be >= 1")
     expected = f.size / bins
+    if expected < 5.0:
+        raise BinningError(f"expected count {expected:.2f} per bin is below 5")
     u = np.clip(f, 0.0, np.nextafter(1.0, 0.0))
     observed = np.bincount((u * bins).astype(np.intp), minlength=bins)
     return float(((observed - expected) ** 2).sum() / expected)
@@ -92,8 +87,7 @@ def default_bins(n: int) -> int:
 # candidate laws, two-moment matched except LP3
 
 def _fit_lp3(x, m, v):
-    p = lp3.fit_from_moments(sample_moments(x)[0])
-    return lambda y: lp3.cdf(p, y)
+    return lp3.fit_from_moments(sample_moments(x)[0]).cdf
 
 
 def _on_positive(cdf):
@@ -109,8 +103,6 @@ def _on_positive(cdf):
 
 
 def _fit_lognormal(x, m, v):
-    if m <= 0.0:
-        raise GofError("lognormal needs a positive mean")
     s2 = math.log1p(v / (m * m))
     mu = math.log(m) - 0.5 * s2
     s = math.sqrt(s2)
@@ -118,16 +110,12 @@ def _fit_lognormal(x, m, v):
 
 
 def _fit_gamma(x, m, v):
-    if m <= 0.0:
-        raise GofError("gamma needs a positive mean")
     shape = m * m / v
     scale = v / m
     return _on_positive(lambda y: lp3.reg_gamma_p(shape, y / scale))
 
 
 def _fit_inverse_gaussian(x, m, v):
-    if m <= 0.0:
-        raise GofError("inverse Gaussian needs a positive mean")
     lam = m ** 3 / v
 
     def f(y):
@@ -175,7 +163,7 @@ class GofReport:
             f"{r.ad_rank},{r.chi2:.17g},{r.chi2_rank}" for r in self.rows]
 
 
-def _assign_ranks(rows, stat_name, rank_name) -> None:
+def _assign_ranks(rows, stat_name) -> None:
     # NaN (unfit or failed statistic) sorts last; ties break by name
     def key(r):
         v = getattr(r, stat_name)
@@ -183,23 +171,22 @@ def _assign_ranks(rows, stat_name, rank_name) -> None:
                 r.distribution)
 
     for pos, r in enumerate(sorted(rows, key=key), start=1):
-        setattr(r, rank_name, pos)
+        setattr(r, f"{stat_name}_rank", pos)
 
 
-def rank_distributions(s: SampleSet, bins: int | None = None) -> GofReport:
+def rank_distributions(s: SampleSet) -> GofReport:
     """Fit every candidate to the sample set and rank by KS, AD, chi^2.
 
-    Candidates that fail to fit (or whose statistic is unevaluable, e.g.
-    a cdf hitting an exact 0/1 at a sample) keep NaN for the affected
-    statistics and rank behind every finite value. A bins value that
-    chi2_statistic cannot use raises BinningError.
+    Chi^2 takes default_bins(N) bins. Candidates that fail to fit (or
+    whose statistic is unevaluable, e.g. a cdf hitting an exact 0/1 at a
+    sample) keep NaN for the affected statistics and rank behind every
+    finite value.
     """
     x = np.sort(np.asarray(s.values, np.float64))
     n = x.size
     if n < MIN_SAMPLES:
         raise GofError(f"need at least {MIN_SAMPLES} samples, got {n}")
-    nb = default_bins(n) if bins is None else int(bins)
-    _check_bins(n, nb)
+    nb = default_bins(n)
 
     m = float(x.mean())
     v = float(x.var())
@@ -212,8 +199,7 @@ def rank_distributions(s: SampleSet, bins: int | None = None) -> GofReport:
             continue
         try:
             f = fitter(x, m, v)
-        except (GofError, ParamError, lp3.Lp3Error, ValueError,
-                ZeroDivisionError, OverflowError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             row.error = str(exc)
             continue
         row.fitted = True
@@ -227,7 +213,6 @@ def rank_distributions(s: SampleSet, bins: int | None = None) -> GofReport:
                 if row.error is None:
                     row.error = f"{stat_name}: {exc}"
 
-    _assign_ranks(rows, "ks", "ks_rank")
-    _assign_ranks(rows, "ad", "ad_rank")
-    _assign_ranks(rows, "chi2", "chi2_rank")
+    for stat_name in ("ks", "ad", "chi2"):
+        _assign_ranks(rows, stat_name)
     return GofReport(n=n, bins=nb, rows=rows)

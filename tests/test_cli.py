@@ -632,17 +632,19 @@ def test_gof_ranks_sample_csv(sample_csv, tmp_path, capsys):
     assert len(lines) == 7
 
 
-@pytest.mark.parametrize("bins", ["0", "-3", "5000"])
-def test_gof_unusable_bins_are_config_errors(sample_csv, tmp_path, capsys,
-                                             bins):
-    # below 1, or under 5 expected samples a bin (12000 samples), every
-    # chi^2 would be NaN; no --out file is written
-    out = tmp_path / "gof.csv"
-    rc = main(["gof", "--samples", sample_csv, "--bins", bins,
-               "--out", str(out)])
-    assert rc == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: bins: ")
-    assert not out.exists()
+def test_gof_has_no_bins_flag(sample_csv, capsys):
+    # chi^2 always takes default_bins(N) bins
+    with pytest.raises(SystemExit) as exc:
+        main(["gof", "--samples", sample_csv, "--bins", "5"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --bins 5" in capsys.readouterr().err
+
+
+def test_gof_config_has_no_bins_key(sample_csv, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, f"samples = {sample_csv}\nbins = 50\n")
+    assert main(["gof", "--config", cfg]) == EXIT_CONFIG
+    assert ("config error: line 2: unknown key 'bins'"
+            in capsys.readouterr().err)
 
 
 def test_gof_requires_samples(capsys):

@@ -212,22 +212,22 @@ GOF_HEAD = ("distribution                 ks r            ad r          "
             "chi2 r\n")
 GOF_CSV_HEAD = "# schema=1\ndistribution,ks,ks_rank,ad,ad_rank,chi2,chi2_rank\n"
 
-# order: (extra flags, stdout, --out file)
+# order: (stdout, --out file), at the default 200 bins of 10000 samples
 GOLDEN_SAMPLE_GOF = {
-    1: (["--bins", "50"], "n = 10000  bins = 50\n" + GOF_HEAD + """\
-log_pearson3         0.00848574 1       2.23171 1         38.72 1
-normal                 0.115083 5           nan 5        3221.6 5
-lognormal             0.0655404 2        104.08 2        961.86 2
-gamma                 0.0849108 4       177.018 4       1611.37 4
-inverse_gaussian      0.0668066 3       108.701 3         973.5 3
+    1: ("n = 10000  bins = 200\n" + GOF_HEAD + """\
+log_pearson3         0.00848574 1       2.23171 1         57.88 1
+normal                 0.115083 5           nan 5        3805.6 5
+lognormal             0.0655404 2        104.08 2        999.56 2
+gamma                 0.0849108 4       177.018 4       1728.32 4
+inverse_gaussian      0.0668066 3       108.701 3        1017.6 3
 """, GOF_CSV_HEAD + """\
-log_pearson3,0.0084857437785616253,1,2.2317128736376617,1,38.719999999999999,1
-normal,0.11508304936995417,5,nan,5,3221.5999999999999,5
-lognormal,0.065540419075542589,2,104.08010425851899,2,961.86000000000001,2
-gamma,0.084910805783382171,4,177.01776816700476,4,1611.3699999999999,4
-inverse_gaussian,0.066806608446465965,3,108.70131483193109,3,973.5,3
+log_pearson3,0.0084857437785616253,1,2.2317128736376617,1,57.880000000000003,1
+normal,0.11508304936995417,5,nan,5,3805.5999999999999,5
+lognormal,0.065540419075542589,2,104.08010425851899,2,999.55999999999995,2
+gamma,0.084910805783382171,4,177.01776816700476,4,1728.3199999999999,4
+inverse_gaussian,0.066806608446465965,3,108.70131483193109,3,1017.6,3
 """),
-    3: ([], "n = 10000  bins = 200\n" + GOF_HEAD + """\
+    3: ("n = 10000  bins = 200\n" + GOF_HEAD + """\
 log_pearson3         0.00156207 1     0.0867915 1           2.2 1
 normal                0.0786544 5       155.499 5        2016.2 5
 lognormal             0.0435265 4       72.1207 3          1095 3
@@ -255,10 +255,10 @@ def test_fit_from_samples_bytes(closed_form_csv, tmp_path, capsys, order):
 
 @pytest.mark.parametrize("order", sorted(GOLDEN_SAMPLE_GOF))
 def test_gof_from_samples_bytes(closed_form_csv, tmp_path, capsys, order):
-    extra, stdout, csv_text = GOLDEN_SAMPLE_GOF[order]
+    stdout, csv_text = GOLDEN_SAMPLE_GOF[order]
     out = tmp_path / "gof.csv"
     assert main(["gof", "--samples", closed_form_csv, "--order", str(order),
-                 *extra, "--out", str(out)]) == EXIT_OK
+                 "--out", str(out)]) == EXIT_OK
     got = capsys.readouterr()
     assert got.err == ""
     assert got.out == stdout

@@ -220,7 +220,7 @@ def test_value_error_carries_line_and_key():
 
 
 @pytest.mark.parametrize("key,raw", [
-    ("trials", "1e400"), ("seed", "1e400"), ("bins", "1e400"),
+    ("trials", "1e400"), ("seed", "1e400"),
     ("sweep_p_r_dbm", "33:1e400:1"), ("sweep_prd", "10, 1e400"),
     ("g_amp", "4000dB"), ("p_r", "4000dBm"), ("prd", "1e400"),
     ("r_l", "1e303Mohm"), ("tau_c", "1e400fs"), ("moments", "1, 2, 1e400"),
@@ -251,7 +251,7 @@ def test_empty_text_is_empty_dict():
 
 def test_known_keys_cover_schema():
     for key in ("tau_c", "prd", "p_r", "sweep_p_r_dbm", "trials", "seed",
-                "orders", "bins", "samples", "r_l"):
+                "orders", "samples", "r_l"):
         assert key in KNOWN_KEYS
 
 

@@ -192,13 +192,6 @@ def test_rank_degenerate_sample():
         assert r.ks_rank == by_name.index(r.distribution) + 1
 
 
-def test_rank_explicit_bins(lp3_sample):
-    _, s = lp3_sample
-    report = rank_distributions(s, bins=50)
-    assert report.bins == 50
-    assert _row(report, "log_pearson3").chi2 >= 0.0
-
-
 def test_report_row_and_csv(lp3_sample):
     _, s = lp3_sample
     report = rank_distributions(s)
