@@ -112,8 +112,10 @@ class ShotThermalLaw:
     dp: DerivedParams
 
     def __post_init__(self) -> None:
-        if not (self.dp.qe_tp > 0 and self.dp.thermal_var > 0):
-            raise ParamError("shot and thermal noise terms must be > 0")
+        if not (0.0 < self.dp.qe_tp < math.inf
+                and 0.0 < self.dp.thermal_var < math.inf):
+            raise ParamError("shot and thermal noise terms must be > 0 and "
+                             "finite")
 
     @cached_property
     def cuts(self):

@@ -90,10 +90,14 @@ def derive(sp: SystemParams) -> DerivedParams:
     sigma0_sq = delta * sp.l2 / (2.0 * sp.tau_c)
     responsivity = sp.eta * Q_ELECTRON / (H_PLANCK * nu)
     t_p = sp.prd * sp.tau_c
+    try:
+        cubic_scale = responsivity * sp.k * sp.gamma_nl**2
+    except OverflowError:  # float ** raises where float * gives inf
+        raise ParamError(f"gamma_nl**2 overflows a float (gamma_nl = "
+                         f"{sp.gamma_nl:g})") from None
     return DerivedParams(
         sigma0_sq=sigma0_sq, responsivity=responsivity, t_p=t_p,
-        cubic_scale=responsivity * sp.k * sp.gamma_nl**2,
-        qe_tp=Q_ELECTRON / t_p,
+        cubic_scale=cubic_scale, qe_tp=Q_ELECTRON / t_p,
         thermal_var=4.0 * K_BOLTZMANN * sp.t_r / (sp.r_l * t_p))
 
 

@@ -7,6 +7,7 @@ reasonable; stdout/stderr are captured with capsys.
 import math
 import sys
 import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -464,6 +465,38 @@ def test_system_whose_constants_fail_fails_only_its_rows():
     assert [r["error"] for r in rows] == ["float division by zero"] * 3
 
 
+GAMMA_NL_OVERFLOWS = "gamma_nl**2 overflows a float (gamma_nl = 1e+200)"
+
+
+def test_gamma_nl_whose_square_overflows_names_it_in_every_row():
+    # float ** raises OverflowError where * gives inf; derive says which
+    # parameter it was, in the closed-form and the Monte-Carlo rows alike
+    base = SystemParams(tau_c=100e-15, prd=10.0, gamma_nl=1e200)
+    cfg = cli.SweepConfig(base, "p_r_dbm", (33.0,), orders=(3,),
+                          trials=1000)
+    rows = cli.run_ber_sweep(cfg)
+    assert [r["variant"] for r in rows] == sorted(cli.VARIANTS)
+    assert [r["error"] for r in rows] == [GAMMA_NL_OVERFLOWS] * 4
+    assert all(math.isnan(r["ber"]) for r in rows)
+
+
+def test_infinite_thermal_variance_is_a_shot_thermal_row_error(tmp_path,
+                                                               capsys):
+    # 4 k_B T_r / (R_L T_p) overflows to inf; the row says so, and no
+    # quadrature runs on it
+    cfg = write_cfg(tmp_path, "t_r = 1e308\nr_l = 1e-300ohm\n"
+                    "sweep_p_r_dbm = 33:33:1\norders = 3\n"
+                    "analytic_only = true\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["ber-sweep", "--config", cfg]) == EXIT_OK
+    rows = {r.split(",")[4]: r for r in sweep_lines(capsys)}
+    assert rows["lp3_shot_thermal"] == (
+        "33,p_r_dbm,10,1e-300,lp3_shot_thermal,nan,nan,3,shot and thermal "
+        "noise terms must be > 0 and finite")
+    assert rows["lp3"].endswith(",3,") and rows["gauss_approx"].endswith(",3,")
+
+
 def test_sigma0_sweep_draws_bit0_at_every_point(monkeypatch):
     # the ASE level changes the noise field, so nothing can be shared
     draws = _draws(monkeypatch)
@@ -728,6 +761,14 @@ def test_mc_validate_failing_constants_are_numeric_failure(tmp_path,
     assert rc == EXIT_NUMERIC
     assert capsys.readouterr().err == \
         "closed form failed: float division by zero\n"
+
+
+def test_mc_validate_gamma_nl_overflow_is_numeric_failure(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "prd = 10\np_r = 33dBm\ngamma_nl = 1e200\n")
+    rc = main(["mc-validate", "--config", cfg, "--trials", "2000"])
+    assert rc == EXIT_NUMERIC
+    assert capsys.readouterr().err == \
+        f"closed form failed: {GAMMA_NL_OVERFLOWS}\n"
 
 
 def test_mc_validate_takes_the_closed_forms_before_any_draw(tmp_path,

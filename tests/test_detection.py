@@ -52,7 +52,7 @@ def test_noise_physics_validation():
     # a hand-built DerivedParams is not validated: the law checks the two
     # terms of sigma^2(y) that it reads
     law, _, dp = _cubic_law()
-    for bad in (0.0, -1e-9, math.nan):
+    for bad in (0.0, -1e-9, math.nan, math.inf):
         for term in ("qe_tp", "thermal_var"):
             with pytest.raises(ParamError, match="must be > 0"):
                 ShotThermalLaw(law, replace(dp, **{term: bad}))
