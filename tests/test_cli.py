@@ -665,12 +665,19 @@ def test_gof_ranks_sample_csv(sample_csv, tmp_path, capsys):
     assert len(lines) == 7
 
 
-def test_gof_has_no_bins_flag(sample_csv, capsys):
-    # chi^2 always takes default_bins(N) bins
+@pytest.mark.parametrize("bins", ["0", "-3", "5000"])
+def test_gof_unusable_bins_are_config_errors(sample_csv, tmp_path, capsys,
+                                             bins):
+    # chi^2 always takes default_bins(N) bins, so gof has no --bins flag:
+    # any value given is a config error and no --out file is written
+    out = tmp_path / "gof.csv"
     with pytest.raises(SystemExit) as exc:
-        main(["gof", "--samples", sample_csv, "--bins", "5"])
+        main(["gof", "--samples", sample_csv, "--bins", bins,
+              "--out", str(out)])
     assert exc.value.code == EXIT_CONFIG
-    assert "unrecognized arguments: --bins 5" in capsys.readouterr().err
+    assert (f"unrecognized arguments: --bins {bins}"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_gof_config_has_no_bins_key(sample_csv, tmp_path, capsys):
