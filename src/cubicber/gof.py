@@ -78,11 +78,6 @@ def chi2_statistic(f, bins: int) -> float:
     return float(((observed - expected) ** 2).sum() / expected)
 
 
-def default_bins(n: int) -> int:
-    # grows with N but keeps every expected count comfortably above 5
-    return int(min(max(10, n // 50), n // 5))
-
-
 # ---------------------------------------------------------------------------
 # candidate laws, two-moment matched except LP3
 
@@ -177,16 +172,16 @@ def _assign_ranks(rows, stat_name) -> None:
 def rank_distributions(s: SampleSet) -> GofReport:
     """Fit every candidate to the sample set and rank by KS, AD, chi^2.
 
-    Chi^2 takes default_bins(N) bins. Candidates that fail to fit (or
-    whose statistic is unevaluable, e.g. a cdf hitting an exact 0/1 at a
-    sample) keep NaN for the affected statistics and rank behind every
+    Chi^2 takes N // 50 bins, 50 expected samples a bin. Candidates that
+    fail to fit keep NaN for every statistic, and those whose cdf hits an
+    exact 0 or 1 at a sample keep NaN for AD; NaN ranks behind every
     finite value.
     """
     x = np.sort(np.asarray(s.values, np.float64))
     n = x.size
     if n < MIN_SAMPLES:
         raise GofError(f"need at least {MIN_SAMPLES} samples, got {n}")
-    nb = default_bins(n)
+    nb = n // 50
 
     m = float(x.mean())
     v = float(x.var())
@@ -194,24 +189,21 @@ def rank_distributions(s: SampleSet) -> GofReport:
     for name, fitter in _CANDIDATES:
         row = CandidateResult(distribution=name, fitted=False)
         rows.append(row)
-        if not v > 0.0:
-            row.error = "degenerate sample variance"
-            continue
         try:
+            if not v > 0.0:
+                raise GofError("degenerate sample variance")
             f = fitter(x, m, v)
         except (ValueError, ArithmeticError) as exc:
             row.error = str(exc)
             continue
         row.fitted = True
         fx = np.asarray(f(x), np.float64)  # one cdf pass feeds all three
-        for stat_name, fn in (("ks", lambda: ks_statistic(fx)),
-                              ("ad", lambda: ad_statistic(fx)),
-                              ("chi2", lambda: chi2_statistic(fx, nb))):
-            try:
-                setattr(row, stat_name, fn())
-            except GofError as exc:
-                if row.error is None:
-                    row.error = f"{stat_name}: {exc}"
+        row.ks = ks_statistic(fx)
+        row.chi2 = chi2_statistic(fx, nb)
+        try:
+            row.ad = ad_statistic(fx)
+        except BoundaryError as exc:
+            row.error = f"ad: {exc}"
 
     for stat_name in ("ks", "ad", "chi2"):
         _assign_ranks(rows, stat_name)

@@ -668,7 +668,7 @@ def test_gof_ranks_sample_csv(sample_csv, tmp_path, capsys):
 @pytest.mark.parametrize("bins", ["0", "-3", "5000"])
 def test_gof_unusable_bins_are_config_errors(sample_csv, tmp_path, capsys,
                                              bins):
-    # chi^2 always takes default_bins(N) bins, so gof has no --bins flag:
+    # chi^2 always takes N // 50 bins, so gof has no --bins flag:
     # any value given is a config error and no --out file is written
     out = tmp_path / "gof.csv"
     with pytest.raises(SystemExit) as exc:

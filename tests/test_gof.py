@@ -8,8 +8,7 @@ import scipy.stats as ss
 
 from cubicber import GofReport, Lp3Params, gof, rank_distributions
 from cubicber.gof import (BinningError, BoundaryError, GofError,
-                          ad_statistic, chi2_statistic, default_bins,
-                          ks_statistic)
+                          ad_statistic, chi2_statistic, ks_statistic)
 from cubicber.lp3 import cdf as lp3_cdf
 from cubicber.lp3 import quantile
 from cubicber.montecarlo import SampleSet
@@ -107,15 +106,6 @@ def test_chi2_binning_errors():
         chi2_statistic(f, bins=25)  # expected count 4 < 5
 
 
-def test_default_bins():
-    assert default_bins(10_000) == 200
-    assert default_bins(100_000) == 2000
-    assert default_bins(250_000) == 5000
-    assert default_bins(50) == 10
-    for n in (10_000, 25_000, 100_000):
-        assert n / default_bins(n) >= 5
-
-
 # --------------------------------------------------------------------------
 # candidate ranking
 # --------------------------------------------------------------------------
@@ -144,6 +134,7 @@ def test_rank_distributions_recovers_lp3(lp3_sample):
     report = rank_distributions(s)
     assert isinstance(report, GofReport)
     assert report.n == 50_000
+    assert report.bins == 50_000 // 50
     assert [r.distribution for r in report.rows] == CANDIDATES
     best = _row(report, "log_pearson3")
     assert best.fitted
@@ -182,6 +173,7 @@ def test_rank_requires_10000():
 def test_rank_degenerate_sample():
     s = SampleSet(order=3, bit=1, values=np.full(10_000, 2.5))
     report = rank_distributions(s)
+    assert report.bins == 10_000 // 50
     for r in report.rows:
         assert not r.fitted
         assert r.error == "degenerate sample variance"
@@ -190,6 +182,20 @@ def test_rank_degenerate_sample():
     by_name = sorted(CANDIDATES)
     for r in report.rows:
         assert r.ks_rank == by_name.index(r.distribution) + 1
+
+
+def test_rank_cdf_at_1_fails_only_ad():
+    # the normal cdf rounds to 1 at the lognormal's far right tail: only
+    # AD needs its log there, so KS and chi^2 stay finite
+    s = SampleSet(order=3, bit=1,
+                  values=np.random.default_rng(3).lognormal(0.0, 1.0, 10_000))
+    report = rank_distributions(s)
+    assert report.bins == 10_000 // 50
+    norm = _row(report, "normal")
+    assert norm.fitted
+    assert norm.error == "ad: cdf reached 0 or 1 at a sample point"
+    assert math.isnan(norm.ad) and norm.ad_rank == 5
+    assert math.isfinite(norm.ks) and math.isfinite(norm.chi2)
 
 
 def test_report_row_and_csv(lp3_sample):
