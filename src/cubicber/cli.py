@@ -47,8 +47,10 @@ EXIT_TOLERANCE = 4
 VARIANTS = ("lp3", "lp3_shot_thermal", "gauss_approx", "mc")
 
 # failures confined to one sweep point; recorded in the row, never fatal
+# (MemoryError: a draw whose arrays numpy cannot allocate)
 _POINT_ERRORS = (lp3.Lp3Error, ParamError, detection.BracketError,
-                 detection.QuadratureError, ZeroDivisionError, OverflowError)
+                 detection.QuadratureError, ZeroDivisionError, OverflowError,
+                 MemoryError)
 
 
 # Default of every setting that a command-line flag or a config key sets.
@@ -426,7 +428,7 @@ def _cmd_mc_validate(s: dict) -> int:
         try:
             sets = montecarlo.generate_samples(
                 base, dp, bit=bit, n_trials=trials, orders=(3,), seed=seed)
-        except ParamError as exc:
+        except (ParamError, MemoryError) as exc:
             print(f"sampling failed: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
         if bit == 1:

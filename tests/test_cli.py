@@ -5,6 +5,9 @@ reasonable; stdout/stderr are captured with capsys.
 """
 
 import math
+import os
+import resource
+import subprocess
 import sys
 import threading
 import warnings
@@ -497,6 +500,45 @@ def test_infinite_thermal_variance_is_a_shot_thermal_row_error(tmp_path,
     assert rows["lp3"].endswith(",3,") and rows["gauss_approx"].endswith(",3,")
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _cli_in_2gib(tmp_path, config, *argv):
+    """The CLI run in a child process whose address space is capped at
+    2 GiB, so an array that numpy cannot allocate fails whatever the
+    host's overcommit setting."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(path))
+    cmd = [sys.executable, "-m", "cubicber.cli", argv[0], "--config",
+           write_cfg(tmp_path, config), *argv[1:]]
+    return subprocess.run(cmd, env=env, preexec_fn=cap, capture_output=True,
+                          text=True, timeout=120)
+
+
+@pytest.mark.parametrize("config,trials,lp3_row", [
+    ("sweep_p_r_dbm = 33:33:1\n", "1000000000000",
+     "33,p_r_dbm,10,1000,lp3,7.231807362619238e-06,0.028907664060914957,3,"),
+    ("sweep_prd = 100000\n", "1000",
+     "100000,prd,100000,1000,lp3,1.6811510108314994e-08,0.5,3,"),
+], ids=["trials", "basis"])
+def test_draw_numpy_cannot_allocate_fails_only_mc_rows(tmp_path, config,
+                                                       trials, lp3_row):
+    # 10^12 trials need 21.8 TiB of decision sums, PRD 10^5 a 1.16 TiB
+    # sinc basis: the mc row says so, and the lp3 row keeps its numbers
+    p = _cli_in_2gib(tmp_path, config + "orders = 3\nvariants = lp3, mc\n",
+                     "ber-sweep", "--trials", trials)
+    assert (p.returncode, p.stderr) == (EXIT_OK, "")
+    rows = p.stdout.splitlines()[2:]
+    assert rows[0] == lp3_row
+    mc = rows[1].split(",")
+    assert mc[4:7] == ["mc", "nan", "nan"]
+    assert mc[8].startswith("Unable to allocate ")
+
+
 def test_sigma0_sweep_draws_bit0_at_every_point(monkeypatch):
     # the ASE level changes the noise field, so nothing can be shared
     draws = _draws(monkeypatch)
@@ -776,6 +818,14 @@ def test_mc_validate_gamma_nl_overflow_is_numeric_failure(tmp_path, capsys):
     assert rc == EXIT_NUMERIC
     assert capsys.readouterr().err == \
         f"closed form failed: {GAMMA_NL_OVERFLOWS}\n"
+
+
+def test_mc_validate_draw_numpy_cannot_allocate_is_numeric_failure(
+        tmp_path):
+    p = _cli_in_2gib(tmp_path, "prd = 10\np_r = 33dBm\n", "mc-validate",
+                     "--trials", "1000000000000")
+    assert p.returncode == EXIT_NUMERIC and p.stdout == ""
+    assert p.stderr.startswith("sampling failed: Unable to allocate ")
 
 
 def test_mc_validate_takes_the_closed_forms_before_any_draw(tmp_path,
