@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import math
 import os
 import sys
@@ -184,8 +185,6 @@ def _eval_point(cfg: SweepConfig, x, r_l, sp, sets) -> list[dict]:
     the error that building its system raised. sets: {bit: {order:
     SampleSet}, or the message of the error its draw raised}, or None for a
     point that draws nothing."""
-    laws = {}
-
     def samples(bit):
         if sets is None:
             raise ParamError("Monte-Carlo sampling disabled by analytic_only")
@@ -193,15 +192,16 @@ def _eval_point(cfg: SweepConfig, x, r_l, sp, sets) -> list[dict]:
             raise ParamError(sets[bit])
         return sets[bit]
 
-    def law(bit, order):
-        """(Lp3Params, (mu1, mu2, mu3)): closed form for order 3, else MC."""
-        if (bit, order) not in laws:
-            if order == 3:
-                mus = decision_moments(sp, derive(sp), bit)
-            else:
-                mus = montecarlo.sample_moments(samples(bit)[order].values)[0]
-            laws[bit, order] = lp3.fit_from_moments(mus), mus
-        return laws[bit, order]
+    @functools.cache
+    def moments(bit, order):
+        """(mu1, mu2, mu3): closed form for order 3, else MC."""
+        if order == 3:
+            return decision_moments(sp, derive(sp), bit)
+        return montecarlo.sample_moments(samples(bit)[order].values)[0]
+
+    @functools.cache
+    def lp3_law(bit, order):
+        return lp3.fit_from_moments(moments(bit, order))
 
     rows = []
     prd = float(x) if cfg.x_kind == "prd" else cfg.base.prd
@@ -220,11 +220,14 @@ def _eval_point(cfg: SweepConfig, x, r_l, sp, sets) -> list[dict]:
                     raise ParamError("order 2 has no physical detector "
                                      "scale for shot/thermal noise")
                 else:
-                    pair, mus = zip(*(law(b, order) for b in (0, 1)))
+                    # each variant builds only its own laws, so it fails
+                    # only where they do
                     if variant == "gauss_approx":
                         pair = [detection.NormalLaw(m[0], m[1] - m[0] ** 2)
-                                for m in mus]
-                    elif variant == "lp3_shot_thermal":
+                                for m in (moments(b, order) for b in (0, 1))]
+                    else:
+                        pair = [lp3_law(b, order) for b in (0, 1)]
+                    if variant == "lp3_shot_thermal":
                         pair = [detection.ShotThermalLaw(lw, derive(sp))
                                 for lw in pair]
                     th, ber = detection.optimize_threshold(*pair)

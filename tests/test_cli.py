@@ -500,6 +500,21 @@ def test_infinite_thermal_variance_is_a_shot_thermal_row_error(tmp_path,
     assert rows["lp3"].endswith(",3,") and rows["gauss_approx"].endswith(",3,")
 
 
+@pytest.mark.parametrize("x", [100.0, 110.0])
+def test_gauss_approx_row_needs_only_its_own_moments(x):
+    # the Gaussian takes mu1 and mu2 only: an LP3 fit that fails on the
+    # same moments fails the LP3 rows alone
+    cfg = cli.SweepConfig(SystemParams(prd=10.0), "p_r_dbm", (x,),
+                          orders=(3,), analytic_only=True)
+    rows = {r["variant"]: r for r in cli.run_ber_sweep(cfg)}
+    for v in ("lp3", "lp3_shot_thermal"):
+        assert rows[v]["error"].startswith("moment ratio rho=")
+    gauss = rows["gauss_approx"]
+    assert gauss["error"] == ""
+    assert gauss["th_opt"] == pytest.approx(
+        {100.0: 4.15e-3, 110.0: 1.31e-2}[x], rel=1e-2)
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 

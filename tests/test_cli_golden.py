@@ -2,8 +2,9 @@
 
 Analytic-only sweeps over each axis (order 3, lp3 and gauss_approx), one
 analytic-only lp3_shot_thermal sweep (two powers, about a second), an
-analytic-only sweep at g_amp = 1 (no ASE noise, so every row fails with
-"moments must be positive"), an analytic-only sweep over orders 1-3 with
+analytic-only sweep at g_amp = 1 (no ASE noise, so every row fails: the
+LP3 rows with "moments must be positive", the Gaussian ones with
+"variances must be > 0"), an analytic-only sweep over orders 1-3 with
 the default variants (no mc row; orders 1 and 2 fail for want of samples,
 order 2's lp3_shot_thermal row for want of a detector scale), a PRD sweep
 whose first point fails to build its system, a literal-moment fit, and
@@ -63,8 +64,10 @@ GOLDEN_SHOT_THERMAL = HEAD + """\
 
 GAMP1 = "prd = 10\ng_amp = 1\nsweep_p_r_dbm = 33:35:2\n"
 GOLDEN_GAMP1 = HEAD + "".join(
-    f"{x},p_r_dbm,10,1000,{v},nan,nan,3,moments must be positive\n"
-    for x in (33, 35) for v in ("gauss_approx", "lp3", "lp3_shot_thermal"))
+    f"{x},p_r_dbm,10,1000,{v},nan,nan,3,{err}\n" for x in (33, 35)
+    for v, err in (("gauss_approx", "variances must be > 0"),
+                   ("lp3", "moments must be positive"),
+                   ("lp3_shot_thermal", "moments must be positive")))
 
 # analytic_only as a config key, default variants
 ORDERS = "prd = 10\nsweep_p_r_dbm = 33:33:1\norders = 1, 2, 3\n" \
