@@ -396,13 +396,7 @@ def _cmd_gof(s: dict) -> int:
         print(f"gof failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     print(f"n = {report.n}  bins = {report.bins}")
-    print(f"{'distribution':18s} {'ks':>12s} r  {'ad':>12s} r  "
-          f"{'chi2':>12s} r")
-    for r in report.rows:
-        note = "" if r.fitted else f"  [unfit: {r.error}]"
-        print(f"{r.distribution:18s} {r.ks:12.6g} {r.ks_rank}  "
-              f"{r.ad:12.6g} {r.ad_rank}  {r.chi2:12.6g} {r.chi2_rank}"
-              f"{note}")
+    print("\n".join(report.lines()))
     if s.get("out"):
         _write(s["out"], report.csv_lines())
     return EXIT_OK
@@ -455,11 +449,7 @@ def _cmd_mc_validate(s: dict) -> int:
     if trials >= gof.MIN_SAMPLES:
         report = gof.rank_distributions(gof_source)
         print(f"gof (order 3, bit 1): n={report.n} bins={report.bins}")
-        for r in report.rows:
-            note = "" if r.fitted else f"  [unfit: {r.error}]"
-            print(f"  {r.distribution:18s} ks={r.ks:.6g} r{r.ks_rank} "
-                  f"ad={r.ad:.6g} r{r.ad_rank} "
-                  f"chi2={r.chi2:.6g} r{r.chi2_rank}{note}")
+        print("\n".join(report.lines()))
     else:
         print(f"gof skipped (needs >= {gof.MIN_SAMPLES} trials)")
 

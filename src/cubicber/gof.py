@@ -157,6 +157,14 @@ class GofReport:
             f"{r.distribution},{r.ks:.17g},{r.ks_rank},{r.ad:.17g},"
             f"{r.ad_rank},{r.chi2:.17g},{r.chi2_rank}" for r in self.rows]
 
+    def lines(self) -> list[str]:
+        """One text row per candidate, naming a failed fit or statistic."""
+        return [f"  {r.distribution:18s} ks={r.ks:.6g} r{r.ks_rank} "
+                f"ad={r.ad:.6g} r{r.ad_rank} chi2={r.chi2:.6g} r{r.chi2_rank}"
+                + ("" if r.error is None else
+                   f"  [{'' if r.fitted else 'unfit: '}{r.error}]")
+                for r in self.rows]
+
 
 def _assign_ranks(rows, stat_name) -> None:
     # NaN (unfit or failed statistic) sorts last; ties break by name

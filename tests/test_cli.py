@@ -20,7 +20,7 @@ import pytest
 from cubicber import cli, lp3, montecarlo
 from cubicber.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_TOLERANCE, main
 from cubicber.lp3 import Lp3Params
-from cubicber.params import SystemParams, derive
+from cubicber.params import SystemParams, dbm_to_watts, derive
 
 HEADER = "x_value,x_kind,prd,rl_ohm,variant,th_opt,ber,order,error"
 
@@ -794,6 +794,27 @@ def test_mc_validate_passes(tmp_path, capsys):
     report = text[:text.index("gof skipped")]
     assert report.startswith("mc-validate ")
     assert out.read_text() == "# schema=1\n" + report
+
+
+def test_gof_and_mc_validate_print_the_same_rows(tmp_path, capsys):
+    # one renderer: mc-validate's GOF block over its bit-1 draw is the gof
+    # table of the same draw, and a fitted row names its failed statistic
+    cfg = write_cfg(tmp_path, "prd = 10\np_r = 35dBm\n")
+    assert main(["mc-validate", "--config", cfg, "--trials", "10000",
+                 "--seed", "5"]) == EXIT_OK
+    validate = capsys.readouterr().out.splitlines()
+    sp = SystemParams(prd=10.0, p_r=dbm_to_watts(35.0))
+    sets = montecarlo.generate_samples(sp, derive(sp), bit=1,
+                                       n_trials=10_000, orders=(3,), seed=5)
+    path = tmp_path / "samples.csv"
+    montecarlo.save_csv(path, [sets[3]])
+    assert main(["gof", "--samples", str(path)]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "n = 10000  bins = 200"
+    head = validate.index("gof (order 3, bit 1): n=10000 bins=200")
+    assert validate[head + 1:] == rows[1:] and len(rows) == 6
+    normal, = (r for r in rows if r.startswith("  normal "))
+    assert normal.endswith("  [ad: cdf reached 0 or 1 at a sample point]")
 
 
 def test_mc_validate_tolerance_exit(tmp_path, capsys, monkeypatch):

@@ -211,18 +211,18 @@ alpha,beta,gamma
 """),
 }
 
-GOF_HEAD = ("distribution                 ks r            ad r          "
-            "chi2 r\n")
 GOF_CSV_HEAD = "# schema=1\ndistribution,ks,ks_rank,ad,ad_rank,chi2,chi2_rank\n"
 
-# order: (stdout, --out file), at the default 200 bins of 10000 samples
+# order: (stdout, --out file), at the N // 50 = 200 bins of 10000 samples
 GOLDEN_SAMPLE_GOF = {
-    1: ("n = 10000  bins = 200\n" + GOF_HEAD + """\
-log_pearson3         0.00848574 1       2.23171 1         57.88 1
-normal                 0.115083 5           nan 5        3805.6 5
-lognormal             0.0655404 2        104.08 2        999.56 2
-gamma                 0.0849108 4       177.018 4       1728.32 4
-inverse_gaussian      0.0668066 3       108.701 3        1017.6 3
+    1: ("""\
+n = 10000  bins = 200
+  log_pearson3       ks=0.00848574 r1 ad=2.23171 r1 chi2=57.88 r1
+  normal             ks=0.115083 r5 ad=nan r5 chi2=3805.6 r5  \
+[ad: cdf reached 0 or 1 at a sample point]
+  lognormal          ks=0.0655404 r2 ad=104.08 r2 chi2=999.56 r2
+  gamma              ks=0.0849108 r4 ad=177.018 r4 chi2=1728.32 r4
+  inverse_gaussian   ks=0.0668066 r3 ad=108.701 r3 chi2=1017.6 r3
 """, GOF_CSV_HEAD + """\
 log_pearson3,0.0084857437785616253,1,2.2317128736376617,1,57.880000000000003,1
 normal,0.11508304936995417,5,nan,5,3805.5999999999999,5
@@ -230,12 +230,13 @@ lognormal,0.065540419075542589,2,104.08010425851899,2,999.55999999999995,2
 gamma,0.084910805783382171,4,177.01776816700476,4,1728.3199999999999,4
 inverse_gaussian,0.066806608446465965,3,108.70131483193109,3,1017.6,3
 """),
-    3: ("n = 10000  bins = 200\n" + GOF_HEAD + """\
-log_pearson3         0.00156207 1     0.0867915 1           2.2 1
-normal                0.0786544 5       155.499 5        2016.2 5
-lognormal             0.0435265 4       72.1207 3          1095 3
-gamma                0.00498278 2      0.684604 2          13.8 2
-inverse_gaussian      0.0430293 3       76.5912 4       1502.08 4
+    3: ("""\
+n = 10000  bins = 200
+  log_pearson3       ks=0.00156207 r1 ad=0.0867915 r1 chi2=2.2 r1
+  normal             ks=0.0786544 r5 ad=155.499 r5 chi2=2016.2 r5
+  lognormal          ks=0.0435265 r4 ad=72.1207 r3 chi2=1095 r3
+  gamma              ks=0.00498278 r2 ad=0.684604 r2 chi2=13.8 r2
+  inverse_gaussian   ks=0.0430293 r3 ad=76.5912 r4 chi2=1502.08 r4
 """, GOF_CSV_HEAD + """\
 log_pearson3,0.0015620735776318839,1,0.086791482621265459,1,2.2000000000000002,1
 normal,0.07865442741573786,5,155.49908684801449,5,2016.2,5

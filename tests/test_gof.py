@@ -198,6 +198,23 @@ def test_rank_cdf_at_1_fails_only_ad():
     assert math.isfinite(norm.ks) and math.isfinite(norm.chi2)
 
 
+def test_report_lines_name_each_failure():
+    # one row per candidate; a fitted row whose statistic failed ends in
+    # [ad: ...], an unfitted one in [unfit: ...], any other in no note
+    s = SampleSet(order=3, bit=1,
+                  values=np.random.default_rng(3).lognormal(0.0, 1.0, 10_000))
+    lines = rank_distributions(s).lines()
+    assert [line.split()[0] for line in lines] == CANDIDATES
+    for name, line in zip(CANDIDATES, lines):
+        assert line.startswith(f"  {name} ")
+        assert line.partition("  [")[2] == (
+            "ad: cdf reached 0 or 1 at a sample point]" if name == "normal"
+            else "")
+    flat = SampleSet(order=3, bit=1, values=np.full(10_000, 2.5))
+    for line in rank_distributions(flat).lines():
+        assert line.partition("  [")[2] == "unfit: degenerate sample variance]"
+
+
 def test_report_row_and_csv(lp3_sample):
     _, s = lp3_sample
     report = rank_distributions(s)
