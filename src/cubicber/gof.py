@@ -191,13 +191,16 @@ def rank_distributions(s: SampleSet) -> GofReport:
         raise GofError(f"need at least {MIN_SAMPLES} samples, got {n}")
     nb = n // 50
 
-    m = float(x.mean())
-    v = float(x.var())
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        m = float(x.mean())
+        v = float(x.var())
     rows = []
     for name, fitter in _CANDIDATES:
         row = CandidateResult(distribution=name, fitted=False)
         rows.append(row)
         try:
+            if not math.isfinite(v):
+                raise GofError("sample variance overflows a float")
             if not v > 0.0:
                 raise GofError("degenerate sample variance")
             f = fitter(x, m, v)

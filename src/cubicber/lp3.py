@@ -432,6 +432,8 @@ def fit_from_moments(m) -> Lp3Params:
     mu1, mu2, mu3 = (float(v) for v in m)
     if not (mu1 > 0 and mu2 > 0 and mu3 > 0):
         raise NoSolutionError("moments must be positive")
+    if math.inf in (mu1, mu2, mu3):  # sample moments of huge values
+        raise NoSolutionError("moments must be finite")
     l1, l2, l3 = math.log(mu1), math.log(mu2), math.log(mu3)
     den = l2 - 2.0 * l1
     if den <= 0.0:

@@ -127,10 +127,13 @@ def sample_moments(values):
     """
     y = np.asarray(values, np.float64)
     n = y.size
-    powers = [y**k for k in (1, 2, 3)]
-    mus = tuple(float(yk.mean()) for yk in powers)
-    ses = tuple(float(yk.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
-                for yk in powers)
+    # y^3 and the y^6 of its standard error overflow for large y; the
+    # moments are then inf (or NaN), which the caller's checks reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = [y**k for k in (1, 2, 3)]
+        mus = tuple(float(yk.mean()) for yk in powers)
+        ses = tuple(float(yk.std(ddof=1) / math.sqrt(n)) if n > 1
+                    else math.nan for yk in powers)
     return mus, ses
 
 

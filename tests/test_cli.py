@@ -668,6 +668,50 @@ def test_fit_infeasible_moments_is_numeric_failure(tmp_path, capsys):
     assert "fit failed" in capsys.readouterr().err
 
 
+def _lognormal_csv(tmp_path, scale):
+    # 10 000 order-3, bit-1 samples of a lognormal law times scale
+    values = np.random.default_rng(1).lognormal(0.0, 0.3, 10_000) * scale
+    path = tmp_path / "samples.csv"
+    montecarlo.save_csv(path, [montecarlo.SampleSet(order=3, bit=1,
+                                                    values=values)])
+    return str(path)
+
+
+# numpy raises these warnings from its own frames, which the package's
+# warning filter does not reach, so the tests turn every one into an error
+@pytest.mark.parametrize("scale", [1e60, 1e160])
+def test_fit_of_huge_samples_warns_nothing(tmp_path, capsys, scale):
+    # y^6 (the standard error of mu3) overflows at 1e60, mu2 at 1e160
+    path = _lognormal_csv(tmp_path, scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["fit", "--samples", path])
+    got = capsys.readouterr()
+    if scale == 1e160:
+        assert rc == EXIT_NUMERIC and got.out == ""
+        assert got.err == "fit failed: moments must be finite\n"
+    else:
+        assert rc == EXIT_OK and got.err == ""
+        assert "\nks = " in got.out
+
+
+@pytest.mark.parametrize("scale", [1e60, 1e160])
+def test_gof_of_huge_samples_warns_nothing(tmp_path, capsys, scale):
+    # at 1e160 the sample variance overflows, and no candidate can fit
+    path = _lognormal_csv(tmp_path, scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["gof", "--samples", path])
+    got = capsys.readouterr()
+    assert rc == EXIT_OK and got.err == ""
+    rows = got.out.splitlines()[1:]
+    assert len(rows) == 5
+    for row in rows:
+        assert row.partition("  [")[2] == (
+            "unfit: sample variance overflows a float]" if scale == 1e160
+            else "")
+
+
 def test_fit_needs_exactly_one_source(sample_csv, capsys):
     assert main(["fit"]) == EXIT_CONFIG
     assert main(["fit", "--moments", "1", "2", "3",

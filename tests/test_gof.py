@@ -184,6 +184,16 @@ def test_rank_degenerate_sample():
         assert r.ks_rank == by_name.index(r.distribution) + 1
 
 
+def test_rank_overflowing_variance_fits_nothing():
+    # the mean is finite, the variance 2.5e319 is not
+    s = SampleSet(order=3, bit=1, values=np.tile([1e160, 2e160], 5_000))
+    report = rank_distributions(s)
+    for r in report.rows:
+        assert not r.fitted
+        assert r.error == "sample variance overflows a float"
+        assert math.isnan(r.ks) and math.isnan(r.ad) and math.isnan(r.chi2)
+
+
 def test_rank_cdf_at_1_fails_only_ad():
     # the normal cdf rounds to 1 at the lognormal's far right tail: only
     # AD needs its log there, so KS and chi^2 stay finite

@@ -578,6 +578,8 @@ def test_fit_rejects_infeasible_moments():
         fit_from_moments((1.0, 0.9, 2.0))
     with pytest.raises(NoSolutionError, match="moments must be positive"):
         fit_from_moments((-1.0, 2.0, 2.0))
+    with pytest.raises(NoSolutionError, match="moments must be finite"):
+        fit_from_moments((1e160, math.inf, math.inf))
     # rho <= 1: third moment too small for any LP3 law
     with pytest.raises(NoSolutionError):
         fit_from_moments((1.0, 2.0, 1.5))

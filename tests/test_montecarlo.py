@@ -1,6 +1,7 @@
 """Field synthesis and decision-variable sampling."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -234,6 +235,15 @@ def test_sample_moments_match_closed_form(mc_small):
         mus, se = sample_moments(sets[bit][3].values)
         closed = mean_decision(sp, dp, bit)
         assert abs(mus[0] - closed) < 5.0 * se[0]
+
+
+def test_sample_moments_of_huge_values_overflow_quietly():
+    # y^6, which the standard error of mu3 needs, overflows first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mus, ses = sample_moments(np.array([1e60, 2e60, 3e60]))
+    assert mus == pytest.approx((2e60, 14e120 / 3, 12e180))
+    assert math.isfinite(ses[1]) and ses[2] == math.inf
 
 
 def test_sample_moments_has_no_size_floor():
