@@ -11,13 +11,15 @@ from scipy.integrate import quad
 from dataclasses import replace
 
 from cubicber import (Lp3Params, NormalLaw, ShotThermalLaw,
-                      cdf_shot_thermal, derive, error_probability,
-                      fit_from_moments, optimize_threshold)
+                      cdf_shot_thermal, derive, empirical_ber,
+                      error_probability, fit_from_moments, generate_samples,
+                      optimize_threshold)
 from cubicber import detection, lp3
 from cubicber.detection import BracketError, QuadratureError
 from cubicber.lp3 import cdf as lp3_cdf
 from cubicber.lp3 import moment, quantile
 from cubicber.moments import decision_moments
+from cubicber.montecarlo import sample_moments
 from cubicber.params import K_BOLTZMANN, ParamError, Q_ELECTRON
 from conftest import lp3_pdf, make_system
 
@@ -592,3 +594,69 @@ def test_normal_law_methods():
 def test_normal_law_inverted_means_raise():
     with pytest.raises(BracketError):
         optimize_threshold(NormalLaw(1.0, 1.0), NormalLaw(0.0, 1.0))
+
+
+# --------------------------------------------------------------------------
+# the ASE-only variants do not depend on the detector scale: Y -> cY leaves
+# PE unchanged and moves th_opt to c th_opt, so order 2's placeholder scale
+# cannot enter an lp3 or gauss_approx row
+# --------------------------------------------------------------------------
+
+def _ase_only_results(moments):
+    """(th_opt, PE) of the LP3 and of the Gaussian pair of both bits'
+    raw moments."""
+    lp3_pair = [fit_from_moments(m) for m in moments]
+    gauss_pair = [NormalLaw(m[0], m[1] - m[0] ** 2) for m in moments]
+    return optimize_threshold(*lp3_pair), optimize_threshold(*gauss_pair)
+
+
+def _assert_scaled(got, ref, c, lp3_pe, th, gauss_pe):
+    (th_l, pe_l), (th_g, pe_g) = got
+    (ref_th_l, ref_pe_l), (ref_th_g, ref_pe_g) = ref
+    assert pe_l == pytest.approx(ref_pe_l, rel=lp3_pe, abs=0.0)
+    assert th_l / c == pytest.approx(ref_th_l, rel=th, abs=0.0)
+    assert pe_g == pytest.approx(ref_pe_g, rel=gauss_pe, abs=0.0)
+    assert th_g / c == pytest.approx(ref_th_g, rel=th, abs=0.0)
+
+
+@pytest.mark.parametrize("c", [1e3, 1e-3])
+def test_ase_only_variants_ignore_the_cubic_scale(c):
+    # order 3, closed-form moments; measured over this grid: LP3 PE within
+    # 4.6e-12 relative, th_opt / c within 1.9e-13, Gaussian PE within
+    # 8.9e-16
+    for prd in (10.0, 25.0, 100.0):
+        for p_r_dbm in (29.0, 33.0, 37.0, 41.0):
+            sp = make_system(prd=prd, p_r_dbm=p_r_dbm)
+            dp = derive(sp)
+            scaled = replace(dp, cubic_scale=c * dp.cubic_scale)
+            ref, got = (_ase_only_results([decision_moments(sp, d, bit)
+                                           for bit in (0, 1)])
+                        for d in (dp, scaled))
+            _assert_scaled(got, ref, c, lp3_pe=1e-10, th=1e-12,
+                           gauss_pe=1e-13)
+
+
+def test_ase_only_variants_ignore_the_responsivity():
+    # orders 1 and 2 take their moments from samples, drawn with the
+    # scaled responsivity; measured at c = 1e3 and 1e-3: LP3 PE within
+    # 2.7e-13 relative, th_opt / c within 2.2e-14, Gaussian PE within
+    # 1.9e-14, and empirical_ber's PE identical
+    for p_r_dbm in (31.0, 35.0):
+        sp = make_system(prd=10.0, p_r_dbm=p_r_dbm)
+        dp = derive(sp)
+
+        def draw(d):
+            return [generate_samples(sp, d, bit, 20_000, orders=(1, 2),
+                                     seed=3) for bit in (0, 1)]
+
+        ref_sets = draw(dp)
+        for c in (1e3, 1e-3):
+            sets = draw(replace(dp, responsivity=c * dp.responsivity))
+            for order in (1, 2):
+                ref, got = (_ase_only_results(
+                    [sample_moments(s[order].values)[0] for s in pair])
+                    for pair in (ref_sets, sets))
+                _assert_scaled(got, ref, c, lp3_pe=1e-10, th=1e-12,
+                               gauss_pe=1e-13)
+                assert (empirical_ber(*(s[order] for s in sets))[1]
+                        == empirical_ber(*(s[order] for s in ref_sets))[1])
