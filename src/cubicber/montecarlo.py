@@ -127,8 +127,8 @@ def sample_moments(values):
     """
     y = np.asarray(values, np.float64)
     n = y.size
-    # y^3 and the y^6 of its standard error overflow for large y; the
-    # moments are then inf (or NaN), which the caller's checks reject
+    # y^2, y^3 and the y^6 of se3 overflow for large y, to an inf moment
+    # or an inf or NaN standard error; callers check what they use
     with np.errstate(over="ignore", invalid="ignore"):
         powers = [y**k for k in (1, 2, 3)]
         mus = tuple(float(yk.mean()) for yk in powers)
