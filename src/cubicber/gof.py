@@ -79,53 +79,44 @@ def chi2_statistic(f, bins: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# candidate laws, two-moment matched except LP3
+# candidate cdfs fitted from the raw sample moments mus and the variance v.
+# The rank takes them only at its samples, all >= 0; each is 0 at y = 0.
 
-def _fit_lp3(x, m, v):
-    return lp3.fit_from_moments(sample_moments(x)[0]).cdf
+def _fit_lognormal(mus, v):
+    s2 = math.log1p(v / (mus[0] * mus[0]))
+    mu = math.log(mus[0]) - 0.5 * s2
+    s = math.sqrt(s2)
 
-
-def _on_positive(cdf):
-    # a cdf given on y > 0, extended by 0 to the rest of the line
     def f(y):
-        y = np.asarray(y, np.float64)
-        out = np.zeros(y.shape, np.float64)
-        pos = y > 0.0
-        out[pos] = cdf(y[pos])
-        return out
+        with np.errstate(divide="ignore"):  # ln 0 = -inf
+            return _ndtr((np.log(y) - mu) / s)
 
     return f
 
 
-def _fit_lognormal(x, m, v):
-    s2 = math.log1p(v / (m * m))
-    mu = math.log(m) - 0.5 * s2
-    s = math.sqrt(s2)
-    return _on_positive(lambda y: _ndtr((np.log(y) - mu) / s))
+def _fit_gamma(mus, v):
+    shape, scale = mus[0] * mus[0] / v, v / mus[0]
+    return lambda y: lp3.reg_gamma_p(shape, y / scale)
 
 
-def _fit_gamma(x, m, v):
-    shape = m * m / v
-    scale = v / m
-    return _on_positive(lambda y: lp3.reg_gamma_p(shape, y / scale))
-
-
-def _fit_inverse_gaussian(x, m, v):
+def _fit_inverse_gaussian(mus, v):
+    m = mus[0]
     lam = m ** 3 / v
 
     def f(y):
-        r = np.sqrt(lam / y)
+        with np.errstate(divide="ignore"):  # lam / 0 = inf
+            r = np.sqrt(lam / y)
         # second term computed in log space: exp(2 lam/m) alone overflows
         t1 = _ndtr(r * (y / m - 1.0))
         t2 = np.exp(2.0 * lam / m + _log_ndtr(-r * (y / m + 1.0)))
         return np.clip(t1 + t2, 0.0, 1.0)
 
-    return _on_positive(f)
+    return f
 
 
 _CANDIDATES = (
-    ("log_pearson3", _fit_lp3),
-    ("normal", lambda x, m, v: NormalLaw(m, v).cdf),
+    ("log_pearson3", lambda mus, v: lp3.fit_from_moments(mus).cdf),
+    ("normal", lambda mus, v: NormalLaw(mus[0], v).cdf),
     ("lognormal", _fit_lognormal),
     ("gamma", _fit_gamma),
     ("inverse_gaussian", _fit_inverse_gaussian),
@@ -191,9 +182,9 @@ def rank_distributions(s: SampleSet) -> GofReport:
         raise GofError(f"need at least {MIN_SAMPLES} samples, got {n}")
     nb = n // 50
 
+    mus = sample_moments(x)[0]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        m = float(x.mean())
-        v = float(x.var())
+        v = float(x.var())  # two passes: mu2 - mu1^2 cancels at small spread
     rows = []
     for name, fitter in _CANDIDATES:
         row = CandidateResult(distribution=name, fitted=False)
@@ -203,7 +194,7 @@ def rank_distributions(s: SampleSet) -> GofReport:
                 raise GofError("sample variance overflows a float")
             if not v > 0.0:
                 raise GofError("degenerate sample variance")
-            f = fitter(x, m, v)
+            f = fitter(mus, v)
         except (ValueError, ArithmeticError) as exc:
             row.error = str(exc)
             continue
