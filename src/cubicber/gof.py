@@ -101,7 +101,10 @@ def _fit_gamma(mus, v):
 
 def _fit_inverse_gaussian(mus, v):
     m = mus[0]
-    lam = m ** 3 / v
+    try:
+        lam = m ** 3 / v
+    except OverflowError:  # ** raises where * would give inf
+        raise GofError("mean**3 overflows a float") from None
 
     def f(y):
         with np.errstate(divide="ignore"):  # lam / 0 = inf

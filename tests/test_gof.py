@@ -194,6 +194,16 @@ def test_rank_overflowing_variance_fits_nothing():
         assert math.isnan(r.ks) and math.isnan(r.ad) and math.isnan(r.chi2)
 
 
+@pytest.mark.parametrize("scale, error", [
+    (1e100, None), (1e110, "mean**3 overflows a float")])
+def test_rank_inverse_gaussian_names_its_overflow(scale, error):
+    # lam = mean**3 / v: a mean above ~5.6e102 overflows its cube
+    values = np.random.default_rng(1).lognormal(0.0, 0.3, 10_000) * scale
+    ig = _row(rank_distributions(SampleSet(order=3, bit=1, values=values)),
+              "inverse_gaussian")
+    assert ig.fitted == (error is None) and ig.error == error
+
+
 def test_rank_cdf_at_1_fails_only_ad():
     # the normal cdf rounds to 1 at the lognormal's far right tail: only
     # AD needs its log there, so KS and chi^2 stay finite
