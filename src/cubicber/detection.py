@@ -18,8 +18,10 @@ and, per threshold x, the levels y where (y - x)/sigma(y) runs over -10..14
 in unit steps, all clipped to [lo, hi] with lo = clip(x - 10 sigma(x), 0,
 quantile(1e-14)) and hi = max(quantile(1 - 1e-12), x + 10 sigma(x)). The
 cdf adds the law's mass below lo and sf its mass above hi, where the kernel
-is 1. A summed |K15 - G7| over the panels above 1e-9 + 1e-6 |value| raises
-QuadratureError.
+is 1. A threshold whose summed |K15 - G7| over the panels exceeds 1e-9 +
+1e-6 |value| is integrated again with each panel cut into 4, then 16, then
+64 equal pieces (bit 0's law at PRD 1-1.1 spans 21 decades in y), and
+raises QuadratureError past that.
 
 PE = sf0/2 + cdf1/2 takes no 1 - cdf, so bit 0's tail keeps its digits
 where cdf0 rounds to 1. PE' = (f1 - f0)/2: its minimum is a density crossing.
@@ -177,6 +179,34 @@ def _st_block(law, x, kind):
         [np.broadcast_to(cuts, (x.size, cuts.size)), kern, lo[:, None],
          hi[:, None]], axis=1)
     edges = np.sort(np.clip(edges, lo[:, None], hi[:, None]), axis=1)
+    val, err = _gk_panels(law, x, edges, kind)
+    # only the thresholds whose estimate fails run on split panels
+    bad = np.flatnonzero(err > 1e-9 + 1e-6 * np.abs(val))
+    for split in (4, 16, 64):
+        if bad.size == 0:
+            break
+        e = edges[bad]
+        t = np.arange(split) / split
+        fine = e[:, :-1, None] + np.diff(e, axis=1)[..., None] * t
+        fine = np.concatenate([fine.reshape(bad.size, -1), e[:, -1:]], axis=1)
+        val[bad], err[bad] = _gk_panels(law, x[bad], fine, kind)
+        bad = bad[err[bad] > 1e-9 + 1e-6 * np.abs(val[bad])]
+    if bad.size:
+        raise QuadratureError(f"shot/thermal integral error estimate "
+                              f"{err[bad].max():g} too large")
+    # the law's mass where the kernel is 1: above hi for sf, below lo for
+    # the cdf
+    if kind == "sf":
+        val += lp3.sf(law.clean, hi)
+    elif kind == "cdf":
+        val += lp3.cdf(law.clean, lo)
+    return val
+
+
+def _gk_panels(law, x, edges, kind):
+    # the Gauss-Kronrod 7/15 sums over the panels between the edges of each
+    # threshold: (Kronrod value, summed |K15 - G7|) per threshold
+    qe_tp, th_tp = law.dp.qe_tp, law.dp.thermal_var
     half = 0.5 * np.diff(edges, axis=1)
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
     y = mid[..., None] + half[..., None] * _GK_X  # (threshold, panel, node)
@@ -194,18 +224,7 @@ def _st_block(law, x, kind):
     f[live] *= np.exp(lp3.logpdf(law.clean, y[live]))
     kron = (f * _GK_WK).sum(axis=2) * half
     gauss = (f * _GK_WG).sum(axis=2) * half
-    val = kron.sum(axis=1)
-    err = np.abs(kron - gauss).sum(axis=1)
-    if (err > 1e-9 + 1e-6 * np.abs(val)).any():
-        raise QuadratureError(f"shot/thermal integral error estimate "
-                              f"{err.max():g} too large")
-    # the law's mass where the kernel is 1: above hi for sf, below lo for
-    # the cdf
-    if kind == "sf":
-        val += lp3.sf(law.clean, hi)
-    elif kind == "cdf":
-        val += lp3.cdf(law.clean, lo)
-    return val
+    return kron.sum(axis=1), np.abs(kron - gauss).sum(axis=1)
 
 
 def error_probability(law0, law1, th):

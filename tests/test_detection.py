@@ -470,6 +470,33 @@ def test_shot_thermal_bit1_cdf_and_density_keep_their_digits(prd, p_r_dbm):
     assert abs(dens / float(_mp_st(st1, th, "pdf")) - 1.0) <= 1e-10
 
 
+def _prd1_laws(prd, r_l):
+    # 37 dBm: bit 0's clean law at PRD 1 (alpha 13.5, beta -0.76) spans 21
+    # decades, where the fixed panels failed the error estimate
+    sp = make_system(prd=prd, p_r_dbm=37.0, r_l=r_l)
+    dp = derive(sp)
+    return [ShotThermalLaw(fit_from_moments(decision_moments(sp, dp, b)), dp)
+            for b in (0, 1)]
+
+
+@pytest.mark.parametrize("r_l", [100.0, 1000.0, 10000.0])
+@pytest.mark.parametrize("prd", [1.0, 1.05, 1.1])
+def test_shot_thermal_search_runs_at_prd_1(prd, r_l):
+    th, pe = optimize_threshold(*_prd1_laws(prd, r_l))
+    assert 0.0 < th and 1e-5 < pe < 1e-4
+
+
+@pytest.mark.parametrize("r_l", [100.0, 1000.0, 10000.0])
+def test_shot_thermal_split_panels_keep_their_digits(r_l):
+    # the failing thresholds are integrated again on split panels; at the
+    # search's threshold bit 0's sf and both cdfs agree to 4.4e-14
+    st0, st1 = _prd1_laws(1.0, r_l)
+    th, _ = optimize_threshold(st0, st1)
+    for st, kind in ((st0, "sf"), (st0, "cdf"), (st1, "cdf")):
+        got = getattr(st, kind)(th)
+        assert abs(got / float(_mp_st(st, th, kind)) - 1.0) <= 1e-12
+
+
 # --------------------------------------------------------------------------
 # threshold optimization
 # --------------------------------------------------------------------------
