@@ -4,6 +4,7 @@ import math
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -225,6 +226,63 @@ def test_bit0_moments_match_the_discrete_model(mc_small):
         mus, se = sample_moments(sets[0][n].values)
         assert abs(mus[0] - mu1) <= 4.0 * se[0], n
         assert abs(mus[1] - mu2) <= 4.0 * se[1], n
+
+
+def _order1_kernel(prd):
+    # A = S^T W S: the order-1 decision sum is c (a^T A a + b^T A b) for the
+    # in-phase and quadrature coefficients a, b
+    u, S, w = _grid(prd)
+    return S.T @ (w[:, None] * S)
+
+
+def _window_sinc2(span):
+    # int (L - |t|) sinc^2(t) dt over |t| <= L = span, in closed form:
+    # 2 L int_0^L sinc^2 less Cin(2 pi L) / pi^2
+    pi, x = mpmath.pi, 2 * mpmath.pi * span
+    cin = mpmath.euler + mpmath.log(x) - mpmath.ci(x)
+    return float(2 * span * (mpmath.si(x) / pi - mpmath.sin(pi * span) ** 2
+                             / (pi * pi * span)) - cin / (pi * pi))
+
+
+# (PRD, tr(A)/PRD - 1, the window integral of sinc^2, ||A||_F^2 / it - 1)
+ORDER1_KERNEL = [
+    (10.0, -2.7178e-3, 9.420704, -3.1895e-3),
+    (25.0, -2.3397e-3, 24.327843, -2.1966e-3),
+    (100.0, -1.4238e-3, 99.187378, -1.2868e-3),
+]
+
+
+@pytest.mark.parametrize("prd, tr_bias, window, fro_bias", ORDER1_KERNEL)
+def test_order1_kernel_truncation(prd, tr_bias, window, fro_bias):
+    # With every integer m kept and exact integrals, A would be the sinc
+    # kernel on the window: tr(A) = PRD and ||A||_F^2 the window integral of
+    # sinc^2. tr(A) and ||A||_F^2 are the sum of A's eigenvalues and of
+    # their squares; the truncation leaves both low.
+    a = _order1_kernel(prd)
+    exact = _window_sinc2(prd)
+    assert exact == pytest.approx(window, abs=1e-6)
+    assert np.trace(a) / prd - 1.0 == pytest.approx(tr_bias, abs=1e-7)
+    assert (a * a).sum() / exact - 1.0 == pytest.approx(fro_bias, abs=1e-7)
+
+
+@pytest.mark.parametrize("prd", [10.0, 25.0, 100.0])
+def test_order1_samples_match_their_kernel(prd):
+    # bit 0 at order 1 has mean 2 sigma0^2 c tr(A) and variance
+    # 4 sigma0^4 c^2 ||A||_F^2; 20k trials land within 3 standard errors
+    # (z = -0.83, -0.06, 0.46 for the mean, 0.45, 0.29, -0.96 for the
+    # variance, measured)
+    sp = make_system(prd=prd)
+    dp = derive(sp)
+    y = generate_samples(sp, dp, 0, 20_000, orders=(1,), seed=11)[1].values
+    a = _order1_kernel(prd)
+    c = dp.responsivity / prd
+    mus, se = sample_moments(y)
+    assert abs(mus[0] - 2.0 * dp.sigma0_sq * c * np.trace(a)) <= 3.0 * se[0]
+    d = y - y.mean()
+    var = d @ d / (y.size - 1)
+    se_var = math.sqrt(((d ** 4).mean() - var * var) / y.size)
+    want = 4.0 * dp.sigma0_sq ** 2 * c * c * (a * a).sum()
+    assert abs(var - want) <= 3.0 * se_var
 
 
 def test_sample_moments_match_closed_form(mc_small):
