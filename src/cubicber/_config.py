@@ -54,24 +54,6 @@ def _quantity(raw: str, table, what: str) -> float:
     raise ConfigError(f"{what} does not take unit {suffix!r} (in {raw!r})")
 
 
-def _time(raw): return _quantity(raw, _TIME, "a time")
-
-
-def _length(raw): return _quantity(raw, _LENGTH, "a length")
-
-
-def _resistance(raw): return _quantity(raw, _RESISTANCE, "a resistance")
-
-
-def _power(raw): return _quantity(raw, _POWER, "a power")
-
-
-def _temperature(raw): return _quantity(raw, _TEMPERATURE, "a temperature")
-
-
-def _gain(raw): return _quantity(raw, _GAIN, "a gain")
-
-
 def _bare(raw: str) -> float:
     mag, suffix = _split_quantity(raw)
     if suffix:
@@ -86,6 +68,8 @@ def _integer(raw: str) -> int:
     if re.fullmatch(r"[-+]?[0-9]+", text) and math.isfinite(float(text)):
         return int(text)
     v = _bare(raw)
+    if not math.isfinite(v):  # int() would raise OverflowError
+        raise ConfigError(f"{raw!r} is out of range")
     if v != int(v):
         raise ConfigError(f"expected an integer, got {raw!r}")
     return int(v)
@@ -98,10 +82,6 @@ def _boolean(raw: str) -> bool:
     if low in ("false", "no", "0", "off"):
         return False
     raise ConfigError(f"expected a boolean, got {raw!r}")
-
-
-def _string(raw: str) -> str:
-    return raw.strip()
 
 
 def _comma_list(raw, item):
@@ -130,31 +110,32 @@ def _sweep_range(raw: str):
 
 _SCHEMA = {
     # physical system
-    "tau_c": _time,
+    "tau_c": lambda raw: _quantity(raw, _TIME, "a time"),
     "prd": _bare,
-    "wavelength": _length,
-    "g_amp": _gain,
-    "l2": _gain,
+    "wavelength": lambda raw: _quantity(raw, _LENGTH, "a length"),
+    "g_amp": lambda raw: _quantity(raw, _GAIN, "a gain"),
+    "l2": lambda raw: _quantity(raw, _GAIN, "a gain"),
     "n_sp": _bare,
     "eta": _bare,
     "k": _bare,
     "gamma_nl": _bare,
-    "p_r": _power,
-    "t_r": _temperature,
-    "r_l": lambda raw: _comma_list(raw, _resistance),
+    "p_r": lambda raw: _quantity(raw, _POWER, "a power"),
+    "t_r": lambda raw: _quantity(raw, _TEMPERATURE, "a temperature"),
+    "r_l": lambda raw: _comma_list(
+        raw, lambda p: _quantity(p, _RESISTANCE, "a resistance")),
     # sweep axis (exactly one per sweep config)
     "sweep_p_r_dbm": _sweep_range,
     "sweep_sigma0_sq_dbm": _sweep_range,
     "sweep_prd": lambda raw: _comma_list(raw, _bare),
     # run settings
     "orders": lambda raw: _comma_list(raw, _integer),
-    "variants": lambda raw: _comma_list(raw, _string),
+    "variants": lambda raw: _comma_list(raw, str),
     "analytic_only": _boolean,
     "trials": _integer,
     "seed": _integer,
-    "out": _string,
+    "out": str,
     # fit / gof inputs
-    "samples": _string,
+    "samples": str,
     "moments": lambda raw: _comma_list(raw, _bare),
     "order": _integer,
     "bit": _integer,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import detection, gof, lp3, montecarlo
+from . import _config, detection, gof, lp3, montecarlo
 from ._config import ConfigError, load_config
 # mean_decision is not called here; perfbench/test_perfbench.py checks that
 # the benchmark's tracer rewraps this `from` import of it
@@ -462,7 +462,8 @@ def _add_common(sub, seed: bool = False) -> None:
     sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--out", help="output path")
     if seed:
-        sub.add_argument("--seed", type=int, help="RNG seed (u64)")
+        sub.add_argument("--seed", type=_config._integer,
+                         help="RNG seed (u64)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("ber-sweep", help="BER over a swept axis")
     _add_common(p, seed=True)
-    p.add_argument("--trials", type=int, help="MC trials per bit per point")
+    p.add_argument("--trials", type=_config._integer,
+                   help="MC trials per bit per point")
     p.add_argument("--analytic-only", action="store_true", default=None,
                    help="skip Monte-Carlo variants")
     p.set_defaults(run=_cmd_ber_sweep)
@@ -483,21 +485,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--moments", type=float, nargs=3,
                    metavar=("MU1", "MU2", "MU3"))
     p.add_argument("--samples", help="sample CSV (trial,order,bit,value)")
-    p.add_argument("--order", type=int)
-    p.add_argument("--bit", type=int)
+    p.add_argument("--order", type=_config._integer)
+    p.add_argument("--bit", type=_config._integer)
     p.set_defaults(run=_cmd_fit)
 
     p = subs.add_parser("gof", help="distribution ranking for samples")
     _add_common(p)
     p.add_argument("--samples", help="sample CSV (trial,order,bit,value)")
-    p.add_argument("--order", type=int)
-    p.add_argument("--bit", type=int)
+    p.add_argument("--order", type=_config._integer)
+    p.add_argument("--bit", type=_config._integer)
     p.set_defaults(run=_cmd_gof)
 
     p = subs.add_parser("mc-validate",
                         help="closed-form moments vs Monte-Carlo")
     _add_common(p, seed=True)
-    p.add_argument("--trials", type=int)
+    p.add_argument("--trials", type=_config._integer)
     p.set_defaults(run=_cmd_mc_validate)
     return parser
 
