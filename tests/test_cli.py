@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from cubicber import cli, lp3, montecarlo
+from cubicber._config import ConfigError, parse_config
 from cubicber.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_TOLERANCE, main
 from cubicber.lp3 import Lp3Params
 from cubicber.params import SystemParams, dbm_to_watts, derive
@@ -263,6 +264,47 @@ trials = 1000
     key = rows(2**53 + 1, flag=False)
     assert key == rows(2**53 + 1, flag=True) != rows(2**53, flag=True)
     assert rows(2**64 - 1, flag=False) == rows(2**64 - 1, flag=True)
+
+
+def test_trials_flag_in_exponent_form_runs_the_key_s_trials(tmp_path,
+                                                             capsys):
+    # --trials 1e4 and trials = 10000 are one setting: same report, same file
+    system = "prd = 100\np_r = 33dBm\nseed = 1\n"
+    runs = []
+    for text, flag in ((system + "trials = 10000\n", []),
+                       (system, ["--trials", "1e4"])):
+        out = tmp_path / f"mc{len(runs)}.txt"
+        cfg = write_cfg(tmp_path, text, f"run{len(runs)}.cfg")
+        assert main(["mc-validate", "--config", cfg, "--out", str(out),
+                     *flag]) == EXIT_OK
+        runs.append((capsys.readouterr().out, out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert " trials=10000 " in runs[1][0]
+
+
+@pytest.mark.parametrize("argv,key,value", [
+    (["ber-sweep", "--seed", "1e0"], "seed", 1),
+    (["mc-validate", "--seed", "1e0"], "seed", 1),
+    (["ber-sweep", "--trials", "2e3"], "trials", 2000),
+    (["fit", "--order", "3e0"], "order", 3),
+    (["gof", "--bit", "1e0"], "bit", 1),
+])
+def test_integer_flags_take_the_config_number_grammar(argv, key, value):
+    assert getattr(cli.build_parser().parse_args(argv), key) == value
+
+
+@pytest.mark.parametrize("raw", ["1e400", "1.5"])
+def test_integer_flags_reject_what_their_keys_reject(raw, capsys):
+    # a value that is not finite is a usage error too, not the OverflowError
+    # of int(inf), which argparse would let through as a traceback
+    with pytest.raises(ConfigError):
+        parse_config(f"trials = {raw}")
+    with pytest.raises(SystemExit) as exc:
+        main(["ber-sweep", "--trials", raw])
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"argument --trials: invalid _integer value: '{raw}'" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
