@@ -265,24 +265,47 @@ def test_order1_kernel_truncation(prd, tr_bias, window, fro_bias):
     assert (a * a).sum() / exact - 1.0 == pytest.approx(fro_bias, abs=1e-7)
 
 
-@pytest.mark.parametrize("prd", [10.0, 25.0, 100.0])
-def test_order1_samples_match_their_kernel(prd):
-    # bit 0 at order 1 has mean 2 sigma0^2 c tr(A) and variance
-    # 4 sigma0^4 c^2 ||A||_F^2; 20k trials land within 3 standard errors
-    # (z = -0.83, -0.06, 0.46 for the mean, 0.45, 0.29, -0.96 for the
-    # variance, measured)
-    sp = make_system(prd=prd)
+# (PRD, bit, received dBm); z of the mean, the variance and kappa3 at
+# seed 11, measured: bit 0 -0.83 / 0.45 / 0.74, -0.06 / 0.29 / -0.85,
+# 0.46 / -0.96 / 0.38; bit 1 -0.11 / 0.67 / 0.02, -0.08 / 0.37 / 0.23,
+# -0.17 / 0.65 / 1.71, -0.50 / 0.08 / 1.61, -0.79 / 0.59 / 0.09,
+# -1.04 / 0.71 / -0.09
+ORDER1_DRAWS = [(10.0, 0, None), (25.0, 0, None), (100.0, 0, None),
+                (10.0, 1, 33.0), (10.0, 1, 37.0), (25.0, 1, 33.0),
+                (25.0, 1, 37.0), (100.0, 1, 33.0), (100.0, 1, 37.0)]
+
+
+@pytest.mark.parametrize("prd, bit, p_r_dbm", ORDER1_DRAWS, ids=[
+    f"{prd}" if dbm is None else f"{prd}-{dbm}dBm"
+    for prd, _, dbm in ORDER1_DRAWS])
+def test_order1_samples_match_their_kernel(prd, bit, p_r_dbm):
+    # With c = R/PRD, the pulse s = sqrt(P_r) sinc(u) on the grid (0 for
+    # bit 0) and b = S^T W s, order 1 has the exact cumulants
+    # k1 = c (s^T W s + 2 sigma0^2 tr A),
+    # k2 = c^2 (4 sigma0^4 ||A||_F^2 + 4 sigma0^2 ||b||^2),
+    # k3 = c^3 (16 sigma0^6 tr A^3 + 24 sigma0^4 b^T A b);
+    # 20k trials land within 3 standard errors of each
+    sp = make_system(prd=prd, p_r_dbm=p_r_dbm)
     dp = derive(sp)
-    y = generate_samples(sp, dp, 0, 20_000, orders=(1,), seed=11)[1].values
+    y = generate_samples(sp, dp, bit, 20_000, orders=(1,), seed=11)[1].values
+    u, S, w = _grid(prd)
     a = _order1_kernel(prd)
-    c = dp.responsivity / prd
+    s = math.sqrt(sp.p_r) * np.sinc(u) if bit else np.zeros_like(u)
+    b = S.T @ (w * s)
+    c, v = dp.responsivity / prd, dp.sigma0_sq
     mus, se = sample_moments(y)
-    assert abs(mus[0] - 2.0 * dp.sigma0_sq * c * np.trace(a)) <= 3.0 * se[0]
+    assert abs(mus[0] - c * (s @ (w * s) + 2.0 * v * np.trace(a))) \
+        <= 3.0 * se[0]
     d = y - y.mean()
     var = d @ d / (y.size - 1)
     se_var = math.sqrt(((d ** 4).mean() - var * var) / y.size)
-    want = 4.0 * dp.sigma0_sq ** 2 * c * c * (a * a).sum()
+    want = c * c * (4.0 * v * v * (a * a).sum() + 4.0 * v * (b @ b))
     assert abs(var - want) <= 3.0 * se_var
+    m3 = (d ** 3).mean()
+    se_m3 = math.sqrt(((d ** 3 - m3) ** 2).mean() / y.size)
+    want = c ** 3 * (16.0 * v ** 3 * np.trace(a @ a @ a)
+                     + 24.0 * v * v * (b @ a @ b))
+    assert abs(m3 - want) <= 3.0 * se_m3
 
 
 def test_sample_moments_match_closed_form(mc_small):
