@@ -27,8 +27,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import _config, detection, gof, lp3, montecarlo
-from ._config import ConfigError, load_config
+from . import detection, gof, lp3, montecarlo
+from ._config import ConfigError, _integer, load_config
 # mean_decision is not called here; perfbench/test_perfbench.py checks that
 # the benchmark's tracer rewraps this `from` import of it
 from .moments import decision_moments, mean_decision
@@ -462,8 +462,7 @@ def _add_common(sub, seed: bool = False) -> None:
     sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--out", help="output path")
     if seed:
-        sub.add_argument("--seed", type=_config._integer,
-                         help="RNG seed (u64)")
+        sub.add_argument("--seed", type=_integer, help="RNG seed (u64)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("ber-sweep", help="BER over a swept axis")
     _add_common(p, seed=True)
-    p.add_argument("--trials", type=_config._integer,
+    p.add_argument("--trials", type=_integer,
                    help="MC trials per bit per point")
     p.add_argument("--analytic-only", action="store_true", default=None,
                    help="skip Monte-Carlo variants")
@@ -485,21 +484,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--moments", type=float, nargs=3,
                    metavar=("MU1", "MU2", "MU3"))
     p.add_argument("--samples", help="sample CSV (trial,order,bit,value)")
-    p.add_argument("--order", type=_config._integer)
-    p.add_argument("--bit", type=_config._integer)
+    p.add_argument("--order", type=_integer)
+    p.add_argument("--bit", type=_integer)
     p.set_defaults(run=_cmd_fit)
 
     p = subs.add_parser("gof", help="distribution ranking for samples")
     _add_common(p)
     p.add_argument("--samples", help="sample CSV (trial,order,bit,value)")
-    p.add_argument("--order", type=_config._integer)
-    p.add_argument("--bit", type=_config._integer)
+    p.add_argument("--order", type=_integer)
+    p.add_argument("--bit", type=_integer)
     p.set_defaults(run=_cmd_gof)
 
     p = subs.add_parser("mc-validate",
                         help="closed-form moments vs Monte-Carlo")
     _add_common(p, seed=True)
-    p.add_argument("--trials", type=_config._integer)
+    p.add_argument("--trials", type=_integer)
     p.set_defaults(run=_cmd_mc_validate)
     return parser
 

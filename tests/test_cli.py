@@ -266,8 +266,7 @@ trials = 1000
     assert rows(2**64 - 1, flag=False) == rows(2**64 - 1, flag=True)
 
 
-def test_trials_flag_in_exponent_form_runs_the_key_s_trials(tmp_path,
-                                                             capsys):
+def test_trials_flag_in_exponent_form_matches_the_key(tmp_path, capsys):
     # --trials 1e4 and trials = 10000 are one setting: same report, same file
     system = "prd = 100\np_r = 33dBm\nseed = 1\n"
     runs = []
