@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import detection, gof, lp3, montecarlo
-from ._config import ConfigError, _integer, load_config
+from ._config import ConfigError, _bare, _integer, load_config
 # mean_decision is not called here; perfbench/test_perfbench.py checks that
 # the benchmark's tracer rewraps this `from` import of it
 from .moments import decision_moments, mean_decision
@@ -180,29 +180,64 @@ def _draw(cfg: SweepConfig, sp: SystemParams, bit: int, powers=None):
         return str(exc)
 
 
-def _eval_point(cfg: SweepConfig, x, r_l, sp, sets) -> list[dict]:
-    """The rows of one sweep point at the system sp, or at the message of
-    the error that building its system raised. sets: {bit: {order:
-    SampleSet}, or the message of the error its draw raised}, or None for a
-    point that draws nothing."""
-    def samples(bit):
-        if sets is None:
-            raise ParamError("Monte-Carlo sampling disabled by analytic_only")
-        if isinstance(sets[bit], str):  # its draw failed
-            raise ParamError(sets[bit])
-        return sets[bit]
+def _samples(sets, bit):
+    """The sample sets {order: SampleSet} of a bit (see _eval_point)."""
+    if sets is None:
+        raise ParamError("Monte-Carlo sampling disabled by analytic_only")
+    if isinstance(sets[bit], str):  # its draw failed
+        raise ParamError(sets[bit])
+    return sets[bit]
 
+
+def _point_laws(cfg: SweepConfig, sp, sets) -> dict:
+    """{(order, variant): the law pair, or the point error building it
+    raised} of the analytic variants of one point (see _eval_point). A
+    shot/thermal pair, which does not stack, holds its search's outcome."""
     @functools.cache
     def moments(bit, order):
         """(mu1, mu2, mu3): closed form for order 3, else MC."""
         if order == 3:
             return decision_moments(sp, derive(sp), bit)
-        return montecarlo.sample_moments(samples(bit)[order].values)[0]
+        return montecarlo.sample_moments(_samples(sets, bit)[order].values)[0]
 
     @functools.cache
     def lp3_law(bit, order):
         return lp3.fit_from_moments(moments(bit, order))
 
+    laws = {}
+    for order in cfg.orders:
+        for variant in cfg.variants:
+            if variant == "mc":
+                continue
+            try:
+                if variant == "lp3_shot_thermal" and order == 2:
+                    # order 2's detector scale is a placeholder, so
+                    # sigma^2(y) is too
+                    raise ParamError("order 2 has no physical detector "
+                                     "scale for shot/thermal noise")
+                # each variant builds only its own laws, so it fails only
+                # where they do
+                if variant == "gauss_approx":
+                    pair = [detection.NormalLaw(m[0], m[1] - m[0] ** 2)
+                            for m in (moments(b, order) for b in (0, 1))]
+                else:
+                    pair = [lp3_law(b, order) for b in (0, 1)]
+                laws[order, variant] = pair
+                if variant == "lp3_shot_thermal":
+                    laws[order, variant] = detection.optimize_threshold(*(
+                        detection.ShotThermalLaw(lw, derive(sp))
+                        for lw in pair))
+            except _POINT_ERRORS as exc:
+                laws[order, variant] = exc
+    return laws
+
+
+def _eval_point(cfg: SweepConfig, x, r_l, sp, sets, found) -> list[dict]:
+    """The rows of one sweep point at the system sp, or at the message of
+    the error that building its system raised. sets: {bit: {order:
+    SampleSet}, or the message of the error its draw raised}, or None for a
+    point that draws nothing. found: {(order, variant): (th_opt, ber), or
+    the error its laws or search raised} of the analytic variants."""
     rows = []
     prd = float(x) if cfg.x_kind == "prd" else cfg.base.prd
     for order in cfg.orders:
@@ -212,25 +247,12 @@ def _eval_point(cfg: SweepConfig, x, r_l, sp, sets) -> list[dict]:
                 if isinstance(sp, str):  # building its system failed
                     raise ParamError(sp)
                 if variant == "mc":
-                    th, ber = montecarlo.empirical_ber(samples(0)[order],
-                                                       samples(1)[order])
-                elif variant == "lp3_shot_thermal" and order == 2:
-                    # order 2's detector scale is a placeholder, so
-                    # sigma^2(y) is too
-                    raise ParamError("order 2 has no physical detector "
-                                     "scale for shot/thermal noise")
+                    th, ber = montecarlo.empirical_ber(
+                        _samples(sets, 0)[order], _samples(sets, 1)[order])
+                elif isinstance(found[order, variant], Exception):
+                    raise found[order, variant]
                 else:
-                    # each variant builds only its own laws, so it fails
-                    # only where they do
-                    if variant == "gauss_approx":
-                        pair = [detection.NormalLaw(m[0], m[1] - m[0] ** 2)
-                                for m in (moments(b, order) for b in (0, 1))]
-                    else:
-                        pair = [lp3_law(b, order) for b in (0, 1)]
-                    if variant == "lp3_shot_thermal":
-                        pair = [detection.ShotThermalLaw(lw, derive(sp))
-                                for lw in pair]
-                    th, ber = detection.optimize_threshold(*pair)
+                    th, ber = found[order, variant]
             except _POINT_ERRORS as exc:
                 err = str(exc)
             rows.append(dict(x_value=x, x_kind=cfg.x_kind, prd=prd,
@@ -238,6 +260,27 @@ def _eval_point(cfg: SweepConfig, x, r_l, sp, sets) -> list[dict]:
                              ber=ber, order=order,
                              error=err.replace(",", ";")))
     return rows
+
+
+def _rows(cfg: SweepConfig, points) -> list[dict]:
+    """The rows of points [(x, r_l, system, sets)] (see _eval_point).
+
+    Every point's laws are built first; then one threshold search per
+    stacking variant takes the pairs of all points and orders at once,
+    each with the outcome of a search of its pair alone."""
+    found = [{} if isinstance(sp, str) else _point_laws(cfg, sp, sets)
+             for _, _, sp, sets in points]
+    for variant in ("lp3", "gauss_approx"):
+        todo = [(f, order) for f in found for order in cfg.orders
+                if isinstance(f.get((order, variant)), list)]
+        if todo:
+            outcomes = detection.optimize_threshold(*(
+                detection.stack([f[order, variant][b] for f, order in todo])
+                for b in (0, 1)))
+            for (f, order), out in zip(todo, outcomes):
+                f[order, variant] = out
+    return [row for (x, rl, sp, sets), f in zip(points, found)
+            for row in _eval_point(cfg, x, rl, sp, sets, f)]
 
 
 def _batch_rows(cfg: SweepConfig, sp, bit0, points) -> list[dict]:
@@ -250,9 +293,9 @@ def _batch_rows(cfg: SweepConfig, sp, bit0, points) -> list[dict]:
         # a power that overflows fails the shared draw; drawn alone, it
         # fails only its own rows
         sets1 = [_draw(cfg, replace(sp, p_r=p), 1) for p in points]
-    return [row for s1, xs in zip(sets1, points.values())
-            for x, rl, psp in xs
-            for row in _eval_point(cfg, x, rl, psp, {0: sets0, 1: s1})]
+    return _rows(cfg, [(x, rl, psp, {0: sets0, 1: s1})
+                       for s1, xs in zip(sets1, points.values())
+                       for x, rl, psp in xs])
 
 
 def _key_tasks(pool, cfg: SweepConfig, sp, powers) -> list:
@@ -297,8 +340,7 @@ def run_ber_sweep(cfg: SweepConfig) -> list[dict]:
                 powers = keys.setdefault(_noise_key(sp), (sp, {}))[1]
                 powers.setdefault(sp.p_r, []).append((x, rl, sp))
     with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-        tasks = [pool.submit(lambda: [row for p in alone
-                                      for row in _eval_point(cfg, *p, None)])]
+        tasks = [pool.submit(_rows, cfg, [(*p, None) for p in alone])]
         for key in keys.values():
             tasks += _key_tasks(pool, cfg, *key)
         rows = [row for task in tasks for row in task.result()]
@@ -356,8 +398,6 @@ def _cmd_fit(s: dict) -> int:
         if len(moments) != 3:
             raise ConfigError("--moments takes exactly three values")
         mus = tuple(moments)
-        if not all(map(math.isfinite, mus)):
-            raise ConfigError(f"--moments must be finite, got {mus}")
     else:
         sample_set = _load_sample_group(samples_path, s["order"], s["bit"])
         mus = montecarlo.sample_moments(sample_set.values)[0]
@@ -458,11 +498,26 @@ def _cmd_mc_validate(s: dict) -> int:
     return EXIT_OK if all_pass else EXIT_TOLERANCE
 
 
+def _flag(parse):
+    """The argparse type of a flag whose config key parses with parse: a
+    value the key rejects, or that is not finite, is a usage error that
+    gives the key's reason."""
+    def typed(raw: str):
+        try:
+            value = parse(raw)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{raw!r} is out of range")
+        return value
+    return typed
+
+
 def _add_common(sub, seed: bool = False) -> None:
     sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--out", help="output path")
     if seed:
-        sub.add_argument("--seed", type=_integer, help="RNG seed (u64)")
+        sub.add_argument("--seed", type=_flag(_integer), help="RNG seed (u64)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("ber-sweep", help="BER over a swept axis")
     _add_common(p, seed=True)
-    p.add_argument("--trials", type=_integer,
+    p.add_argument("--trials", type=_flag(_integer),
                    help="MC trials per bit per point")
     p.add_argument("--analytic-only", action="store_true", default=None,
                    help="skip Monte-Carlo variants")
@@ -481,24 +536,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("fit", help="three-moment LP3 fit")
     _add_common(p)
-    p.add_argument("--moments", type=float, nargs=3,
+    p.add_argument("--moments", type=_flag(_bare), nargs=3,
                    metavar=("MU1", "MU2", "MU3"))
     p.add_argument("--samples", help="sample CSV (trial,order,bit,value)")
-    p.add_argument("--order", type=_integer)
-    p.add_argument("--bit", type=_integer)
+    p.add_argument("--order", type=_flag(_integer))
+    p.add_argument("--bit", type=_flag(_integer))
     p.set_defaults(run=_cmd_fit)
 
     p = subs.add_parser("gof", help="distribution ranking for samples")
     _add_common(p)
     p.add_argument("--samples", help="sample CSV (trial,order,bit,value)")
-    p.add_argument("--order", type=_integer)
-    p.add_argument("--bit", type=_integer)
+    p.add_argument("--order", type=_flag(_integer))
+    p.add_argument("--bit", type=_flag(_integer))
     p.set_defaults(run=_cmd_gof)
 
     p = subs.add_parser("mc-validate",
                         help="closed-form moments vs Monte-Carlo")
     _add_common(p, seed=True)
-    p.add_argument("--trials", type=_integer)
+    p.add_argument("--trials", type=_flag(_integer))
     p.set_defaults(run=_cmd_mc_validate)
     return parser
 

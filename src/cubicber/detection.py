@@ -30,7 +30,7 @@ where cdf0 rounds to 1. PE' = (f1 - f0)/2: its minimum is a density crossing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -88,20 +88,21 @@ class NormalLaw:
     v: float  # variance
 
     def __post_init__(self) -> None:
-        if not self.v > 0:
+        if not np.all(np.asarray(self.v) > 0):
             raise ParamError("variances must be > 0")
 
     def cdf(self, x):
-        return _ndtr((np.asarray(x, float) - self.m) / math.sqrt(self.v))
+        return _ndtr((np.asarray(x, float) - self.m) / np.sqrt(self.v))
 
     def sf(self, x):
-        return _ndtr((self.m - np.asarray(x, float)) / math.sqrt(self.v))
+        return _ndtr((self.m - np.asarray(x, float)) / np.sqrt(self.v))
 
     def logpdf(self, x):
         return (-0.5 * (np.asarray(x, float) - self.m) ** 2 / self.v
-                - 0.5 * math.log(2.0 * math.pi * self.v))
+                - lp3._by_math(lambda v: 0.5 * math.log(2.0 * math.pi * v),
+                               self.v))
 
-    def mean(self) -> float:
+    def mean(self):
         return self.m
 
 
@@ -232,6 +233,29 @@ def error_probability(law0, law1, th):
     return 0.5 * law0.sf(th) + 0.5 * law1.cdf(th)
 
 
+def stack(laws):
+    """The laws, all Lp3Params or all NormalLaw, as one law of that kind
+    whose fields are arrays: law i is element i. optimize_threshold
+    searches the pairs of two such laws at once."""
+    kind = type(laws[0])
+    return kind(*(np.array([getattr(law, f.name) for law in laws])
+                  for f in fields(kind)))
+
+
+def _pairs(law):
+    # the number of laws a stacked law holds; 0 for a single law
+    return max((v.size for v in (getattr(law, f.name) for f in fields(law))
+                if isinstance(v, np.ndarray)), default=0)
+
+
+def _take(law, idx):
+    # the laws idx (an index array, or an int for a single law) of a
+    # stacked law; a single law stands for itself at every index
+    if not _pairs(law):
+        return law
+    return type(law)(*(getattr(law, f.name)[idx] for f in fields(law)))
+
+
 def optimize_threshold(law0, law1):
     """Minimize PE over the threshold. Returns (th_opt, pe_min).
 
@@ -240,33 +264,85 @@ def optimize_threshold(law0, law1):
     bisected to adjacent floats, and PE is evaluated at the crossings and
     the grid ends. Raises BracketError when an end beats every crossing, or
     there is none although the densities differ; coincident laws give PE 1/2.
+
+    Stacked laws (see stack) of n pairs return a list of n outcomes: pair
+    i's (th_opt, pe_min), or the exception that searching it alone raises.
+    Each pair keeps its own grid, but the densities of all pairs are taken
+    in one array call per step and PE in one call per bit, with the bits of
+    n single searches. If a kernel raises for the stack, its pairs are
+    searched again one at a time.
     """
-    lo = law0.mean() / 100.0
-    hi = law1.mean() * 10.0
-    if not lo > 0.0:
-        lo = hi * 1e-18
-    if not (0.0 < lo < hi):
-        raise BracketError(f"invalid threshold bracket ({lo}, {hi})")
+    n = max(_pairs(law0), _pairs(law1))
+    if n == 0:
+        (found,) = _search(law0, law1, 1)
+        if isinstance(found, Exception):
+            raise found
+        return found
+    try:
+        return _search(law0, law1, n)
+    except _LAW_ERRORS:
+        return [_alone(_take(law0, i), _take(law1, i)) for i in range(n)]
 
-    def gap(th):
-        return law1.logpdf(th) - law0.logpdf(th)
 
+# what a search raises for the laws it is given: their domain errors
+# (ValueError), a failed quadrature, an overflow or an allocation
+_LAW_ERRORS = (ValueError, ArithmeticError, QuadratureError, MemoryError)
+
+
+def _alone(law0, law1):
+    # the outcome of the search of one pair
+    try:
+        return optimize_threshold(law0, law1)
+    except _LAW_ERRORS as exc:
+        return exc
+
+
+def _search(law0, law1, n):
+    # the outcomes of optimize_threshold for the n pairs of law0 and law1
+    found = [None] * n
+    lo = np.broadcast_to(law0.mean() / 100.0, n)
+    hi = np.broadcast_to(law1.mean() * 10.0, n)
+    lo = np.where(lo > 0.0, lo, hi * 1e-18)
+    ok = (0.0 < lo) & (lo < hi)
+    for i in np.flatnonzero(~ok):
+        found[i] = BracketError(f"invalid threshold bracket "
+                                f"({float(lo[i])}, {float(hi[i])})")
+    live = np.flatnonzero(ok)
+    if live.size == 0:
+        return found
+    law0, law1, lo, hi = _take(law0, live), _take(law1, live), lo[live], hi[live]
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 densities
-        grid = np.geomspace(lo, hi, 256)
-        d = gap(grid)
-        rise = np.flatnonzero((d[:-1] < 0.0) & (d[1:] >= 0.0))
-        a, b = grid[rise], grid[rise + 1]
+        grid = np.geomspace(lo, hi, 256)  # pair j's grid in column j
+        d = (law1.logpdf(grid) - law0.logpdf(grid)).T
+        # each rise through 0, by pair and then along its grid
+        pair, row = np.nonzero((d[:, :-1] < 0.0) & (d[:, 1:] >= 0.0))
+        a, b = grid[row, pair], grid[row + 1, pair]
+        l0, l1 = _take(law0, pair), _take(law1, pair)
         while True:
             mid = 0.5 * (a + b)
             if not ((a < mid) & (mid < b)).any():
                 break
-            below = gap(mid) < 0.0
+            below = l1.logpdf(mid) - l0.logpdf(mid) < 0.0
             a, b = np.where(below, mid, a), np.where(below, b, mid)
-    if rise.size == 0 and (np.abs(d) > 0.0).any():
-        raise BracketError("the bit densities do not cross in the bracket")
-    cands = np.concatenate([[lo], b, [hi]])
-    pe = error_probability(law0, law1, cands)
-    i = 1 + int(np.argmin(pe[1:-1])) if rise.size else int(np.argmin(pe))
-    if min(pe[0], pe[-1]) < pe[i] * (1.0 - 1e-9):
-        raise BracketError("PE decreases toward a bracket endpoint")
-    return float(cands[i]), float(pe[i])
+    rises = np.bincount(pair, minlength=live.size)
+    cands = {}  # pair -> its candidates: lo, its crossings and hi
+    for j, i in enumerate(live):
+        if rises[j] == 0 and (np.abs(d[j]) > 0.0).any():
+            found[i] = BracketError(
+                "the bit densities do not cross in the bracket")
+        else:
+            cands[j] = np.concatenate([[lo[j]], b[pair == j], [hi[j]]])
+    if not cands:
+        return found
+    sizes = [c.size for c in cands.values()]
+    owner = np.repeat(list(cands), sizes)
+    pe = error_probability(_take(law0, owner), _take(law1, owner),
+                           np.concatenate(list(cands.values())))
+    for (j, c), p in zip(cands.items(), np.split(pe, np.cumsum(sizes)[:-1])):
+        best = 1 + int(np.argmin(p[1:-1])) if rises[j] else int(np.argmin(p))
+        if min(p[0], p[-1]) < p[best] * (1.0 - 1e-9):
+            found[live[j]] = BracketError(
+                "PE decreases toward a bracket endpoint")
+        else:
+            found[live[j]] = (float(c[best]), float(p[best]))
+    return found

@@ -7,14 +7,19 @@ support of Y is bounded above by exp(gamma).
 The regularized incomplete gamma functions and their inverse are
 implemented here in numpy, so that no special-function behavior is
 imported blindly and the package needs no scipy. One array kernel,
-_gamma_pq(a, x) for a scalar shape a and an array x, serves every caller
-(cdf, sf, reg_gamma_p, the quantile polish), scalar or array alike: the
-lower series for x < a + 1, the modified-Lentz continued fraction
-otherwise, and the uniform asymptotic expansion for a > 1e8 (DiDonato &
-Morris 1986; Gil, Segura & Temme 2012). Each element stops at its own
-convergence point and converged elements leave the active set, so an
-element's value does not depend on the array it came in; an element that
-does not converge raises Lp3Error.
+_gamma_pq(a, x) for an array x and a shape a that is a scalar or one per
+element, serves every caller (cdf, sf, reg_gamma_p, the quantile polish),
+scalar or array alike: the lower series for x < a + 1, the modified-Lentz
+continued fraction otherwise, and the uniform asymptotic expansion for a >
+1e8 (DiDonato & Morris 1986; Gil, Segura & Temme 2012), chosen per
+element. Each element stops at its own convergence point and converged
+elements leave the active set, so an element's value does not depend on
+the array it came in; an element that does not converge raises Lp3Error.
+
+Laws stack: Lp3Params of equal-length arrays hold one law per element, and
+logpdf, cdf, sf and moment broadcast them against y, elementwise. A law's
+constants (ln Gamma(a), ln|beta|, ...) come from math once per law, as for
+a single law, so a stacked law's values equal the single laws' bit for bit.
 """
 
 from __future__ import annotations
@@ -46,11 +51,11 @@ class Lp3Params:
     gamma: float  # location of ln Y
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
+        if not np.all(np.asarray(self.alpha) > 0):
             raise Lp3Error("alpha must be > 0")
-        if self.beta == 0 or not math.isfinite(self.beta):
+        if np.any(np.asarray(self.beta) == 0) or not np.isfinite(self.beta).all():
             raise Lp3Error("beta must be nonzero and finite")
-        if not math.isfinite(self.gamma):
+        if not np.isfinite(self.gamma).all():
             raise Lp3Error("gamma must be finite")
 
     # detection's law interface, through the module functions' global names
@@ -63,7 +68,7 @@ class Lp3Params:
     def logpdf(self, y):
         return logpdf(self, y)
 
-    def mean(self) -> float:
+    def mean(self):
         return moment(self, 1)
 
 
@@ -75,6 +80,15 @@ _EPS = 1e-16
 _FPMIN = 1e-300
 _LARGE_SHAPE = 1e8  # switch to the uniform asymptotic above this
 _CHUNK = 8192       # elements per kernel pass: bounds the working arrays
+
+
+def _by_math(f, *args):
+    # f of each law's parameters args (scalars, or equal-shaped arrays), by
+    # math: numpy's vectorized log may differ from math.log by an ulp
+    if not isinstance(args[0], np.ndarray):
+        return f(*args)
+    flat = zip(*(np.ravel(v).tolist() for v in args))
+    return np.array([f(*v) for v in flat]).reshape(np.shape(args[0]))
 
 
 def _log1p_ratio(dl, lam):
@@ -108,32 +122,39 @@ def _phi(dl, lam):
     return out
 
 
-def _log_prefactor(a: float, x):
-    # ln( x^a e^-x / Gamma(a) ), elementwise in x. The direct form loses up
-    # to a*ln(a)*eps absolute accuracy in the exponent, ruinous for
-    # a >~ 1e4, so for large a cancel Stirling's formula against a*ln(x)
-    # analytically.
-    if a < 100.0:
-        return -x + a * np.log(x) - math.lgamma(a)
+def _log_prefactor(a, x):
+    # ln( x^a e^-x / Gamma(a) ), elementwise in x; the shape a broadcasts
+    # against x. The direct form loses up to a*ln(a)*eps absolute accuracy
+    # in the exponent, ruinous for a >~ 1e4, so for a >= 100 cancel
+    # Stirling's formula against a*ln(x) analytically, element by element.
+    small = np.asarray(a) < 100.0
+    if small.all():
+        return -x + a * np.log(x) - _by_math(math.lgamma, a)
     dl = (x - a) / a
     ia = 1.0 / a
     stirling = ia * (1.0 / 12.0 + ia * ia * (-1.0 / 360.0 + ia * ia / 1260.0))
-    return -a * _phi(dl, x / a) + 0.5 * math.log(a / (2.0 * math.pi)) - stirling
+    big = (-a * _phi(dl, x / a)
+           + _by_math(lambda v: 0.5 * math.log(v / (2.0 * math.pi)), a)
+           - stirling)
+    if not small.any():
+        return big
+    return np.where(small, -x + a * np.log(x) - _by_math(math.lgamma, a), big)
 
 
-def _pq_series(a: float, x):
+def _pq_series(a, x):
     # Lower series: P = x^a e^-x / Gamma(a+1) * sum x^n / ((a+1)...(a+n)),
     # one term per pass; converged elements leave the active set. All terms
-    # are positive. Worst case needs ~ sqrt(a) terms when x ~ a; cap
-    # generously.
+    # are positive. Worst case needs ~ sqrt(a) terms when x ~ a; cap each
+    # element generously. a: a scalar, or one shape per element of x.
     out = np.empty(x.shape)
     act = np.arange(x.size)
-    xa = x
-    term = np.full(x.shape, 1.0 / a)
+    xa, ap = x, a
+    cap = 400 + (12.0 * np.sqrt(a)).astype(int)
+    low = np.min(cap)
+    term = np.ones(x.shape) / a
     total = term.copy()
-    ap = a
-    for _ in range(400 + int(12.0 * math.sqrt(a))):
-        ap += 1.0
+    for n in range(1, np.max(cap) + 1):
+        ap = ap + 1.0
         term *= xa / ap
         total += term
         done = term < total * _EPS
@@ -141,23 +162,30 @@ def _pq_series(a: float, x):
             out[act[done]] = total[done]
             keep = ~done
             act, xa, term, total = act[keep], xa[keep], term[keep], total[keep]
+            if np.ndim(a):
+                ap, cap = ap[keep], cap[keep]
             if act.size == 0:
                 p = out * np.exp(_log_prefactor(a, x))
                 return np.minimum(p, 1.0), np.maximum(1.0 - p, 0.0)
+        if n >= low and np.any(cap <= n):
+            break
     raise Lp3Error("incomplete gamma series failed to converge")
 
 
-def _pq_contfrac(a: float, x):
+def _pq_contfrac(a, x):
     # Upper continued fraction (modified Lentz); converged elements leave
-    # the active set.
+    # the active set. a as in _pq_series.
     out = np.empty(x.shape)
     act = np.arange(x.size)
+    aa = a
+    cap = 499 + (12.0 * np.sqrt(a)).astype(int)  # passes of each element
+    low = np.min(cap)
     b = x + 1.0 - a
     c = np.full(x.shape, 1.0 / _FPMIN)
     d = 1.0 / np.where(b != 0.0, b, _FPMIN)
     h = d.copy()
-    for i in range(1, 500 + int(12.0 * math.sqrt(a))):
-        an = -i * (i - a)
+    for i in range(1, np.max(cap) + 1):
+        an = -i * (i - aa)
         b += 2.0
         d *= an
         d += b
@@ -173,13 +201,17 @@ def _pq_contfrac(a: float, x):
             out[act[done]] = h[done]
             keep = ~done
             act, b, c, d, h = act[keep], b[keep], c[keep], d[keep], h[keep]
+            if np.ndim(a):
+                aa, cap = aa[keep], cap[keep]
             if act.size == 0:
                 q = out * np.exp(_log_prefactor(a, x))
                 return np.maximum(1.0 - q, 0.0), np.minimum(q, 1.0)
+        if i >= low and np.any(cap <= i):
+            break
     raise Lp3Error("incomplete gamma continued fraction failed to converge")
 
 
-def _pq_asymptotic(a: float, x):
+def _pq_asymptotic(a, x):
     # Uniform asymptotic for huge shape:
     #   Q(a, x) = Phi(-eta sqrt a) - exp(-a eta^2/2)/sqrt(2 pi a) * c0
     #   eta^2/2 = lam - 1 - ln lam,  sign(eta) = sign(lam - 1),
@@ -192,39 +224,45 @@ def _pq_asymptotic(a: float, x):
     df = dl[~near]
     c0[near] = 1.0 / 3.0 - dl[near] / 12.0
     c0[~near] = 1.0 / np.copysign(np.sqrt(eta2[~near]), df) - 1.0 / df
-    z = np.copysign(np.sqrt(eta2), dl) * math.sqrt(a)
-    corr = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi * a) * c0
+    z = np.copysign(np.sqrt(eta2), dl) * np.sqrt(a)
+    corr = np.exp(-0.5 * z * z) / np.sqrt(2.0 * math.pi * a) * c0
     q = _ndtr(-z) - corr
     p = _ndtr(z) + corr
     return np.clip(p, 0.0, 1.0), np.clip(q, 0.0, 1.0)
 
 
-def _gamma_pq(a: float, x):
-    """(P(a, x), Q(a, x)) as arrays shaped like x, for one shape a > 0.
+def _gamma_pq(a, x):
+    """(P(a, x), Q(a, x)) as arrays shaped like x, for shapes a > 0: a
+    scalar, or an array that broadcasts to x's shape.
 
     Series for x < a + 1, continued fraction otherwise, uniform asymptotic
-    for a > 1e8. Every element runs the same recurrence with its own
-    stopping point, so a scalar is exactly a 1-element array.
+    for a > 1e8, chosen per element. Every element runs the same
+    recurrence with its own stopping point, so a scalar is exactly a
+    1-element array.
     """
-    if np.ndim(a) != 0 or not a > 0:
-        raise Lp3Error("shape a must be a scalar > 0")
-    a = float(a)
+    aa = np.asarray(a, float)
     xx = np.asarray(x, float)
+    if (not (aa > 0).all()
+            or np.broadcast_shapes(aa.shape, xx.shape) != xx.shape):
+        raise Lp3Error("shape a must be > 0 and broadcast to x")
     if not (xx >= 0.0).all():  # NaN fails this too
         raise Lp3Error("argument x must be >= 0")
     flat = xx.ravel()
+    af = np.broadcast_to(aa, xx.shape).ravel()
     p = (flat == math.inf).astype(float)  # 0 at x = 0, 1 at x = inf
     q = 1.0 - p
-    mid = np.flatnonzero((flat > 0.0) & (flat < math.inf))
-    if a > _LARGE_SHAPE:
-        parts = [(mid, _pq_asymptotic)]
-    else:
-        low = flat[mid] < a + 1.0
-        parts = [(mid[low], _pq_series), (mid[~low], _pq_contfrac)]
-    for idx, kernel in parts:
+    mid = (flat > 0.0) & (flat < math.inf)
+    big = af > _LARGE_SHAPE
+    low = flat < af + 1.0
+    for sel, kernel in ((mid & big, _pq_asymptotic),
+                        (mid & ~big & low, _pq_series),
+                        (mid & ~big & ~low, _pq_contfrac)):
+        idx = np.flatnonzero(sel)
         for k in range(0, idx.size, _CHUNK):
             sub = idx[k:k + _CHUNK]
-            p[sub], q[sub] = kernel(a, flat[sub])
+            # one law keeps its scalar shape: its constants come once
+            p[sub], q[sub] = kernel(float(aa) if aa.ndim == 0 else af[sub],
+                                    flat[sub])
     return p.reshape(xx.shape), q.reshape(xx.shape)
 
 
@@ -257,11 +295,15 @@ def _cdf_sf(p, y, upper):
     yy = np.asarray(y, float)
     if np.isnan(yy).any():
         raise Lp3Error("y must not be NaN")
+    yy = np.broadcast_to(yy, np.broadcast_shapes(yy.shape, np.shape(p.alpha)))
     out = np.full(yy.shape, float(upper))
     pos = yy > 0.0
+    a, b, g = (v if np.ndim(v) == 0 else np.broadcast_to(v, yy.shape)[pos]
+               for v in (p.alpha, p.beta, p.gamma))
     # z <= 0 is outside the support: P(a, 0) = 0 and Q(a, 0) = 1 there
-    z = np.maximum((np.log(yy[pos]) - p.gamma) / p.beta, 0.0)
-    out[pos] = _gamma_pq(p.alpha, z)[int((p.beta > 0) == upper)]
+    z = np.maximum((np.log(yy[pos]) - g) / b, 0.0)
+    pq = _gamma_pq(a, z)
+    out[pos] = np.where((b > 0) == upper, pq[1], pq[0])
     return float(out) if out.ndim == 0 else out
 
 
@@ -273,17 +315,22 @@ def logpdf(p: Lp3Params, y):
         ly = np.log(np.atleast_1d(np.asarray(y, float)))
         z = (ly - p.gamma) / p.beta
         out = np.where((0.0 < z) & (z < math.inf), _log_prefactor(p.alpha, z)
-                       - np.log(z) - ly - math.log(abs(p.beta)), -math.inf)
-    return float(out[0]) if np.ndim(y) == 0 else out
+                       - np.log(z) - ly
+                       - _by_math(lambda b: math.log(abs(b)), p.beta),
+                       -math.inf)
+    return float(out[0]) if np.ndim(y) == np.ndim(p.alpha) == 0 else out
 
 
-def moment(p: Lp3Params, n: int) -> float:
-    """Raw moment E{Y^n} = exp(n gamma) (1 - n beta)^(-alpha); needs n beta < 1."""
+def moment(p: Lp3Params, n: int):
+    """Raw moment E{Y^n} = exp(n gamma) (1 - n beta)^(-alpha); needs n beta < 1.
+
+    One per law of a stacked law."""
     if n < 1:
         raise Lp3Error("moment order must be >= 1")
-    if n * p.beta >= 1.0:
+    if np.any(n * np.asarray(p.beta) >= 1.0):
         raise DivergentMomentError(f"moment of order {n} diverges (n*beta >= 1)")
-    return math.exp(n * p.gamma - p.alpha * math.log1p(-n * p.beta))
+    return _by_math(lambda a, b, g: math.exp(n * g - a * math.log1p(-n * b)),
+                    p.alpha, p.beta, p.gamma)
 
 
 _GL = np.array([[0.1834346424956498, 0.5255324099163290, 0.7966664774136267,

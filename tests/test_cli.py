@@ -292,17 +292,22 @@ def test_integer_flags_take_the_config_number_grammar(argv, key, value):
     assert getattr(cli.build_parser().parse_args(argv), key) == value
 
 
+# the reason a usage error gives: the ConfigError of the key's parser
+FLAG_REASONS = {"1e400": "'1e400' is out of range",
+                "1.5": "expected an integer, got '1.5'"}
+
+
 @pytest.mark.parametrize("raw", ["1e400", "1.5"])
 def test_integer_flags_reject_what_their_keys_reject(raw, capsys):
     # a value that is not finite is a usage error too, not the OverflowError
     # of int(inf), which argparse would let through as a traceback
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=FLAG_REASONS[raw]):
         parse_config(f"trials = {raw}")
     with pytest.raises(SystemExit) as exc:
         main(["ber-sweep", "--trials", raw])
     assert exc.value.code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"argument --trials: invalid _integer value: '{raw}'" in err
+    assert f"argument --trials: {FLAG_REASONS[raw]}\n" in err
     assert "Traceback" not in err
 
 
@@ -402,6 +407,42 @@ def test_power_sweep_shares_bit0_samples_bitwise(monkeypatch):
     assert not any(r["error"] for r in swept)
     assert sum(bit == 0 for bit, _ in draws) == 1
     assert sum(bit == 1 for bit, _ in draws) == 1
+
+
+@pytest.mark.parametrize("analytic_only", [False, True])
+def test_a_failing_search_fails_only_its_own_rows(monkeypatch,
+                                                  analytic_only):
+    # all LP3 pairs of a task are searched at once. At 35 dBm bit 1's
+    # order-3 LP3 density raises, a kernel error, and at 60 dBm the order-3
+    # LP3 densities do not cross: each of the two fails its own row, and
+    # every row is byte for byte that of the point swept alone
+    cfg = replace(_mc_sweep("p_r_dbm", (33.0, 35.0, 60.0)),
+                  variants=("lp3", "gauss_approx", "mc"))
+    if analytic_only:
+        cfg = replace(cfg, variants=("lp3", "gauss_approx"),
+                      analytic_only=True)
+    sp = replace(cfg.base, p_r=dbm_to_watts(35.0))
+    bad = lp3.fit_from_moments(cli.decision_moments(sp, derive(sp), 1))
+    real = lp3.logpdf
+
+    def failing(law, y):
+        if np.any(np.asarray(law.alpha) == bad.alpha):
+            raise lp3.Lp3Error("density failed")
+        return real(law, y)
+
+    monkeypatch.setattr(lp3, "logpdf", failing)
+    serial = _serial_rows(cfg)
+    swept = [cli._format_row(r) for r in cli.run_ber_sweep(cfg)]
+    assert swept == serial
+    # (x_value, variant, order, error) of each row with an error
+    failed = {(c[0], c[4], c[7], c[8]) for c in (r.split(",") for r in swept)
+              if c[8]}
+    assert failed == {
+        ("35", "lp3", "3", "density failed"),
+        ("60", "lp3", "3", "the bit densities do not cross in the bracket"),
+        *((x, v, "1", "Monte-Carlo sampling disabled by analytic_only")
+          for x in ("33", "35", "60") for v in ("lp3", "gauss_approx")
+          if analytic_only)}
 
 
 def test_power_sweep_batches_bit1_within_the_byte_budget(monkeypatch):
@@ -767,12 +808,28 @@ def test_fit_missing_group_in_samples(sample_csv, capsys):
     assert "no samples for order=2" in capsys.readouterr().err
 
 
+# the reason of each moments flag's usage error: the first value that the
+# item rule of the moments key rejects
+MOMENT_REASONS = {"1e400": "'1e400' is out of range",
+                  "inf": "cannot parse quantity 'inf'",
+                  "nan": "cannot parse quantity 'nan'",
+                  "2_0": "cannot parse quantity '2_0'",
+                  "2W": "expected a bare number, got '2W'"}
+
+
 @pytest.mark.parametrize("ms", [["1e400", "5", "14"], ["inf", "5", "14"],
-                                ["2", "5", "nan"]])
+                                ["2", "5", "nan"], ["2_0", "5", "14"],
+                                ["2W", "5", "14"]])
 def test_fit_non_finite_moments_are_config_errors(capsys, ms):
-    # as the config key moments = 1e400, 5, 14 is
-    assert main(["fit", "--moments", *ms]) == EXIT_CONFIG
-    assert "config error: --moments must be finite" in capsys.readouterr().err
+    # each value parses with the item rule of the key moments, which
+    # rejects all of these: a usage error that gives the rule's reason
+    with pytest.raises(ConfigError):
+        parse_config(f"moments = {', '.join(ms)}")
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--moments", *ms])
+    assert exc.value.code == EXIT_CONFIG
+    reason, = (MOMENT_REASONS[m] for m in ms if m in MOMENT_REASONS)
+    assert f"argument --moments: {reason}\n" in capsys.readouterr().err
 
 
 def test_fit_config_file_moments(tmp_path, capsys):

@@ -687,3 +687,123 @@ def test_ase_only_variants_ignore_the_responsivity():
                                gauss_pe=1e-13)
                 assert (empirical_ber(*(s[order] for s in sets))[1]
                         == empirical_ber(*(s[order] for s in ref_sets))[1])
+
+
+# --------------------------------------------------------------------------
+# stacked searches: every pair of a stack as its own search, bit for bit
+# --------------------------------------------------------------------------
+
+STACK_DBMS = tuple(range(29, 47, 2))
+
+
+def _fit_or_error(m):
+    try:
+        return fit_from_moments(m)
+    except lp3.Lp3Error as exc:
+        return exc
+
+
+@pytest.fixture(scope="module")
+def sweep_pairs():
+    """{variant: [(law0, law1)]} of PRD 10/25/100 x 29-45 dBm x orders 1-3,
+    and of PRD 10, order 3 at 60 dBm, whose LP3 densities do not cross.
+
+    Order 3 takes the closed-form moments. The package has no closed form
+    for orders 1 and 2, so they take sample moments of the draw whose bytes
+    test_frozen_bits.SAMPLE_DIGESTS pins (2048 trials from trial 100, seed
+    11), as the sweep's rows of those orders do."""
+    pairs = {"lp3": [], "gauss_approx": []}
+
+    def add(mus):
+        pairs["lp3"].append([fit_from_moments(m) for m in mus])
+        pairs["gauss_approx"].append([NormalLaw(m[0], m[1] - m[0] ** 2)
+                                      for m in mus])
+
+    for prd in (10.0, 25.0, 100.0):
+        sps = [make_system(prd=prd, p_r_dbm=dbm) for dbm in STACK_DBMS]
+        dp = derive(sps[0])
+        sets0 = generate_samples(sps[0], dp, 0, 2048, orders=(1, 2),
+                                 seed=11, start_trial=100)
+        sets1 = generate_samples(sps[0], dp, 1, 2048, orders=(1, 2),
+                                 seed=11, start_trial=100,
+                                 powers=[sp.p_r for sp in sps])
+        for sp, s1 in zip(sps, sets1):
+            for order in (1, 2):
+                add([sample_moments(s[order].values)[0]
+                     for s in (sets0, s1)])
+            add([decision_moments(sp, derive(sp), b) for b in (0, 1)])
+    sp = make_system(prd=10.0, p_r_dbm=60.0)
+    add([decision_moments(sp, derive(sp), b) for b in (0, 1)])
+    return pairs
+
+
+# shape above 1e8 (the asymptotic kernel), both signs of beta: ln Y shifts
+# by 5 standard deviations from bit 0 to bit 1
+HUGE_SHAPE_PAIRS = [
+    [Lp3Params(4e8, 5e-6, -2000.0), Lp3Params(4e8, 5e-6, -1999.5)],
+    [Lp3Params(4e8, -5e-6, 2000.0), Lp3Params(4e8, -5e-6, 2000.5)],
+]
+
+
+def _outcome(law0, law1):
+    try:
+        return optimize_threshold(law0, law1)
+    except Exception as exc:
+        return exc
+
+
+def _assert_stack_is_each_pair(pairs):
+    # the stacked outcomes are the single searches' (th_opt, PE) bit for
+    # bit, or their errors' type and message
+    got = optimize_threshold(*(detection.stack([p[b] for p in pairs])
+                               for b in (0, 1)))
+    assert len(got) == len(pairs)
+    for g, pair in zip(got, pairs):
+        want = _outcome(*pair)
+        if isinstance(want, Exception):
+            assert (type(g), str(g)) == (type(want), str(want))
+        else:
+            assert type(g) is tuple and g == want
+    return got
+
+
+@pytest.mark.parametrize("variant", ["lp3", "gauss_approx"])
+def test_stacked_search_is_each_pair_bit_for_bit(sweep_pairs, variant,
+                                                 monkeypatch):
+    pairs = sweep_pairs[variant]
+    if variant == "lp3":
+        pairs = pairs + HUGE_SHAPE_PAIRS
+        laws = [law for pair in pairs for law in pair]
+        shapes = np.array([law.alpha for law in laws])
+        betas = np.array([law.beta for law in laws])
+        assert (shapes < 100).any() and (shapes > 1e8).any()
+        assert ((shapes >= 100) & (shapes <= 1e8)).any()
+        assert (betas > 0).any() and (betas < 0).any()
+
+    def refuse(law0, law1):
+        raise AssertionError("a stacked kernel raised")
+
+    # these stacks run through without a pair searched again alone
+    monkeypatch.setattr(detection, "_alone", refuse)
+    got = _assert_stack_is_each_pair(pairs)
+    failed = [str(g) for g in got if isinstance(g, Exception)]
+    assert failed == (["the bit densities do not cross in the bracket"]
+                      if variant == "lp3" else [])
+
+
+def test_stacked_search_keeps_each_failing_pairs_error(sweep_pairs):
+    # a law whose mean diverges raises in the stacked kernel, so the pairs
+    # are searched again alone; an inverted and an empty bracket fail
+    # without a kernel error
+    lp3_pairs = sweep_pairs["lp3"][:12]
+    _, swapped = _assert_stack_is_each_pair(
+        [lp3_pairs[0], lp3_pairs[11][::-1]])  # PRD 10, 35 dBm, order 3
+    assert isinstance(swapped, BracketError)
+    got = _assert_stack_is_each_pair(
+        [lp3_pairs[2], [lp3_pairs[3][0], Lp3Params(2.0, 1.5, 0.0)],
+         lp3_pairs[3]])
+    assert isinstance(got[1], lp3.DivergentMomentError)
+    gauss = sweep_pairs["gauss_approx"][:2]
+    got = _assert_stack_is_each_pair(
+        [gauss[0], [NormalLaw(1.0, 1.0), NormalLaw(-1.0, 1.0)], gauss[1]])
+    assert str(got[1]) == "invalid threshold bracket (0.01, -10.0)"
