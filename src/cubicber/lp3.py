@@ -53,7 +53,7 @@ class Lp3Params:
     def __post_init__(self) -> None:
         if not np.all(np.asarray(self.alpha) > 0):
             raise Lp3Error("alpha must be > 0")
-        if np.any(np.asarray(self.beta) == 0) or not np.isfinite(self.beta).all():
+        if not np.all(np.isfinite(self.beta) & (np.asarray(self.beta) != 0)):
             raise Lp3Error("beta must be nonzero and finite")
         if not np.isfinite(self.gamma).all():
             raise Lp3Error("gamma must be finite")
