@@ -696,13 +696,6 @@ def test_ase_only_variants_ignore_the_responsivity():
 STACK_DBMS = tuple(range(29, 47, 2))
 
 
-def _fit_or_error(m):
-    try:
-        return fit_from_moments(m)
-    except lp3.Lp3Error as exc:
-        return exc
-
-
 @pytest.fixture(scope="module")
 def sweep_pairs():
     """{variant: [(law0, law1)]} of PRD 10/25/100 x 29-45 dBm x orders 1-3,
