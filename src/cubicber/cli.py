@@ -191,8 +191,7 @@ def _samples(sets, bit):
 
 def _point_laws(cfg: SweepConfig, sp, sets) -> dict:
     """{(order, variant): the law pair, or the point error building it
-    raised} of the analytic variants of one point (see _eval_point). A
-    shot/thermal pair, which does not stack, holds its search's outcome."""
+    raised} of the analytic variants of one point (see _eval_point)."""
     @functools.cache
     def moments(bit, order):
         """(mu1, mu2, mu3): closed form for order 3, else MC."""
@@ -222,11 +221,10 @@ def _point_laws(cfg: SweepConfig, sp, sets) -> dict:
                             for m in (moments(b, order) for b in (0, 1))]
                 else:
                     pair = [lp3_law(b, order) for b in (0, 1)]
-                laws[order, variant] = pair
                 if variant == "lp3_shot_thermal":
-                    laws[order, variant] = detection.optimize_threshold(*(
-                        detection.ShotThermalLaw(lw, derive(sp))
-                        for lw in pair))
+                    pair = [detection.ShotThermalLaw(lw, derive(sp))
+                            for lw in pair]
+                laws[order, variant] = pair
             except _POINT_ERRORS as exc:
                 laws[order, variant] = exc
     return laws
@@ -265,20 +263,17 @@ def _eval_point(cfg: SweepConfig, x, r_l, sp, sets, found) -> list[dict]:
 def _rows(cfg: SweepConfig, points) -> list[dict]:
     """The rows of points [(x, r_l, system, sets)] (see _eval_point).
 
-    Every point's laws are built first; then one threshold search per
-    stacking variant takes the pairs of all points and orders at once,
-    each with the outcome of a search of its pair alone."""
+    Every point's laws are built first; then one threshold search takes
+    the pairs of all points, orders and variants at once, each with the
+    outcome of a search of its pair alone."""
     found = [{} if isinstance(sp, str) else _point_laws(cfg, sp, sets)
              for _, _, sp, sets in points]
-    for variant in ("lp3", "gauss_approx"):
-        todo = [(f, order) for f in found for order in cfg.orders
-                if isinstance(f.get((order, variant)), list)]
-        if todo:
-            outcomes = detection.optimize_threshold(*(
-                detection.stack([f[order, variant][b] for f, order in todo])
-                for b in (0, 1)))
-            for (f, order), out in zip(todo, outcomes):
-                f[order, variant] = out
+    todo = [(f, key) for f in found for key in f
+            if not isinstance(f[key], Exception)]
+    outcomes = detection.optimize_threshold(
+        *([f[key][b] for f, key in todo] for b in (0, 1)))
+    for (f, key), out in zip(todo, outcomes):
+        f[key] = out
     return [row for (x, rl, sp, sets), f in zip(points, found)
             for row in _eval_point(cfg, x, rl, sp, sets, f)]
 

@@ -26,14 +26,14 @@ raises QuadratureError past that.
 PE = sf0/2 + cdf1/2 takes no 1 - cdf, so bit 0's tail keeps its digits
 where cdf0 rounds to 1. PE' = (f1 - f0)/2: its minimum is a density crossing.
 
-optimize_threshold also searches stacked laws (see stack), such as the LP3
-or the Gaussian pairs of every point and order of one ber-sweep task. Each
-pair keeps its own grid and gets the outcome of its own search, bit for
-bit, but the densities of all pairs go through one logpdf call per law and
-bisection step, and PE through one sf and one cdf call. On 2 vCPUs the 15
+optimize_threshold also takes lists of law pairs, such as all pairs of one
+ber-sweep task. Its LP3 pairs are searched as one law pair whose fields are
+arrays, and so are its Gaussian pairs: each pair keeps its own grid and the
+bits of its own search, but a bisection step takes one logpdf call per law
+for them all. ShotThermalLaw pairs are searched alone. On 2 vCPUs the 15
 LP3 searches of a 5-power, orders 1-3 sweep at PRD 10 take 12-23 ms so,
 against 56-107 ms one by one, and its 15 Gaussian searches 2 ms against
-12-15 ms. A ShotThermalLaw does not stack; its pair is a stack of one.
+12-15 ms.
 """
 
 from __future__ import annotations
@@ -242,25 +242,10 @@ def error_probability(law0, law1, th):
     return 0.5 * law0.sf(th) + 0.5 * law1.cdf(th)
 
 
-def stack(laws):
-    """The laws, all Lp3Params or all NormalLaw, as one law of that kind
-    whose fields are arrays: law i is element i. optimize_threshold
-    searches the pairs of two such laws at once."""
-    kind = type(laws[0])
-    return kind(*(np.array([getattr(law, f.name) for law in laws])
-                  for f in fields(kind)))
-
-
-def _pairs(law):
-    # the number of laws a stacked law holds; 0 for a single law
-    return max((v.size for v in (getattr(law, f.name) for f in fields(law))
-                if isinstance(v, np.ndarray)), default=0)
-
-
 def _take(law, idx):
-    # the laws idx (an index array, or an int for a single law) of a
-    # stacked law; a single law stands for itself at every index
-    if not _pairs(law):
+    # the laws idx (an index array) of a stacked law, whose fields are
+    # arrays; a single law stands for itself at every index
+    if np.ndim(getattr(law, fields(law)[0].name)) == 0:
         return law
     return type(law)(*(getattr(law, f.name)[idx] for f in fields(law)))
 
@@ -274,23 +259,33 @@ def optimize_threshold(law0, law1):
     the grid ends. Raises BracketError when an end beats every crossing, or
     there is none although the densities differ; coincident laws give PE 1/2.
 
-    Stacked laws (see stack) of n pairs return a list of n outcomes: pair
-    i's (th_opt, pe_min), or the exception that searching it alone raises.
-    Each pair keeps its own grid, but the densities of all pairs are taken
-    in one array call per step and PE in one call per bit, with the bits of
-    n single searches. If a kernel raises for the stack, its pairs are
-    searched again one at a time.
+    Two equal-length lists of laws give a list: pair i (law0[i], law1[i])
+    gets its (th_opt, pe_min), or the exception its search alone raises.
+    The Lp3Params pairs are searched as one stacked pair, and so are the
+    NormalLaw pairs (PE too takes one call per bit). Other pairs, and the
+    pairs of a stack whose kernel raises, are searched one at a time.
     """
-    n = max(_pairs(law0), _pairs(law1))
-    if n == 0:
+    if not isinstance(law0, list):
         (found,) = _search(law0, law1, 1)
         if isinstance(found, Exception):
             raise found
         return found
-    try:
-        return _search(law0, law1, n)
-    except _LAW_ERRORS:
-        return [_alone(_take(law0, i), _take(law1, i)) for i in range(n)]
+    found = [None] * len(law0)
+    for kind in (lp3.Lp3Params, NormalLaw):
+        idx = [i for i, pair in enumerate(zip(law0, law1, strict=True))
+               if type(pair[0]) is type(pair[1]) is kind]
+        if not idx:
+            continue
+        # the pairs idx as one law pair whose fields are arrays
+        stacks = [kind(*(np.array([getattr(laws[i], f.name) for i in idx])
+                         for f in fields(kind))) for laws in (law0, law1)]
+        try:
+            for i, out in zip(idx, _search(*stacks, len(idx))):
+                found[i] = out
+        except _LAW_ERRORS:
+            pass
+    return [_alone(*pair) if out is None else out
+            for pair, out in zip(zip(law0, law1), found)]
 
 
 # what a search raises for the laws it is given: their domain errors

@@ -11,6 +11,7 @@ import ast
 import importlib
 import inspect
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,48 @@ def test_law_methods_reach_the_traced_module_functions(monkeypatch):
     assert calls["lp3.moment"] == calls["lp3.quantile"] == 2
     assert calls["lp3.cdf"] == calls["lp3.sf"] == 1
     assert calls["detection.cdf_shot_thermal"] == 1
+
+
+def test_every_sweep_search_runs_inside_a_traced_call(monkeypatch):
+    # the tracer wraps optimize_threshold through detection's global, so
+    # detection.optimize.* see a search only inside such a call: a sweep
+    # task makes one list call, and each shot/thermal pair, searched alone,
+    # one nested call of its own
+    from cubicber import detection
+
+    real_optimize = detection.optimize_threshold
+    real_search = detection._search
+    local = threading.local()
+    calls, searches = [], []
+
+    def optimize_threshold(law0, law1):
+        depth = getattr(local, "depth", 0)
+        calls.append((depth, type(law0).__name__))
+        local.depth = depth + 1
+        try:
+            return real_optimize(law0, law1)
+        finally:
+            local.depth = depth
+
+    def search(law0, law1, n):
+        searches.append(getattr(local, "depth", 0))
+        return real_search(law0, law1, n)
+
+    monkeypatch.setattr(detection, "optimize_threshold", optimize_threshold)
+    monkeypatch.setattr(detection, "_search", search)
+    base = SystemParams(tau_c=100e-15, prd=10.0, wavelength=1.55e-6,
+                        g_amp=1e5)
+    cfg = cli.SweepConfig(base, "p_r_dbm", (35.0, 37.0),
+                          variants=("lp3", "gauss_approx",
+                                    "lp3_shot_thermal"),
+                          analytic_only=True)
+    rows = cli.run_ber_sweep(cfg)
+    assert len(rows) == 6 and not any(r["error"] for r in rows)
+    # the draw-less points are one task: its list call, then the searches
+    # of the LP3 stack, the Gaussian stack and the two shot/thermal pairs
+    assert calls == [(0, "list"), (1, "ShotThermalLaw"),
+                     (1, "ShotThermalLaw")]
+    assert len(searches) == 4 and all(d >= 1 for d in searches)
 
 
 def test_stream_reaches_the_traced_rng_functions(monkeypatch):

@@ -412,15 +412,16 @@ def test_power_sweep_shares_bit0_samples_bitwise(monkeypatch):
 @pytest.mark.parametrize("analytic_only", [False, True])
 def test_a_failing_search_fails_only_its_own_rows(monkeypatch,
                                                   analytic_only):
-    # all LP3 pairs of a task are searched at once. At 35 dBm bit 1's
-    # order-3 LP3 density raises, a kernel error, and at 60 dBm the order-3
-    # LP3 densities do not cross: each of the two fails its own row, and
-    # every row is byte for byte that of the point swept alone
+    # all pairs of a task, of all three kinds, are searched in one call. At
+    # 35 dBm bit 1's order-3 LP3 density raises, a kernel error, and at 60
+    # dBm the order-3 LP3 densities do not cross: each fails only the rows
+    # whose laws hold it, the shot/thermal rows over the same clean laws
+    # among them, and every row is byte for byte that of the point swept
+    # alone
     cfg = replace(_mc_sweep("p_r_dbm", (33.0, 35.0, 60.0)),
-                  variants=("lp3", "gauss_approx", "mc"))
+                  variants=("lp3", "lp3_shot_thermal", "gauss_approx", "mc"))
     if analytic_only:
-        cfg = replace(cfg, variants=("lp3", "gauss_approx"),
-                      analytic_only=True)
+        cfg = replace(cfg, variants=cfg.variants[:-1], analytic_only=True)
     sp = replace(cfg.base, p_r=dbm_to_watts(35.0))
     bad = lp3.fit_from_moments(cli.decision_moments(sp, derive(sp), 1))
     real = lp3.logpdf
@@ -437,12 +438,16 @@ def test_a_failing_search_fails_only_its_own_rows(monkeypatch,
     # (x_value, variant, order, error) of each row with an error
     failed = {(c[0], c[4], c[7], c[8]) for c in (r.split(",") for r in swept)
               if c[8]}
-    assert failed == {
-        ("35", "lp3", "3", "density failed"),
-        ("60", "lp3", "3", "the bit densities do not cross in the bracket"),
-        *((x, v, "1", "Monte-Carlo sampling disabled by analytic_only")
-          for x in ("33", "35", "60") for v in ("lp3", "gauss_approx")
-          if analytic_only)}
+    apart = "the bit densities do not cross in the bracket"
+    want = {("35", "lp3", "3", "density failed"),
+            ("35", "lp3_shot_thermal", "3", "density failed"),
+            ("60", "lp3", "3", apart), ("60", "lp3_shot_thermal", "3", apart)}
+    if analytic_only:
+        want |= {(x, v, "1", "Monte-Carlo sampling disabled by analytic_only")
+                 for x in ("33", "35", "60") for v in cfg.variants}
+    else:  # order 1's shot/thermal densities at 60 dBm do not cross either
+        want.add(("60", "lp3_shot_thermal", "1", apart))
+    assert failed == want
 
 
 def test_power_sweep_batches_bit1_within_the_byte_budget(monkeypatch):

@@ -690,7 +690,7 @@ def test_ase_only_variants_ignore_the_responsivity():
 
 
 # --------------------------------------------------------------------------
-# stacked searches: every pair of a stack as its own search, bit for bit
+# searches of law lists: every pair as its own search, bit for bit
 # --------------------------------------------------------------------------
 
 STACK_DBMS = tuple(range(29, 47, 2))
@@ -746,10 +746,9 @@ def _outcome(law0, law1):
 
 
 def _assert_stack_is_each_pair(pairs):
-    # the stacked outcomes are the single searches' (th_opt, PE) bit for
-    # bit, or their errors' type and message
-    got = optimize_threshold(*(detection.stack([p[b] for p in pairs])
-                               for b in (0, 1)))
+    # the outcomes of one call on the pairs' lists are the single searches'
+    # (th_opt, PE) bit for bit, or their errors' type and message
+    got = optimize_threshold(*([p[b] for p in pairs] for b in (0, 1)))
     assert len(got) == len(pairs)
     for g, pair in zip(got, pairs):
         want = _outcome(*pair)
@@ -800,3 +799,36 @@ def test_stacked_search_keeps_each_failing_pairs_error(sweep_pairs):
     got = _assert_stack_is_each_pair(
         [gauss[0], [NormalLaw(1.0, 1.0), NormalLaw(-1.0, 1.0)], gauss[1]])
     assert str(got[1]) == "invalid threshold bracket (0.01, -10.0)"
+
+
+def test_a_mixed_list_is_each_pair_bit_for_bit(monkeypatch):
+    # the LP3, Gaussian and shot/thermal pairs of PRD 10 at 33/35/37 dBm
+    # and 100 ohm / 1 kohm, and one swapped pair of each kind, in one
+    # shuffled call: only the shot/thermal pairs are searched alone
+    pairs = []
+    for dbm in (33.0, 35.0, 37.0):
+        for r_l in (100.0, 1000.0):
+            sp = make_system(prd=10.0, p_r_dbm=dbm, r_l=r_l)
+            mus = [decision_moments(sp, derive(sp), b) for b in (0, 1)]
+            lp3_pair = [fit_from_moments(m) for m in mus]
+            pairs += [lp3_pair,
+                      [NormalLaw(m[0], m[1] - m[0] ** 2) for m in mus],
+                      [ShotThermalLaw(law, derive(sp)) for law in lp3_pair]]
+    pairs += [pair[::-1] for pair in pairs[-3:]]
+    order = np.random.default_rng(5).permutation(len(pairs))
+    pairs = [pairs[i] for i in order]
+    alone = []
+    real = detection._alone
+
+    def spy(law0, law1):
+        alone.append(type(law0))
+        return real(law0, law1)
+
+    monkeypatch.setattr(detection, "_alone", spy)
+    got = _assert_stack_is_each_pair(pairs)
+    assert alone == [ShotThermalLaw] * 7
+    failed = [type(g) for g in got if isinstance(g, Exception)]
+    assert failed == [BracketError] * 3
+    assert optimize_threshold([], []) == []
+    with pytest.raises(ValueError):
+        optimize_threshold(pairs[0][:1], pairs[0])
